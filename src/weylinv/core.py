@@ -91,12 +91,13 @@ def matnorm(M) -> float:
     return float(np.max(np.sum(np.abs(M), axis=-1)))
 
 
-def _as_square(M, dim=None):
+def _as_square(M, dim=None, stacked=False):
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if (M.ndim < 2 or (M.ndim > 2 and not stacked)
+            or M.shape[-1] != M.shape[-2]):
         raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
-    if dim is not None and M.shape[0] != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {M.shape[0]}")
+    if dim is not None and M.shape[-1] != dim:
+        raise DimensionMismatchError(f"expected dimension {dim}, got {M.shape[-1]}")
     return M
 
 
@@ -272,9 +273,11 @@ def bracket(Zval, Zder, Yval, Yder) -> np.ndarray:
 
 
 def apply_T(bc: BoundaryCondition, Y0, Y0der) -> np.ndarray:
-    """Boundary functional T(Y) = A(Y'(0) - h Y(0)) - (I - A) Y(0)."""
-    Y0 = _as_square(Y0, bc.dim)
-    Y0der = _as_square(Y0der, bc.dim)
+    """Boundary functional T(Y) = A(Y'(0) - h Y(0)) - (I - A) Y(0).
+
+    Y0 and Y0der may also be stacks (..., n, n) of boundary values."""
+    Y0 = _as_square(Y0, bc.dim, stacked=True)
+    Y0der = _as_square(Y0der, bc.dim, stacked=True)
     return bc.A @ (Y0der - bc.h @ Y0) - bc.A_perp @ Y0
 
 

@@ -35,7 +35,8 @@ from .core import (
     sin_over,
     sinc,
 )
-from .forward import Problem, solve_adjoint, solve_regular, weyl_matrix
+from .forward import (Problem, _march_many, _weyl_many, transpose_problem,
+                      weyl_matrix)
 
 __all__ = [
     "WeylData",
@@ -77,6 +78,9 @@ class WeylData:
         if M.ndim != 3 or M.shape[1] != M.shape[2]:
             raise ValueError(f"M samples must be (K, n, n), got {M.shape}")
         tail = tuple(sorted(self.tail_samples, key=lambda t: abs(t[0].rho)))
+        if not (np.all(np.isfinite(M))
+                and all(np.all(np.isfinite(m)) for _, m in tail)):
+            raise DataQualityError("Weyl samples must be finite")
         object.__setattr__(self, "M_samples", M)
         object.__setattr__(self, "tail_samples", tail)
 
@@ -215,10 +219,9 @@ def problem_D(problem: Problem, x: float, lam: SpectralPoint,
 
     by quadrature of the solved regular and adjoint solutions."""
     pot = problem.potential
-    i = pot.index_of(x)
-    phi, _ = solve_regular(problem, lam)
-    phi_s, _, _ = solve_adjoint(problem, mu)
-    return prefix_integrals(phi_s.value @ phi.value, pot.dx)[i]
+    phi = _phi_values(problem, [lam.lam])[:, 0]
+    phi_s = _phi_values(problem, [mu.lam], adjoint=True)[:, 0]
+    return prefix_integrals(phi_s @ phi, pot.dx)[pot.index_of(x)]
 
 
 def kernel_rtilde(A, Mhat_at_mu, x: float, lam: SpectralPoint,
@@ -428,52 +431,17 @@ def main_equation_residual(weyl: WeylData, A, sol: MainEquationSolution,
 # Kernel-closure consistency residual (round-trip mode)
 # ---------------------------------------------------------------------------
 
-def _regular_at_nodes(problem: Problem, pts):
-    """Regular-solution values phi(., pt) for many spectral points.
+def _phi_values(problem: Problem, lams, adjoint=False):
+    """Regular solutions phi(., lam) on the problem grid, (N, K, n, n).
 
-    Returns (N, K, n, n) sampled on the problem grid.  The scalar case is
-    marched for all points at once.
+    With adjoint set, the adjoint solutions phi*(., lam) instead: the
+    transposed regular solutions of the transposed problem.
     """
-    pot = problem.potential
-    n = problem.dim
-    N = pot.x_nodes.size
-    K = len(pts)
-    if n == 1:
-        lams = np.array([p.lam for p in pts])
-        dx = pot.dx
-        q = pot.values[:, 0, 0]
-        qm = 0.5 * (q[:-1] + q[1:])
-        c = lams[None, :] - qm[:, None]            # (N-1, K)
-        sq = np.sqrt(c.astype(complex))
-        cosb = np.cos(sq * dx)
-        sincb = sin_over(sq, dx)
-        bc = problem.bc
-        val = np.empty((N, K), dtype=complex)
-        der = np.empty((N, K), dtype=complex)
-        val[0] = bc.A[0, 0]
-        der[0] = bc.A_perp[0, 0] + bc.h[0, 0]
-        for k in range(N - 1):
-            v = cosb[k] * val[k] + sincb[k] * der[k]
-            d = -c[k] * sincb[k] * val[k] + cosb[k] * der[k]
-            val[k + 1], der[k + 1] = v, d
-        return val.reshape(N, K, 1, 1)
-    out = np.empty((N, K, n, n), dtype=complex)
-    for j, p in enumerate(pts):
-        phi, _ = solve_regular(problem, p)
-        out[:, j] = phi.value
-    return out
-
-
-def _adjoint_at_nodes(problem: Problem, pts):
-    tp = _transposed(problem)
-    vals = _regular_at_nodes(tp, pts)
-    return np.transpose(vals, (0, 1, 3, 2))
-
-
-def _transposed(problem: Problem) -> Problem:
-    from .forward import transpose_problem
-
-    return transpose_problem(problem)
+    if adjoint:
+        problem = transpose_problem(problem)
+    bc = problem.bc
+    val, _ = _march_many(problem.potential, lams, bc.A, bc.A_perp + bc.h)
+    return np.swapaxes(val, -1, -2) if adjoint else val
 
 
 def closure_residual(weyl: WeylData, problem: Problem, x: float,
@@ -488,17 +456,16 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
     pot = problem.potential
     i = pot.index_of(x)
     dx = pot.dx
-    nodes = [nd.point for nd in weyl.contour.nodes]
     w = weyl.contour.weights / (2j * np.pi)
 
-    phi_nodes = _regular_at_nodes(problem, nodes)         # (N, K, n, n)
-    phis_nodes = _adjoint_at_nodes(problem, nodes)        # (N, K, n, n)
+    phi_nodes = _phi_values(problem, weyl.contour.lambdas)    # (N, K, n, n)
+    phis_nodes = _phi_values(problem, weyl.contour.lambdas, adjoint=True)
 
     worst = 0.0
     for lam, mu in probe_pairs:
         Mhat_mu = weyl_matrix(problem, mu) - model_weyl(A, mu)
-        phi_lam = _regular_at_nodes(problem, [lam])[:, 0]
-        phis_mu = _adjoint_at_nodes(problem, [mu])[:, 0]
+        phi_lam = _phi_values(problem, [lam.lam])[:, 0]
+        phis_mu = _phi_values(problem, [mu.lam], adjoint=True)[:, 0]
 
         rt_lam = asm.rtilde(x, rhos=np.array([lam.rho]))[0]   # (K, n, n)
         rt_mu = Mhat_mu @ model_D(A, x, lam, mu)
@@ -514,10 +481,9 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
         # D(x, lam, xi_k) and r(x, lam, xi_k)
         integ2 = prefix_integrals(phis_nodes @ phi_lam[:, None], dx)[i]
         r_lam_nodes = asm.Mhat @ integ2                       # (K, n, n)
-        rt_nodes_mu = Mhat_mu @ (
-            _model_D_coeffs(x, asm.rhos, np.array([mu.rho]))[0][:, 0, None, None] * A
-            + _model_D_coeffs(x, asm.rhos, np.array([mu.rho]))[1][:, 0, None, None] * asm.Ap
-        )
+        cA, cP = _model_D_coeffs(x, asm.rhos, np.array([mu.rho]))
+        rt_nodes_mu = Mhat_mu @ (cA[:, 0, None, None] * A
+                                 + cP[:, 0, None, None] * asm.Ap)
         res2 = rt_mu - r_mu - np.sum(w[:, None, None] * (rt_nodes_mu @ r_lam_nodes),
                                      axis=0)
         worst = max(worst, matnorm(res1), matnorm(res2))
@@ -853,15 +819,18 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
 
 def generate_weyl_data(problem: Problem, contour: Contour,
                        tail_ts=None) -> WeylData:
-    """Forward-compute Weyl data for a known problem (round-trip mode)."""
+    """Forward-compute Weyl data for a known problem (round-trip mode).
+
+    Every contour node and tail point goes through one batched Jost solve.
+    """
     if tail_ts is None:
         tail_ts = np.linspace(50.0, 400.0, 8)
-    M = np.array([weyl_matrix(problem, nd.point) for nd in contour.nodes])
-    tail = tuple(
-        (SpectralPoint(1j * t), weyl_matrix(problem, SpectralPoint(1j * t)))
-        for t in tail_ts
-    )
-    return WeylData(contour=contour, M_samples=M, tail_samples=tail)
+    tail_pts = [SpectralPoint(1j * t) for t in tail_ts]
+    K = len(contour)
+    M = _weyl_many(problem,
+                   np.concatenate([contour.rhos, [p.rho for p in tail_pts]]))
+    return WeylData(contour=contour, M_samples=M[:K],
+                    tail_samples=tuple(zip(tail_pts, M[K:])))
 
 
 def coarsen_weyl_data(weyl: WeylData, mode: str) -> WeylData:

@@ -6,6 +6,7 @@ import numpy as np
 
 from weylinv.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     main,
     read_weyl_csv,
 )
@@ -156,3 +157,20 @@ class TestErrorHandling:
                    write_cfg(tmp_path / "c.json", cfg),
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
+
+    def test_nan_in_weyl_csv_is_numerical_failure(self, tmp_path):
+        out = tmp_path / "fwd"
+        assert main(["forward", "--config",
+                     write_cfg(tmp_path / "c.json", SCALAR_BOX),
+                     "--out", str(out)]) == 0
+        weyl_csv = out / "weyl.csv"
+        lines = weyl_csv.read_text().splitlines()
+        row = lines[4].split(",")
+        row[5] = "nan"                       # M00_re of one contour node
+        lines[4] = ",".join(row)
+        weyl_csv.write_text("\n".join(lines) + "\n")
+        cfg = dict(SCALAR_BOX, input={"weyl": str(weyl_csv),
+                                      "tail": str(out / "tail.csv")})
+        rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
+                   "--out", str(tmp_path / "inv")])
+        assert rc == EXIT_NUMERICAL

@@ -6,11 +6,15 @@ from scipy.integrate import solve_ivp
 
 from weylinv import (
     BoundaryCondition,
+    ConvergenceError,
+    PoleProximityError,
     PotentialGrid,
     Problem,
     SpectralPoint,
     asymptotics_report,
+    build_contour,
     check_m_equals_mstar,
+    generate_weyl_data,
     matnorm,
     model_weyl,
     p_matrix_diagnostic,
@@ -21,8 +25,9 @@ from weylinv import (
     weyl_solution,
     zero_potential,
 )
-from weylinv.core import apply_T, bracket
-from weylinv.forward import kappa, omega
+from weylinv.core import apply_T, bracket, tail_integrals
+from weylinv.forward import (_BLOCK_BYTES, _jost_at_zero, _march_many, kappa,
+                             omega)
 
 from conftest import random_projector, scalar_box_problem, smooth_matrix_problem
 
@@ -42,6 +47,131 @@ def ivp_jost_oracle(problem, rho):
     sol = solve_ivp(f, [X, 0.0], y0, rtol=1e-11, atol=1e-13,
                     dense_output=True)
     return sol.y[0][-1], sol.y[1][-1]
+
+
+def reference_scaled_tail_integrals(g, rho, dx):
+    """One point's backward recurrence J_i = a J_{i+1} + trapezoid step,
+    with the 4th-order endpoint correction (the per-point direct path)."""
+    N = g.shape[0]
+    a = np.exp(2j * rho * dx)
+    J = np.zeros_like(g)
+    for i in range(N - 2, -1, -1):
+        J[i] = a * J[i + 1] + 0.5 * dx * (g[i] + a * g[i + 1])
+    gp = np.gradient(g, dx, axis=0, edge_order=2)
+    x_rel = np.arange(N)[::-1] * dx
+    decay = np.exp(2j * rho * x_rel)[:, None, None]
+    J += (dx * dx / 12.0) * (gp + 2j * rho * g
+                             - decay * (gp[-1] + 2j * rho * g[-1]))
+    J[-1] = 0.0
+    return J
+
+
+def reference_jost_at_zero(problem, rho, tol=1e-12, max_iter=50):
+    """e(0, rho) and e'(0, rho) by successive approximation, one point at
+    a time: the direct path the batched solver replaces."""
+    pot = problem.potential
+    Q, dx, n = pot.values, pot.dx, pot.dim
+    eye = np.eye(n, dtype=complex)
+    E = np.broadcast_to(eye, Q.shape).copy()
+    if not np.any(Q):
+        return eye, 1j * rho * eye
+    for _ in range(max_iter):
+        P = Q @ E
+        E_new = eye + (reference_scaled_tail_integrals(P, rho, dx)
+                       - tail_integrals(P, dx)) / (2j * rho)
+        last = matnorm(E_new - E)
+        E = E_new
+        if last <= tol:
+            break
+    else:
+        raise ConvergenceError("reference Jost iteration did not converge")
+    Eprime0 = -reference_scaled_tail_integrals(Q @ E, rho, dx)[0]
+    return E[0], 1j * rho * E[0] + Eprime0
+
+
+def reference_weyl(problem, rho):
+    bc = problem.bc
+    e0, e0p = reference_jost_at_zero(problem, rho)
+    return (bc.A @ e0 + bc.A_perp @ e0p) @ np.linalg.inv(apply_T(bc, e0, e0p))
+
+
+def batch_problems():
+    rng = np.random.default_rng(5)
+    return {
+        "scalar": scalar_box_problem(nodes=201),
+        "matrix": smooth_matrix_problem(2, rng, nodes=301),
+        "zero": Problem(potential=zero_potential(2, 1.0, 41),
+                        bc=BoundaryCondition(A=np.diag([1.0, 0.0]).astype(complex),
+                                             h=np.zeros((2, 2), complex))),
+    }
+
+
+class TestBatchedJost:
+    """The block solver against the per-point recurrence it replaced."""
+
+    TAIL = np.linspace(50.0, 400.0, 8)
+
+    @pytest.mark.parametrize("name", ["scalar", "matrix", "zero"])
+    def test_matches_per_point_reference(self, name):
+        prob = batch_problems()[name]
+        # delta = 0: the two cut sides meet as mirrored nodes +-rho
+        contour = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=32,
+                                delta=0.0)
+        rhos = contour.rhos
+        assert np.any(np.isclose(rhos[:, None], -rhos[None, :]))
+        rhos = np.concatenate([rhos, rhos[:1], 1j * self.TAIL])  # repeat
+        N, n = prob.potential.x_nodes.size, prob.dim
+        assert rhos.size % (_BLOCK_BYTES // (16 * N * n * n)) != 0
+        e0, e0p = _jost_at_zero(prob, rhos)
+        for k, rho in enumerate(rhos):
+            r0, r0p = reference_jost_at_zero(prob, rho)
+            assert matnorm(e0[k] - r0) <= 1e-13 * max(1.0, matnorm(r0))
+            assert matnorm(e0p[k] - r0p) <= 1e-13 * max(1.0, matnorm(r0p))
+        assert matnorm(e0[0] - e0[-len(self.TAIL) - 1]) == 0.0
+
+        data = generate_weyl_data(prob, contour, tail_ts=self.TAIL)
+        samples = list(data.M_samples) + [M for _, M in data.tail_samples]
+        for rho, M in zip(np.concatenate([contour.rhos, 1j * self.TAIL]),
+                          samples):
+            ref = reference_weyl(prob, rho)
+            assert matnorm(M - ref) <= 1e-13 * max(1.0, matnorm(ref))
+            assert np.array_equal(M, weyl_matrix(prob, SpectralPoint(rho)))
+
+    def test_nan_potential_does_not_converge(self):
+        prob = scalar_box_problem(nodes=201)
+        vals = prob.potential.values.copy()
+        vals[50] = np.nan
+        bad = Problem(potential=PotentialGrid(prob.potential.x_nodes, vals),
+                      bc=prob.bc)
+        contour = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=32)
+        with pytest.raises(ConvergenceError):
+            generate_weyl_data(bad, contour)
+        with pytest.raises(ConvergenceError):
+            weyl_matrix(bad, SpectralPoint(1.0 + 1.0j))
+
+    def test_point_at_jost_zero_raises(self):
+        # Q = 0, A = 1, h = -2: J(rho) = i rho + 2 vanishes at rho = 2i,
+        # which is the middle tail point
+        prob = Problem(potential=zero_potential(1, 1.0, 41),
+                       bc=BoundaryCondition(A=np.array([[1.0 + 0j]]),
+                                            h=np.array([[-2.0 + 0j]])))
+        contour = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=32)
+        with pytest.raises(PoleProximityError):
+            generate_weyl_data(prob, contour, tail_ts=[1.0, 2.0, 3.0])
+
+    def test_regular_march_matches_solve_regular(self, rng):
+        prob = smooth_matrix_problem(2, rng, nodes=301)
+        bc = prob.bc
+        pts = [SpectralPoint(r) for r in (1.0 + 0.7j, -3.0 + 0.1j, 20.0, 5j)]
+        val, der = _march_many(prob.potential, [p.lam for p in pts],
+                               np.hstack([bc.A, -bc.A_perp]),
+                               np.hstack([bc.A_perp + bc.h, bc.A]))
+        for k, pt in enumerate(pts):
+            phi, S = solve_regular(prob, pt)
+            ref = np.concatenate([phi.value, S.value], axis=-1)
+            ref_der = np.concatenate([phi.derivative, S.derivative], axis=-1)
+            assert matnorm(val[:, k] - ref) <= 1e-13 * matnorm(ref)
+            assert matnorm(der[:, k] - ref_der) <= 1e-13 * matnorm(ref_der)
 
 
 class TestJostSolution:

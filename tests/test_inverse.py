@@ -177,6 +177,22 @@ class TestWeylDataValidation:
             WeylData(contour=weyl.contour, M_samples=weyl.M_samples[:-1],
                      tail_samples=weyl.tail_samples)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        A = np.diag([1.0, 0.0]).astype(complex)
+        weyl = model_weyl_data(A)
+        M = weyl.M_samples.copy()
+        M[3, 1, 0] = bad
+        with pytest.raises(DataQualityError):
+            WeylData(contour=weyl.contour, M_samples=M,
+                     tail_samples=weyl.tail_samples)
+        (pt, T), *rest = weyl.tail_samples
+        T = T.copy()
+        T[0, 0] = complex(0.0, bad)
+        with pytest.raises(DataQualityError):
+            WeylData(contour=weyl.contour, M_samples=weyl.M_samples,
+                     tail_samples=((pt, T), *rest))
+
     def test_generate_structure(self):
         prob = scalar_box_problem(nodes=201)
         cont = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=32, delta=0.0)
