@@ -9,6 +9,15 @@ zero model (Q = 0, h = 0, same A), assemble the linear integral equation
 discretize it by collocation at the quadrature nodes (Nystrom), solve for
 phi(x, .) at every x, and extract Q and h from the recovered solution.
 
+The zero-model kernel D~ is a sum of sin((rho +- tau) x)/(rho +- tau)
+terms.  On the fixed node grids (contour x contour for the Nystrom
+matrix, contour x extension nodes for the Born tail source) it is
+assembled in separable form: products of per-node sines and cosines
+times a Cauchy matrix 1/(lambda - mu) that is built once per inversion.
+Coincident node pairs (the diagonal, repeated joint nodes, mirrored cut
+nodes) are masked and take the direct closed form, which also serves
+every other lambda (the Nystrom interpolation at the probes).
+
 The unknown multiplies the kernel from the left, so the discrete system
 acts on transposed blocks.  Unknowns are equilibrated with the weight
 A + i rho A_perp (bounded on the contour for the exact solution), which
@@ -48,7 +57,6 @@ __all__ = [
     "extract_A",
     "model_D",
     "problem_D",
-    "kernel_rtilde",
     "solve_main_equation",
     "nystrom_phi_at",
     "main_equation_residual",
@@ -91,11 +99,13 @@ class WeylData:
 
 @dataclass(frozen=True)
 class MainEquationSolution:
-    """Recovered phi(x, .) at the contour nodes for one x."""
+    """Recovered phi(x, .) at the contour nodes for one x, with the
+    reciprocal 1-norm condition number of the Nystrom system solved."""
 
     x: float
     phi_nodes: np.ndarray         # (K, n, n)
     phi_tilde_nodes: np.ndarray   # (K, n, n)
+    rcond: float = math.nan
 
     def __post_init__(self):
         if self.phi_nodes.shape != self.phi_tilde_nodes.shape:
@@ -181,36 +191,129 @@ def model_phi(A, x, pt: SpectralPoint):
 
 
 def model_D(A, x: float, lam: SpectralPoint, mu: SpectralPoint) -> np.ndarray:
-    """Zero-model kernel D~(x, lambda, mu) in closed form:
-
-        (A tau rho - A_perp) sin((rho+tau) x) / (2 tau rho (rho+tau))
-      + (A tau rho + A_perp) sin((rho-tau) x) / (2 tau rho (rho-tau)),
-
-    with the removable singularities at tau = -+ rho handled by series.
-    """
+    """Zero-model kernel D~(x, lambda, mu) = cA A + cP A_perp in closed
+    form (see _model_D_coeffs)."""
     if x < 0:
         raise ValueError("x must be >= 0")
     A = np.asarray(A, dtype=complex)
-    Ap = np.eye(A.shape[0]) - A
-    rho, tau = lam.rho, mu.rho
-    sp = sin_over(rho + tau, x)
-    sm = sin_over(rho - tau, x)
-    cA = (sp + sm) / 2.0
-    cP = (sm - sp) / (2.0 * tau * rho)
-    return cA * A + cP * Ap
+    cA, cP = _model_D_coeffs(x, lam.rho, mu.rho)
+    return cA * A + cP * (np.eye(A.shape[0]) - A)
 
 
 def _model_D_coeffs(x: float, rhos, taus):
-    """Coefficient grids (cA, cP) with D~ = cA*A + cP*A_perp, broadcast
+    """Coefficients (cA, cP) of D~(x, lambda, mu) = cA A + cP A_perp,
 
-    over a rho grid (rows) and tau grid (columns)."""
-    r = np.asarray(rhos)[:, None]
-    t = np.asarray(taus)[None, :]
+        cA = (s+ + s-) / 2,   cP = (s- - s+) / (2 tau rho),
+        s+- = sin((rho +- tau) x) / (rho +- tau),
+
+    with the removable singularities at tau = -+ rho handled by series.
+    rhos (of lambda) and taus (of mu) broadcast against each other.
+    """
+    r = np.asarray(rhos)
+    t = np.asarray(taus)
     sp = sin_over(r + t, x)
     sm = sin_over(r - t, x)
     cA = (sp + sm) / 2.0
     cP = (sm - sp) / (2.0 * t * r)
     return cA, cP
+
+
+# Pairs with |rho -+ tau| below this take the direct closed form in
+# _SeparableD.  Outside it, cancellation in the separable form costs at
+# most about 2 eps exp((|Im rho| + |Im tau|) x) / |rho -+ tau|, i.e.
+# < 5e-14 exp((|Im rho| + |Im tau|) x) in absolute terms, against entries
+# of size up to about x exp(|Im(rho -+ tau)| x).  Contour node spacings
+# are far larger (0.14 on the benchmark contour), so in practice only
+# exact coincidences and their rounding-level near copies are masked.
+_COINCIDENT = 1e-2
+
+# (sin z - z)/z^3 = sum_k (-1)^k z^(2k-2) / (2k+1)!, k = 1..9; the first
+# term left out is below 1e-19 for |z| <= 1
+_SIN_SERIES = [(-1) ** k / math.factorial(2 * k + 1) for k in range(1, 10)]
+
+
+def _sin_over_minus_x(r, x):
+    """sin(r x)/r - x, by series where |r x| < 1 to avoid cancellation."""
+    z = r * x
+    small = np.abs(z) < 1.0
+    out = np.empty_like(z)
+    out[small] = x * z[small] ** 2 * np.polynomial.polynomial.polyval(
+        z[small] ** 2, _SIN_SERIES)
+    big = ~small
+    out[big] = np.sin(z[big]) / r[big] - x
+    return out
+
+
+class _SeparableD:
+    """Coefficient grids of D~ over fixed rho rows and tau columns.
+
+    sin((rho +- tau) x) / (rho +- tau)
+        = [sin(rho x) cos(tau x) +- cos(rho x) sin(tau x)] / (rho +- tau),
+
+    and combining the two terms of cA and cP over the Cauchy matrix
+    C = 1 / (rho^2 - tau^2) = 1 / (lambda - mu) gives
+
+        cA = C (rho s(rho) c(tau) - tau c(rho) s(tau)),
+        cP = C (v(rho) c(tau) - c(rho) v(tau)),
+
+    with s = sin(. x), c = cos(. x) and v = s / (.).  C does not depend
+    on x and is built once, so a slice costs O(J + K) sines and cosines
+    plus elementwise products.  For small x the two terms of cP are each
+    O(x) while cP is O(x^3), so cP is evaluated as
+    C (a(rho) - a(tau) + v(rho) b(tau) - b(rho) v(tau)) with the small
+    quantities a = v - x and b = c - 1 = -2 sin^2(. x / 2) computed
+    without cancellation.  Coincident pairs, |rho -+ tau| < _COINCIDENT
+    (the diagonal, repeated nodes and mirrored cut nodes rho = -tau), are
+    masked out of C and filled from the direct closed form _model_D_coeffs.
+    """
+
+    def __init__(self, rhos, taus):
+        self.rhos = np.asarray(rhos, dtype=complex)
+        self.taus = np.asarray(taus, dtype=complex)
+        dm = self.rhos[:, None] - self.taus[None, :]
+        dp = self.rhos[:, None] + self.taus[None, :]
+        near = (np.abs(dm) < _COINCIDENT) | (np.abs(dp) < _COINCIDENT)
+        self.C = np.where(near, 0.0, 1.0 / np.where(near, 1.0, dm * dp))
+        self.near = np.nonzero(near)
+
+    def _factors(self, x):
+        """Row factors (6, J) and column factors (6, K) at x: the numerator
+        of cA is sum_i row_i col_i over i < 2, that of cP over i >= 2."""
+        def parts(r):
+            s, c = np.sin(r * x), np.cos(r * x)
+            return (s, c, s / r, -2.0 * np.sin(r * x / 2.0) ** 2,
+                    _sin_over_minus_x(r, x), np.ones_like(r))
+        r, t = self.rhos, self.taus
+        sr, cr, vr, br, ar, one_r = parts(r)
+        st, ct, vt, bt, at, one_t = parts(t)
+        rows = np.array([r * sr, -cr, ar, -one_r, vr, -br])
+        cols = np.array([ct, t * st, one_t, at, bt, vt])
+        return rows, cols
+
+    def __call__(self, x: float):
+        """(cA, cP) at x, each of shape (J, K)."""
+        rows, cols = self._factors(x)
+        cA = self.C * (rows[:2].T @ cols[:2])
+        cP = self.C * (rows[2:].T @ cols[2:])
+        j, k = self.near
+        cA[j, k], cP[j, k] = _model_D_coeffs(x, self.rhos[j], self.taus[k])
+        return cA, cP
+
+    def apply(self, x: float, U, V):
+        """cA @ U + cP @ V at x for (K, m) arrays U and V, shape (J, m).
+
+        The row factors come out of the sum over columns, which leaves one
+        product of C with a (K, 6m) array."""
+        rows, cols = self._factors(x)
+        m = U.shape[1]
+        Y = self.C @ np.hstack([c[:, None] * W for c, W
+                                in zip(cols, (U, U, V, V, V, V))])
+        out = sum(r[:, None] * Y[:, i * m:(i + 1) * m]
+                  for i, r in enumerate(rows))
+        j, k = self.near
+        dA, dP = _model_D_coeffs(x, self.rhos[j], self.taus[k])
+        np.add.at(out, j, dA[:, None] * U[k] + dP[:, None] * V[k])
+        return out
 
 
 def problem_D(problem: Problem, x: float, lam: SpectralPoint,
@@ -222,12 +325,6 @@ def problem_D(problem: Problem, x: float, lam: SpectralPoint,
     phi = _phi_values(problem, [lam.lam])[:, 0]
     phi_s = _phi_values(problem, [mu.lam], adjoint=True)[:, 0]
     return prefix_integrals(phi_s @ phi, pot.dx)[pot.index_of(x)]
-
-
-def kernel_rtilde(A, Mhat_at_mu, x: float, lam: SpectralPoint,
-                  mu: SpectralPoint) -> np.ndarray:
-    """Main-equation kernel r~(x, lambda, mu) = M^(mu) D~(x, lambda, mu)."""
-    return np.asarray(Mhat_at_mu, dtype=complex) @ model_D(A, x, lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +385,14 @@ class _Assembler:
     cut nodes beyond the data truncation.  Their unknowns are replaced by
     the model solution (a Born approximation, accurate to O(Mhat^2)), so
     they only contribute source terms and never enlarge the system.
+
+    The D~ coefficients on the two fixed grids, contour x contour (the
+    Nystrom matrix) and contour x extension (the Born tail source), come
+    from _SeparableD: its Cauchy matrices are built here once, so each
+    slice needs only O(K + E) sines and cosines, elementwise products and,
+    for the tail source, one matrix product.  Coincident node pairs are
+    masked and take the direct closed form.  Rows at other lambda (the
+    Nystrom interpolation at the probes) use the direct form throughout.
     """
 
     def __init__(self, weyl: WeylData, A, extension=None):
@@ -311,50 +416,71 @@ class _Assembler:
                   + (1j * self.rhos)[:, None, None] * self.Ap[None, :, :])
         self.Winv = (self.A[None, :, :]
                      + (1.0 / (1j * self.rhos))[:, None, None] * self.Ap[None, :, :])
+        self._D_nodes = _SeparableD(self.rhos, self.rhos)
+        # Block (j, k) of the Nystrom matrix is Winv_k (delta_jk I + R_jk) W_j.
+        # As A A_perp = 0 and Winv_k W_k = I, it equals
+        # delta_jk I + cA_jk FA_k + i rho_j cP_jk FP_k, where
+        # FA_k = w_k Winv_k Mhat_k A / (2 pi i) and FP_k is the same with
+        # A_perp.  They are held as [d, a, k] = F_k[a, d], since the
+        # system stores each block transposed.
+        wt = (self.weights / (2j * np.pi))[:, None, None]
+        self._FA = np.transpose(wt * (self.Winv @ self.MhatA)).copy()
+        self._FP = np.transpose(wt * (self.Winv @ self.MhatP)).copy()
         if extension is None:
             self.ext_rhos = None
         else:
-            self.ext_rhos, self.ext_weights, ext_Mhat = extension
+            self.ext_rhos, ext_w, ext_Mhat = extension
+            self.ext_wt = ext_w / (2j * np.pi)
             self.ext_MhatA = ext_Mhat @ self.A
             self.ext_MhatP = ext_Mhat @ self.Ap
+            self._D_ext = _SeparableD(self.rhos, self.ext_rhos)
 
     def _phi_tilde_gen(self, x, r):
         cos = np.cos(r * x)[:, None, None]
         snc = sin_over(r, x)[:, None, None]
         return cos * self.A[None, :, :] + snc * self.Ap[None, :, :]
 
-    def _ext_source(self, x, rhos):
-        """Born tail term (1/2 pi i) sum_e w_e phi~(x, mu_e) r~(x, ., mu_e)."""
-        cA, cP = _model_D_coeffs(x, rhos, self.ext_rhos)
-        Rt = (cA[:, :, None, None] * self.ext_MhatA[None, :, :, :]
-              + cP[:, :, None, None] * self.ext_MhatP[None, :, :, :])
-        phi_e = self._phi_tilde_gen(x, self.ext_rhos)
-        return np.einsum("e,eab,jebc->jac", self.ext_weights / (2j * np.pi),
-                         phi_e, Rt, optimize=True)
+    def _ext_source(self, x, rhos=None):
+        """Born tail term (1/2 pi i) sum_e w_e phi~(x, mu_e) r~(x, ., mu_e)
+
+        at the contour nodes, or at the given rhos, shape (J, n, n).  With
+        U_e = w_e phi~(x, mu_e) Mhat_e A / (2 pi i) and V_e the same with
+        A_perp, it is cA @ U + cP @ V."""
+        phi_e = self.ext_wt[:, None, None] * self._phi_tilde_gen(x, self.ext_rhos)
+        E, n = self.ext_rhos.size, self.n
+        U = (phi_e @ self.ext_MhatA).reshape(E, n * n)
+        V = (phi_e @ self.ext_MhatP).reshape(E, n * n)
+        if rhos is None:
+            return self._D_ext.apply(x, U, V).reshape(-1, n, n)
+        cA, cP = _model_D_coeffs(x, np.asarray(rhos)[:, None],
+                                 self.ext_rhos[None, :])
+        return (cA @ U + cP @ V).reshape(-1, n, n)
 
     def phi_tilde(self, x, rhos=None):
         r = self.rhos if rhos is None else np.asarray(rhos)
         return self._phi_tilde_gen(x, r)
 
-    def rtilde(self, x, rhos=None):
-        """Kernel tensor r~(x, lam_j, mu_k), shape (J, K, n, n)."""
-        r = self.rhos if rhos is None else np.asarray(rhos)
-        cA, cP = _model_D_coeffs(x, r, self.rhos)
+    def rtilde(self, x, rhos):
+        """Kernel tensor r~(x, lam_j, mu_k) at lam_j with the given rhos
+        and mu_k the contour nodes, shape (J, K, n, n)."""
+        cA, cP = _model_D_coeffs(x, np.asarray(rhos)[:, None],
+                                 self.rhos[None, :])
         return (cA[:, :, None, None] * self.MhatA[None, :, :, :]
                 + cP[:, :, None, None] * self.MhatP[None, :, :, :])
 
     def solve(self, x: float, cond_limit: float = 1e12) -> MainEquationSolution:
         K, n = self.K, self.n
-        Rt = self.rtilde(x) * (self.weights / (2j * np.pi))[None, :, None, None]
-        # G_{jk} = Winv_k (delta_{jk} I + R_{jk}) W_j
-        G = np.einsum("kab,jkbc,jcd->jkad", self.Winv, Rt, self.W, optimize=True)
-        idx = np.arange(K)
-        G[idx, idx] += np.einsum("kab,kbd->kad", self.Winv, self.W)
-        B = np.transpose(G, (0, 3, 1, 2)).reshape(K * n, K * n)
+        cA, cP = self._D_nodes(x)
+        iP = (1j * self.rhos)[:, None] * cP
+        B = np.empty((K, n, K, n), dtype=complex)
+        for d, a in np.ndindex(n, n):
+            B[:, d, :, a] = cA * self._FA[d, a] + iP * self._FP[d, a]
+        B = B.reshape(K * n, K * n)
+        B.flat[::K * n + 1] += 1.0
 
         F = self.phi_tilde(x)
         if self.ext_rhos is not None:
-            F = F - self._ext_source(x, self.rhos)
+            F = F - self._ext_source(x)
         Ft = F @ self.W
         rhs = np.transpose(Ft, (0, 2, 1)).reshape(K * n, n)
 
@@ -371,7 +497,8 @@ class _Assembler:
         psi = np.transpose(X.reshape(K, n, n), (0, 2, 1))
         phi = psi @ self.Winv
         return MainEquationSolution(x=x, phi_nodes=phi,
-                                    phi_tilde_nodes=self.phi_tilde(x))
+                                    phi_tilde_nodes=self.phi_tilde(x),
+                                    rcond=float(rcond))
 
     def phi_at(self, sol: MainEquationSolution, pt: SpectralPoint) -> np.ndarray:
         """Nystrom interpolation of the solved phi(x, .) to any lambda."""
@@ -481,9 +608,9 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
         # D(x, lam, xi_k) and r(x, lam, xi_k)
         integ2 = prefix_integrals(phis_nodes @ phi_lam[:, None], dx)[i]
         r_lam_nodes = asm.Mhat @ integ2                       # (K, n, n)
-        cA, cP = _model_D_coeffs(x, asm.rhos, np.array([mu.rho]))
-        rt_nodes_mu = Mhat_mu @ (cA[:, 0, None, None] * A
-                                 + cP[:, 0, None, None] * asm.Ap)
+        cA, cP = _model_D_coeffs(x, asm.rhos, mu.rho)
+        rt_nodes_mu = Mhat_mu @ (cA[:, None, None] * A
+                                 + cP[:, None, None] * asm.Ap)
         res2 = rt_mu - r_mu - np.sum(w[:, None, None] * (rt_nodes_mu @ r_lam_nodes),
                                      axis=0)
         worst = max(worst, matnorm(res1), matnorm(res2))
@@ -808,11 +935,15 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
                                  edge_layer=1.5 / rho_band, assembler=asm)
 
     mid = solutions[len(solutions) // 2]
+    # the Nystrom matrix is the same in every pass
+    worst = min(solutions, key=lambda s: s.rcond)
     diag = {
         "main_equation_residual": main_equation_residual(weyl, A, mid,
                                                          assembler=asm),
         "phi0_deviation": matnorm(solutions[0].phi_nodes
                                   - solutions[0].phi_tilde_nodes),
+        "min_rcond": worst.rcond,
+        "min_rcond_x": float(worst.x),
     }
     return ReconstructionResult(A=A, h=h, Q=Q, diagnostics=diag)
 

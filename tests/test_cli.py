@@ -128,6 +128,8 @@ class TestRoundtrip:
         # production sizes
         assert report["error_norms"]["q_l1_relative"] < 0.5
         assert report["error_norms"]["A_error"] == 0.0
+        assert 0.0 < report["diagnostics"]["min_rcond"] <= 1.0
+        assert 0.0 <= report["diagnostics"]["min_rcond_x"]
         assert (tmp_path / "out" / "q_recovered.csv").exists()
 
 

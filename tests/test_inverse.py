@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylinv import (
     BoundaryCondition,
     DataQualityError,
+    InvertConfig,
     PotentialGrid,
     Problem,
     SpectralPoint,
     build_contour,
     extract_A,
     generate_weyl_data,
+    invert,
     lambda_to_point,
     matnorm,
     model_weyl,
@@ -19,17 +22,30 @@ from weylinv import (
     weyl_matrix,
     zero_potential,
 )
+from weylinv.core import sin_over
 from weylinv.inverse import (
     WeylData,
     _Assembler,
+    _SeparableD,
+    _extension_nodes,
     _fit_tail_model,
+    _model_D_coeffs,
     _omega_of_grid,
     main_equation_residual,
+    model_D,
     model_phi,
+    problem_D,
 )
 from weylinv import boundary
 
 from conftest import scalar_box_problem
+
+
+# The benchmark contour: K = 96 with repeated and mirrored nodes (delta = 0),
+# and its x-grid of 61 slices on [0, 2].
+BENCH_CONTOUR = dict(r0=2.0, R=200.0, n_cut=32, n_circle=32, delta=0.0)
+X_MAX = 2.0
+X_STEP = X_MAX / 60
 
 
 def model_weyl_data(A, r0=2.0, R=100.0, n_cut=64, n_circle=64):
@@ -59,6 +75,19 @@ class TestModelQuantities:
         ref, ref_der = model_phi(A, x, pt)
         assert matnorm(phi.value - ref) < 1e-7
         assert matnorm(phi.derivative - ref_der) < 1e-6
+
+    def test_model_D_is_zero_model_quadrature(self):
+        # the closed form equals int_0^x phi~*(t, mu) phi~(t, lam) dt,
+        # also at the removable singularities tau = rho and tau = -rho
+        A = np.diag([1.0, 0.0]).astype(complex)
+        prob = Problem(potential=zero_potential(2, 1.0, 401),
+                       bc=BoundaryCondition(A=A, h=np.zeros((2, 2), complex)))
+        pairs = [(SpectralPoint(1.5 + 0.5j), SpectralPoint(2.0 + 0.2j)),
+                 (SpectralPoint(1.5 + 0.5j), SpectralPoint(1.5 + 0.5j)),
+                 (SpectralPoint(2.5), SpectralPoint(-2.5))]
+        for lam, mu in pairs:
+            D = problem_D(prob, 0.8, lam, mu)
+            assert matnorm(model_D(A, 0.8, lam, mu) - D) < 1e-8 * matnorm(D)
 
 
 class TestMainEquation:
@@ -100,6 +129,15 @@ class TestMainEquation:
             norms.append(float(np.max(np.abs(sol.phi_nodes) * w)))
         assert abs(norms[1] - norms[0]) < 0.05 * norms[0]
 
+    def test_min_rcond_in_diagnostics(self):
+        prob = scalar_box_problem(nodes=201)
+        weyl = generate_weyl_data(prob, build_contour(**BENCH_CONTOUR))
+        res = invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=9))
+        rcond, x = res.diagnostics["min_rcond"], res.diagnostics["min_rcond_x"]
+        assert isinstance(rcond, float) and isinstance(x, float)
+        assert 0.0 < rcond <= 1.0
+        assert 0.0 <= x <= X_MAX
+
     def test_interpolated_residual_small(self):
         prob = scalar_box_problem(nodes=401)
         cont = build_contour(r0=2.0, R=200.0, n_cut=128, n_circle=64,
@@ -109,6 +147,147 @@ class TestMainEquation:
         asm = _Assembler(weyl, A)
         sol = asm.solve(0.5)
         assert main_equation_residual(weyl, A, sol, assembler=asm) < 5e-3
+
+
+def _rel(a, b):
+    """Max-abs difference relative to max |b|; 0 when both vanish."""
+    scale = np.abs(b).max()
+    return np.abs(a - b).max() / scale if scale else np.abs(a).max()
+
+
+def _box_weyl(n):
+    """Box-potential Weyl data on the benchmark contour, for n = 1 or 2."""
+    x = np.linspace(0.0, 2.0, 241)
+    if n == 1:
+        vals = (0.3 * (x <= 1.0)).astype(complex)[:, None, None]
+        A = np.eye(1, dtype=complex)
+    else:
+        c, s = np.cos(0.5), np.sin(0.5)
+        U = np.array([[c, -s], [s, c]])
+        D = np.zeros((x.size, 2, 2))
+        D[:, 0, 0] = 0.25 * (x <= 0.9)
+        D[:, 1, 1] = 0.2 * (x <= 0.8)
+        vals = (U @ D @ U.T).astype(complex)
+        A = np.diag([1.0, 0.0]).astype(complex)
+    prob = Problem(potential=PotentialGrid(x_nodes=x, values=vals),
+                   bc=BoundaryCondition(A=A, h=np.zeros((n, n), complex)))
+    return generate_weyl_data(prob, build_contour(**BENCH_CONTOUR)), A
+
+
+def _direct_ext_source(asm, x, ext_rhos, ext_w, ext_Mhat):
+    """Born tail source from the direct (J, E, n, n) kernel tensor."""
+    A, Ap = asm.A, asm.Ap
+    cA, cP = _model_D_coeffs(x, asm.rhos[:, None], ext_rhos[None, :])
+    Rt = (cA[:, :, None, None] * (ext_Mhat @ A)[None]
+          + cP[:, :, None, None] * (ext_Mhat @ Ap)[None])
+    phi_e = (np.cos(ext_rhos * x)[:, None, None] * A
+             + sin_over(ext_rhos, x)[:, None, None] * Ap)
+    return np.einsum("e,eab,jebc->jac", ext_w / (2j * np.pi), phi_e, Rt,
+                     optimize=True)
+
+
+def _direct_solve(asm, x, ext):
+    """phi at the nodes from the Nystrom system assembled on the direct path."""
+    K, n = asm.K, asm.n
+    Rt = (asm.rtilde(x, asm.rhos)
+          * (asm.weights / (2j * np.pi))[None, :, None, None])
+    G = np.einsum("kab,jkbc,jcd->jkad", asm.Winv, Rt, asm.W, optimize=True)
+    G[np.arange(K), np.arange(K)] += asm.Winv @ asm.W
+    B = np.transpose(G, (0, 3, 1, 2)).reshape(K * n, K * n)
+    F = asm.phi_tilde(x) - _direct_ext_source(asm, x, *ext)
+    rhs = np.transpose(F @ asm.W, (0, 2, 1)).reshape(K * n, n)
+    psi = np.transpose(np.linalg.solve(B, rhs).reshape(K, n, n), (0, 2, 1))
+    return psi @ asm.Winv
+
+
+class TestSeparableKernel:
+    """The separable D~ grids and everything built on them, against the
+    direct closed form on the benchmark contour."""
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["n1", "n2"])
+    def setup(self, request):
+        n = request.param
+        weyl, A = _box_weyl(n)
+        ext_rhos, ext_w = _extension_nodes(weyl.contour, 7.0)
+        rng = np.random.default_rng(3)
+        ext_Mhat = ((rng.normal(size=(ext_rhos.size, n, n))
+                     + 1j * rng.normal(size=(ext_rhos.size, n, n)))
+                    / ext_rhos[:, None, None])
+        ext = (ext_rhos, ext_w, ext_Mhat)
+        return _Assembler(weyl, A, extension=ext), ext
+
+    def test_contour_coincidences_are_masked(self, setup):
+        asm, (ext_rhos, _, _) = setup
+        r = asm.rhos
+        same = np.abs(r[:, None] - r[None, :]) < 1e-12
+        mirrored = np.abs(r[:, None] + r[None, :]) < 1e-12
+        # the diagonal plus the 4 duplicated cut/circle joint nodes, and
+        # the mirrored cut nodes
+        assert same.sum() == len(r) + 4
+        assert mirrored.sum() == 70
+        assert (set(zip(*asm._D_nodes.near))
+                == set(zip(*np.nonzero(same | mirrored))))
+        # contour and extension meet at the cut endpoint sqrt(R), once on
+        # each side of the cut and once mirrored
+        same_e = np.abs(r[:, None] - ext_rhos[None, :]) < 1e-12
+        mirrored_e = np.abs(r[:, None] + ext_rhos[None, :]) < 1e-12
+        assert same_e.sum() == 2 and mirrored_e.sum() == 2
+        j, _ = np.nonzero(same_e | mirrored_e)
+        assert np.allclose(np.abs(r[j]), np.sqrt(asm.weyl.contour.R))
+        assert (set(zip(*asm._D_ext.near))
+                == set(zip(*np.nonzero(same_e | mirrored_e))))
+
+    @pytest.mark.parametrize("x", [0.0, X_STEP, X_MAX])
+    def test_grids_match_direct(self, setup, x):
+        asm, (ext_rhos, _, _) = setup
+        for grid, taus in ((asm._D_nodes, asm.rhos), (asm._D_ext, ext_rhos)):
+            direct = _model_D_coeffs(x, asm.rhos[:, None], taus[None, :])
+            for fast, ref in zip(grid(x), direct):
+                assert _rel(fast, ref) < 1e-12
+
+    @pytest.mark.parametrize("x", [0.0, X_STEP, X_MAX])
+    def test_ext_source_matches_einsum(self, setup, x):
+        asm, ext = setup
+        assert _rel(asm._ext_source(x), _direct_ext_source(asm, x, *ext)) < 1e-12
+
+    @pytest.mark.parametrize("x", [X_STEP, 1.0, X_MAX])
+    def test_solve_matches_direct_assembly(self, setup, x):
+        asm, ext = setup
+        sol = asm.solve(x)
+        assert _rel(sol.phi_nodes, _direct_solve(asm, x, ext)) < 1e-10
+        assert 0.0 < sol.rcond <= 1.0
+
+
+_node = st.builds(complex, st.floats(-12.0, 12.0),
+                  st.floats(0.0, 2.0)).filter(lambda z: abs(z) >= 0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rhos=st.lists(_node, min_size=1, max_size=6),
+       taus=st.lists(_node, min_size=1, max_size=6),
+       cut=st.lists(st.floats(0.5, 12.0), min_size=1, max_size=3),
+       x=st.floats(0.0, 2.0))
+def test_separable_grids_equal_direct(rhos, taus, cut, x):
+    # inject exact coincidences (a shared complex node, shared real nodes),
+    # mirrored ones (rho = -tau on the real axis) and a near one
+    r = np.array(rhos + cut, dtype=complex)
+    t = np.array(taus + cut + [-c for c in cut] + [rhos[0], rhos[0] + 1e-9],
+                 dtype=complex)
+    grid = _SeparableD(r, t)
+    direct = _model_D_coeffs(x, r[:, None], t[None, :])
+    # rounding bound: eps exp((|Im rho| + |Im tau|) x) (x + 1/|rho -+ tau|)
+    # with |rho -+ tau| >= 1e-2 outside the mask
+    gap = np.minimum(np.abs(r[:, None] - t[None, :]),
+                     np.abs(r[:, None] + t[None, :]))
+    amp = np.exp((r.imag[:, None] + t.imag[None, :]) * x)
+    bound = 32 * np.finfo(float).eps * amp * (x + 1.0 / np.maximum(gap, 1e-2))
+    for fast, ref in zip(grid(x), direct):
+        assert np.all(np.abs(fast - ref) <= bound)
+    rng = np.random.default_rng(len(t))
+    U, V = rng.normal(size=(2, t.size, 3)) + 1j * rng.normal(size=(2, t.size, 3))
+    ref = direct[0] @ U + direct[1] @ V
+    assert np.all(np.abs(grid.apply(x, U, V) - ref)
+                  <= 2 * bound @ (np.abs(U) + np.abs(V)))
 
 
 class TestExtractA:
