@@ -25,7 +25,6 @@ Run:  python3 demos/03_vertex_conditions.py
 import numpy as np
 
 from weylinv import from_unitary, matnorm, pair_from_unitary
-from weylinv.boundary import validate
 from weylinv.core import apply_T
 
 rng = np.random.default_rng(7)
@@ -70,7 +69,7 @@ for k in range(5):
     null = Vh[3:].conj().T
     y, yp = null[:3], null[3:]
     resid = matnorm(apply_T(bc, y, yp))
-    checks = validate(bc.A, bc.h)
+    checks = bc.residuals()
     print(f"  #{k}: |T(null basis)| = {resid:.2e}, "
           f"projector defect {checks['idempotent']:.1e}, "
           f"coupling compression defect {checks['h_compressed']:.1e}")

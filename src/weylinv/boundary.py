@@ -1,5 +1,7 @@
 """Conversion of unitary-form vertex conditions to projector form (A, h),
-plus a small catalog of named boundary conditions and validators."""
+plus a small catalog of named boundary conditions and the self-adjointness
+check of the coefficient form.  The invariants of a projector-form pair
+are checked by BoundaryCondition.residuals."""
 
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ __all__ = [
     "dirichlet",
     "pair_from_unitary",
     "check_selfadjoint_pair",
-    "validate",
 ]
 
 # Eigenvalues of U this close to -1 go to the Dirichlet block, where the
@@ -134,15 +135,3 @@ def check_selfadjoint_pair(pair: GeneralBoundaryPair) -> dict:
 
     return {"cond_A3": bool(sym and positive), "cond_A4": bool(sym and full_rank)}
 
-
-def validate(A, h) -> dict:
-    """Invariant residuals of a candidate (A, h) without constructing
-
-    a BoundaryCondition (which would raise on failure)."""
-    A = np.asarray(A, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    return {
-        "idempotent": matnorm(A @ A - A),
-        "hermitian": matnorm(A.conj().T - A),
-        "h_compressed": matnorm(A @ h @ A - h),
-    }

@@ -9,8 +9,10 @@ files.
 JSON conventions: complex scalars as [re, im] pairs, matrices as
 row-major nested arrays (entries either real numbers or [re, im]).
 
-Exit codes: 0 success, 2 config error, 3 numerical failure (with stage
-name), 4 I/O error.
+Exit codes: 0 success, 2 malformed input (a missing key, a value of the
+wrong type or range, a garbled CSV file), 3 numerical failure, 4 I/O
+error.  main is the one place that maps exceptions to exit codes; the
+log line names the mode, the exception type and its message.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -60,6 +63,21 @@ _NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
 )
 
+# Malformed input: a missing key, a value of the wrong type or range, a
+# short or garbled CSV file.  ValueError covers ConfigError and
+# json.JSONDecodeError.  OverflowError is a number out of float range:
+# JSON 1e400 parses as inf, which int() rejects, and float() rejects a
+# 400-digit integer.
+_CONFIG_ERRORS = (
+    KeyError,
+    TypeError,
+    ValueError,
+    IndexError,
+    StopIteration,
+    csv.Error,
+    OverflowError,
+)
+
 
 class ConfigError(ValueError):
     pass
@@ -78,10 +96,13 @@ def _as_complex(v):
 
 
 def _as_matrix(rows):
-    try:
-        return np.array([[_as_complex(v) for v in row] for row in rows])
-    except (TypeError, ConfigError) as exc:
-        raise ConfigError(f"bad matrix spec: {exc}") from exc
+    return np.array([[_as_complex(v) for v in row] for row in rows])
+
+
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
 
 
 def _complex_out(z):
@@ -95,20 +116,15 @@ def _matrix_out(M):
 
 def load_config(path: str) -> dict:
     with open(path) as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
+        return _json_object(json.load(f), "config root")
 
 
 # ---------------------------------------------------------------------------
 # Problem construction from config
 # ---------------------------------------------------------------------------
 
-def _build_boundary(spec: dict, n: int, rng) -> BoundaryCondition:
+def _build_boundary(spec, n: int, rng) -> BoundaryCondition:
+    spec = _json_object(spec, "problem.boundary")
     form = spec.get("form")
     if form == "projector":
         return BoundaryCondition(A=_as_matrix(spec["A"]), h=_as_matrix(spec["h"]))
@@ -127,7 +143,8 @@ def _build_boundary(spec: dict, n: int, rng) -> BoundaryCondition:
     raise ConfigError(f"unknown boundary form {form!r}")
 
 
-def _build_potential(spec: dict, n: int) -> PotentialGrid:
+def _build_potential(spec, n: int) -> PotentialGrid:
+    spec = _json_object(spec, "problem.potential")
     kind = spec.get("kind")
     x_max = float(spec.get("x_max", 0))
     nodes = int(spec.get("nodes", 201))
@@ -150,42 +167,28 @@ def _build_potential(spec: dict, n: int) -> PotentialGrid:
 
 
 def _build_problem(cfg: dict, rng) -> Problem:
-    try:
-        pspec = cfg["problem"]
-        n = int(pspec["dim"])
-        bc = _build_boundary(pspec["boundary"], n, rng)
-        pot = _build_potential(pspec["potential"], n)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad problem spec: {exc}") from exc
-    return Problem(potential=pot, bc=bc)
+    spec = _json_object(cfg["problem"], "problem")
+    n = int(spec["dim"])
+    bc = _build_boundary(spec["boundary"], n, rng)
+    return Problem(potential=_build_potential(spec["potential"], n), bc=bc)
+
+
+def _contour_delta(c: dict):
+    return None if c.get("delta") is None else float(c["delta"])
 
 
 def _build_contour(cfg: dict) -> Contour:
-    try:
-        c = cfg["contour"]
-        return build_contour(
-            r0=float(c["r0"]),
-            R=float(c["R"]),
-            delta=None if c.get("delta") is None else float(c["delta"]),
-            n_circle=int(c.get("n_circle", 64)),
-            n_cut=int(c.get("n_cut", 128)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad contour spec: {exc}") from exc
+    c = _json_object(cfg["contour"], "contour")
+    return build_contour(r0=float(c["r0"]), R=float(c["R"]), delta=_contour_delta(c),
+                         n_circle=int(c.get("n_circle", 64)),
+                         n_cut=int(c.get("n_cut", 128)))
 
 
 def _invert_config(cfg: dict) -> InvertConfig:
-    try:
-        g = cfg["x_grid"]
-        probes = tuple(float(p) for p in cfg.get("lambda_probes", (-2.0, -5.0)))
-        return InvertConfig(x_max=float(g["x_max"]), x_nodes=int(g["nodes"]),
-                            lambda_probes=probes)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad x_grid spec: {exc}") from exc
+    g = cfg["x_grid"]
+    probes = tuple(float(p) for p in cfg.get("lambda_probes", (-2.0, -5.0)))
+    return InvertConfig(x_max=float(g["x_max"]), x_nodes=int(g["nodes"]),
+                        lambda_probes=probes)
 
 
 # ---------------------------------------------------------------------------
@@ -200,72 +203,67 @@ def _weyl_header(n: int):
     return cols
 
 
-def write_weyl_csv(path: str, weyl: WeylData) -> None:
-    n = weyl.dim
+def _write_weyl_rows(path: str, n: int, rows) -> None:
+    """Write (segment, rho, weight, M) rows, complex values as re, im pairs."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(_weyl_header(n))
-        for node, M in zip(weyl.contour.nodes, weyl.M_samples):
-            row = [node.segment, repr(node.point.rho.real),
-                   repr(node.point.rho.imag),
-                   repr(node.weight.real), repr(node.weight.imag)]
-            row += [repr(float(v)) for z in M.ravel() for v in (z.real, z.imag)]
-            w.writerow(row)
+        for segment, rho, weight, M in rows:
+            w.writerow([segment] + [repr(float(v))
+                                    for z in (rho, weight, *np.ravel(M))
+                                    for v in (z.real, z.imag)])
+
+
+def write_weyl_csv(path: str, weyl: WeylData) -> None:
+    _write_weyl_rows(path, weyl.dim,
+                     ((nd.segment, nd.point.rho, nd.weight, M)
+                      for nd, M in zip(weyl.contour.nodes, weyl.M_samples)))
 
 
 def write_tail_csv(path: str, weyl: WeylData) -> None:
-    n = weyl.dim
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_weyl_header(n))
-        for pt, M in weyl.tail_samples:
-            row = ["tail", repr(pt.rho.real), repr(pt.rho.imag), "0.0", "0.0"]
-            row += [repr(float(v)) for z in np.asarray(M).ravel()
-                    for v in (z.real, z.imag)]
-            w.writerow(row)
+    _write_weyl_rows(path, weyl.dim,
+                     (("tail", pt.rho, 0j, M) for pt, M in weyl.tail_samples))
 
 
-def _rows_from_csv(path: str):
+def _read_weyl_rows(path: str):
+    """Sample dimension n and the (segment, rho, weight, M) rows of a file
+    written by _write_weyl_rows."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, [])
         rows = list(reader)
-    n_sq2 = len(header) - 5
-    n = int(round((n_sq2 / 2) ** 0.5))
-    if 2 * n * n != n_sq2:
-        raise ConfigError(f"{path}: header implies non-square sample matrices")
-    return header, rows, n
+    n = math.isqrt(max(len(header) - 5, 0) // 2)
+    if n == 0 or len(header) != 5 + 2 * n * n:
+        raise ConfigError(f"{path}: header needs 5 + 2 n^2 columns with n >= 1, "
+                          f"has {len(header)}")
+    out = []
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}, line {line}: {len(row)} fields, "
+                              f"header has {len(header)}")
+        z = np.array(row[1:], dtype=float).view(complex)
+        out.append((row[0], z[0], z[1], z[2:].reshape(n, n)))
+    return n, out
 
 
 def read_weyl_csv(weyl_path: str, tail_path: str, contour_params: dict) -> WeylData:
-    _, rows, n = _rows_from_csv(weyl_path)
-    nodes = []
-    samples = []
-    for row in rows:
-        seg = row[0]
-        rho = complex(float(row[1]), float(row[2]))
-        weight = complex(float(row[3]), float(row[4]))
-        vals = np.array(row[5:], dtype=float)
-        M = (vals[0::2] + 1j * vals[1::2]).reshape(n, n)
-        nodes.append(ContourNode(point=SpectralPoint(rho), weight=weight,
-                                 segment=seg))
-        samples.append(M)
-    contour = Contour(
-        r0=float(contour_params["r0"]),
-        R=float(contour_params["R"]),
-        delta=float(contour_params.get("delta", 1e-3 * float(contour_params["r0"]))),
-        nodes=tuple(nodes),
-    )
-    _, trows, tn = _rows_from_csv(tail_path)
+    n, rows = _read_weyl_rows(weyl_path)
+    tn, tail = _read_weyl_rows(tail_path)
     if tn != n:
         raise ConfigError("tail and contour samples disagree on dimension")
-    tail = []
-    for row in trows:
-        rho = complex(float(row[1]), float(row[2]))
-        vals = np.array(row[5:], dtype=float)
-        tail.append((SpectralPoint(rho), (vals[0::2] + 1j * vals[1::2]).reshape(n, n)))
-    return WeylData(contour=contour, M_samples=np.array(samples),
-                    tail_samples=tuple(tail))
+    c = _json_object(contour_params, "contour")
+    delta = _contour_delta(c)
+    contour = Contour(
+        r0=float(c["r0"]),
+        R=float(c["R"]),
+        delta=1e-3 * float(c["r0"]) if delta is None else delta,
+        nodes=tuple(ContourNode(point=SpectralPoint(rho), weight=weight,
+                                segment=segment)
+                    for segment, rho, weight, _ in rows),
+    )
+    return WeylData(contour=contour, M_samples=np.array([M for *_, M in rows]),
+                    tail_samples=tuple((SpectralPoint(rho), M)
+                                       for _, rho, _, M in tail))
 
 
 def write_potential_csv(path: str, grid: PotentialGrid) -> None:
@@ -324,15 +322,10 @@ class _Report:
             f.write("\n")
         return path
 
-    @property
-    def stage(self):
-        return self._stage
 
-
-def _mode_forward(cfg, rep, rng):
-    problem = _build_problem(cfg, rng)
+def _forward(cfg, rep, problem: Problem) -> WeylData:
     contour = _build_contour(cfg)
-    tail_ts = cfg.get("tail", {}).get("ts")
+    tail_ts = _json_object(cfg.get("tail", {}), "tail").get("ts")
     rep.start("forward")
     weyl = generate_weyl_data(problem, contour,
                               tail_ts=None if tail_ts is None else np.asarray(tail_ts))
@@ -347,13 +340,7 @@ def _mode_forward(cfg, rep, rng):
     return weyl
 
 
-def _mode_invert(cfg, rep, weyl=None):
-    if weyl is None:
-        inp = cfg.get("input", {})
-        try:
-            weyl = read_weyl_csv(inp["weyl"], inp["tail"], cfg["contour"])
-        except KeyError as exc:
-            raise ConfigError(f"invert mode needs input paths and contour: {exc}")
+def _invert(cfg, rep, weyl: WeylData):
     icfg = _invert_config(cfg)
     rep.start("invert")
     result = invert(weyl, icfg)
@@ -372,6 +359,15 @@ def _mode_invert(cfg, rep, weyl=None):
     return result
 
 
+def _mode_forward(cfg, rep, rng):
+    _forward(cfg, rep, _build_problem(cfg, rng))
+
+
+def _mode_invert(cfg, rep, rng):
+    inp = cfg.get("input", {})
+    _invert(cfg, rep, read_weyl_csv(inp["weyl"], inp["tail"], cfg["contour"]))
+
+
 def _node_norms(values):
     return np.abs(values).sum(axis=-1).max(axis=-1)
 
@@ -379,15 +375,7 @@ def _node_norms(values):
 def _l1_relative(q_rec: PotentialGrid, q_true: PotentialGrid) -> float:
     """Relative L1 distance, sampling the true Q on the recovered grid."""
     xs = q_rec.x_nodes
-    n = q_true.values.shape[1]
-    true_vals = np.zeros((xs.size, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            col = q_true.values[:, i, j]
-            true_vals[:, i, j] = (
-                np.interp(xs, q_true.x_nodes, col.real, right=0.0)
-                + 1j * np.interp(xs, q_true.x_nodes, col.imag, right=0.0)
-            )
+    true_vals = q_true.sample(xs)
     err = np.trapezoid(_node_norms(q_rec.values - true_vals), xs)
     ref = np.trapezoid(_node_norms(true_vals), xs)
     return float(err / ref) if ref > 0 else float(err)
@@ -395,21 +383,20 @@ def _l1_relative(q_rec: PotentialGrid, q_true: PotentialGrid) -> float:
 
 def _mode_roundtrip(cfg, rep, rng):
     problem = _build_problem(cfg, rng)
-    weyl = _mode_forward(cfg, rep, rng)
-    result = _mode_invert(cfg, rep, weyl=weyl)
+    result = _invert(cfg, rep, _forward(cfg, rep, problem))
     rep.start("compare")
     rep.data["error_norms"]["q_l1_relative"] = _l1_relative(result.Q,
                                                             problem.potential)
     rep.data["error_norms"]["h_error"] = float(matnorm(result.h - problem.bc.h))
     rep.data["error_norms"]["A_error"] = float(matnorm(result.A - problem.bc.A))
     rep.stop()
-    return result
 
 
 def _mode_zeros(cfg, rep, rng):
     problem = _build_problem(cfg, rng)
-    radius = float(cfg.get("zeros", {}).get("radius", 10.0))
-    density = int(cfg.get("zeros", {}).get("grid_density", 24))
+    spec = _json_object(cfg.get("zeros", {}), "zeros")
+    radius = float(spec.get("radius", 10.0))
+    density = int(spec.get("grid_density", 24))
     rep.start("zeros")
     zeros, r0 = scan_jost_zeros(problem, radius, grid_density=density)
     rep.stop()
@@ -426,14 +413,9 @@ def _mode_zeros(cfg, rep, rng):
 
 
 def _mode_validate_bc(cfg, rep, rng):
-    try:
-        spec = cfg["problem"]["boundary"]
-        n = int(cfg["problem"]["dim"])
-    except KeyError as exc:
-        raise ConfigError(f"validate-bc needs problem.dim and problem.boundary: {exc}")
+    spec = _json_object(cfg["problem"], "problem")
     rep.start("validate")
-    bc = _build_boundary(spec, n, rng)
-    checks = bnd.validate(bc.A, bc.h)
+    bc = _build_boundary(spec["boundary"], int(spec["dim"]), rng)
     rep.stop()
     rep.start("emit")
     with open(os.path.join(rep.out_dir, "boundary.json"), "w") as f:
@@ -441,13 +423,13 @@ def _mode_validate_bc(cfg, rep, rng):
         f.write("\n")
     rep.emit("boundary.json")
     rep.stop()
-    for k, v in checks.items():
+    for k, v in bc.residuals().items():
         rep.data["diagnostics"][k] = float(v)
 
 
 _MODES = {
-    "forward": lambda cfg, rep, rng: _mode_forward(cfg, rep, rng),
-    "invert": lambda cfg, rep, rng: _mode_invert(cfg, rep),
+    "forward": _mode_forward,
+    "invert": _mode_invert,
     "roundtrip": _mode_roundtrip,
     "zeros": _mode_zeros,
     "validate-bc": _mode_validate_bc,
@@ -458,21 +440,9 @@ def run(mode: str, cfg: dict, out_dir: str, seed=None) -> dict:
     """Execute one mode; returns the report dict (also written to disk)."""
     os.makedirs(out_dir, exist_ok=True)
     rep = _Report(cfg, out_dir)
-    rng = np.random.default_rng(seed)
-    _MODES[mode](cfg, rep, rng)
+    _MODES[mode](cfg, rep, np.random.default_rng(seed))
     rep.write()
     return rep.data
-
-
-def _limit_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        log.debug("threadpoolctl unavailable; relying on environment variables")
 
 
 def main(argv=None) -> int:
@@ -485,34 +455,27 @@ def main(argv=None) -> int:
         p = sub.add_parser(mode)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    _limit_threads(args.threads)
 
-    try:
-        cfg = load_config(args.config)
-    except OSError as exc:
-        log.error("cannot read config: %s", exc)
-        return EXIT_IO
-    except ConfigError as exc:
-        log.error("config error: %s", exc)
-        return EXIT_CONFIG
+    def fail(what, code, exc):
+        log.error("%s in mode %s: %s: %s", what, args.mode,
+                  type(exc).__name__, exc)
+        return code
 
+    # DomainError and LinAlgError are ValueErrors, so the numerical clause
+    # comes first.
     try:
-        run(args.mode, cfg, args.out, seed=args.seed)
-    except ConfigError as exc:
-        log.error("config error: %s", exc)
-        return EXIT_CONFIG
+        run(args.mode, load_config(args.config), args.out, seed=args.seed)
     except _NUMERICAL_ERRORS as exc:
-        log.error("numerical failure in mode %s: %s", args.mode, exc)
-        return EXIT_NUMERICAL
+        return fail("numerical failure", EXIT_NUMERICAL, exc)
+    except _CONFIG_ERRORS as exc:
+        return fail("config error", EXIT_CONFIG, exc)
     except OSError as exc:
-        log.error("I/O error: %s", exc)
-        return EXIT_IO
+        return fail("I/O error", EXIT_IO, exc)
     return 0
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "ALGEBRAIC_TOL",
-    "QUADRATURE_TOL",
     "SpectralPoint",
     "BoundaryCondition",
     "PotentialGrid",
@@ -35,7 +34,6 @@ __all__ = [
     "matnorm",
     "bracket",
     "apply_T",
-    "apply_T_star",
     "lambda_to_point",
     "sinc",
     "sin_over",
@@ -43,10 +41,8 @@ __all__ = [
     "prefix_integrals",
 ]
 
-# Tolerance for algebraic invariants of exact inputs; quantities that pass
-# through quadrature get the looser one.
+# Tolerance for algebraic invariants of exact inputs.
 ALGEBRAIC_TOL = 1e-12
-QUADRATURE_TOL = 1e-8
 
 
 class DimensionMismatchError(ValueError):
@@ -226,6 +222,16 @@ class PotentialGrid:
         rows = np.sum(np.abs(self.values), axis=-1).max(axis=-1)
         return float(np.sum(rows) * self.dx)
 
+    def sample(self, x) -> np.ndarray:
+        """Q at the points x, shape x.shape + (n, n): linear interpolation
+        of the real and imaginary parts of each entry, zero beyond x_max."""
+        x = np.asarray(x, dtype=float)
+        cols = self.values.reshape(self.x_nodes.size, -1).T
+        out = [np.interp(x, self.x_nodes, c.real, right=0.0)
+               + 1j * np.interp(x, self.x_nodes, c.imag, right=0.0)
+               for c in cols]
+        return np.stack(out, axis=-1).reshape(x.shape + self.values.shape[1:])
+
     def index_of(self, x: float) -> int:
         i = int(round(x / self.dx))
         if not (0 <= i < self.x_nodes.size) or abs(self.x_nodes[i] - x) > 1e-9:
@@ -279,13 +285,6 @@ def apply_T(bc: BoundaryCondition, Y0, Y0der) -> np.ndarray:
     Y0 = _as_square(Y0, bc.dim, stacked=True)
     Y0der = _as_square(Y0der, bc.dim, stacked=True)
     return bc.A @ (Y0der - bc.h @ Y0) - bc.A_perp @ Y0
-
-
-def apply_T_star(bc: BoundaryCondition, Z0, Z0der) -> np.ndarray:
-    """Adjoint boundary functional T*(Z) = (Z'(0) - Z(0) h) A - Z(0)(I - A)."""
-    Z0 = _as_square(Z0, bc.dim)
-    Z0der = _as_square(Z0der, bc.dim)
-    return (Z0der - Z0 @ bc.h) @ bc.A - Z0 @ bc.A_perp
 
 
 # -- small scalar helpers ---------------------------------------------------

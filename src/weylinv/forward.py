@@ -230,17 +230,36 @@ def jost_matrix(problem: Problem, pt: SpectralPoint) -> np.ndarray:
     return apply_T(problem.bc, *_jost_at_zero(problem, [pt.rho]))[0]
 
 
-def omega(problem: Problem, x: float, rho: complex) -> np.ndarray:
-    """Tail transform omega(x, rho) = (1/2) int_x^X Q(t) e^{2 i rho (t-x)} dt."""
+def omega(problem: Problem, x: float, rhos) -> np.ndarray:
+    """Tail transform omega(x, rho) = (1/2) int_x^X Q(t) e^{2 i rho (t-x)} dt.
+
+    rhos is one value, giving an (n, n) matrix, or an array, giving one
+    matrix per entry.  A direct sum over the suffix [x, X] for all rho at
+    once: the trapezoid rule plus the endpoint correction
+    (dx^2/12)(f'(x) - f'(X)) of the Jost solver's backward recurrence,
+    which it matches to rounding.
+    """
     pot = problem.potential
     i = pot.index_of(x)
-    rhos = np.array([rho], dtype=complex)
-    return 0.5 * _scaled_tail_integrals(pot.values[i:, None], rhos, pot.dx)[0, 0]
+    rhos = np.asarray(rhos, dtype=complex)
+    r = rhos.reshape(-1)
+    Q = pot.values[i:]
+    t = pot.x_nodes[i:] - pot.x_nodes[i]
+    dx = pot.dx
+    w = np.full(t.size, dx)
+    w[0] = w[-1] = dx / 2.0
+    phase = np.exp(2j * np.outer(r, t))                         # (E, N)
+    base = np.einsum("et,t,tab->eab", phase, w, Q, optimize=True)
+    Qp = np.gradient(Q, dx, axis=0, edge_order=2)
+    f0 = Qp[0] + 2j * r[:, None, None] * Q[0]
+    fN = (Qp[-1] + 2j * r[:, None, None] * Q[-1]) * phase[:, -1, None, None]
+    out = 0.5 * (base + (dx * dx / 12.0) * (f0 - fN))
+    return out.reshape(rhos.shape + Q.shape[1:])
 
 
-def kappa(problem: Problem, rho: complex) -> np.ndarray:
-    """kappa(rho) = (A_perp - A) omega(0, rho)."""
-    return (problem.bc.A_perp - problem.bc.A) @ omega(problem, 0.0, rho)
+def kappa(problem: Problem, rhos) -> np.ndarray:
+    """kappa(rho) = (A_perp - A) omega(0, rho), for one rho or an array."""
+    return (problem.bc.A_perp - problem.bc.A) @ omega(problem, 0.0, rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +436,23 @@ def _detJ(problem, rho):
     return np.linalg.det(jost_matrix(problem, SpectralPoint(rho)))
 
 
-def scan_jost_zeros(problem: Problem, radius: float, grid_density: int = 24,
-                    default_min: float = 1.0):
+# Floor of max |rho_0|^2 in the circle radius that scan_jost_zeros suggests.
+_R0_FLOOR = 1.0
+
+
+def scan_jost_zeros(problem: Problem, radius: float, grid_density: int = 24):
     """Scan Omega for zeros of det J(rho) up to |rho| = radius.
 
     Evaluates |det J| on a polar grid, refines local minima by a secant
     iteration, and keeps refined points with |det J| < 1e-6.  Returns
     (zeros as lambda values, suggested r0) where
-    r0 = 1.5 * max(max|rho_0|^2, default_min).  An empty list is a valid
-    outcome; the zero set is always bounded.
+    r0 = 1.5 * max(max|rho_0|^2, 1).  An empty list is a valid outcome;
+    the zero set is always bounded.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
+    if grid_density < 1:
+        raise ValueError("grid_density must be >= 1")
     radii = np.linspace(radius / grid_density, radius, grid_density)
     angles = np.linspace(0.0, np.pi, grid_density + 1)
     rr, aa = np.meshgrid(radii, angles, indexing="ij")
@@ -464,10 +488,7 @@ def scan_jost_zeros(problem: Problem, radius: float, grid_density: int = 24,
             zeros.append(rho)
 
     lam_zeros = [z * z for z in zeros]
-    if zeros:
-        r0 = 1.5 * max(max(abs(z) ** 2 for z in zeros), default_min)
-    else:
-        r0 = 1.5 * default_min
+    r0 = 1.5 * max([abs(z) ** 2 for z in zeros] + [_R0_FLOOR])
     return lam_zeros, r0
 
 
@@ -557,37 +578,36 @@ def fit_decay_order(rho_abs, residuals) -> float:
     return float(-slope)
 
 
+def _probe_rhos(probes):
+    """The rho of each probe as a (P,) array and as a (P, 1, 1) column."""
+    rhos = np.array([pt.rho for pt in probes], dtype=complex)
+    return rhos, rhos[:, None, None]
+
+
 def jost_expansion_residuals(problem: Problem, probes, derivative=False):
     """Residual of the two-term large-|rho| expansion of e (or of e')."""
-    out = []
+    rhos, r = _probe_rhos(probes)
+    e0, e0p = _jost_at_zero(problem, rhos)
     eye = np.eye(problem.dim)
     w0 = omega(problem, 0.0, 0.0)
-    rhos = [pt.rho for pt in probes]
-    for rho, e0, e0p in zip(rhos, *_jost_at_zero(problem, rhos)):
-        wr = omega(problem, 0.0, rho)
-        if derivative:
-            lead = e0p / (1j * rho)
-            expansion = eye - (w0 + wr) / (1j * rho)
-        else:
-            lead = e0
-            expansion = eye + (-w0 + wr) / (1j * rho)
-        out.append(matnorm(lead - expansion))
-    return out
+    wr = omega(problem, 0.0, rhos)
+    if derivative:
+        diff = e0p / (1j * r) - (eye - (w0 + wr) / (1j * r))
+    else:
+        diff = e0 - (eye + (-w0 + wr) / (1j * r))
+    return [matnorm(d) for d in diff]
 
 
 def jost_matrix_expansion_residuals(problem: Problem, probes):
     """Residual of J0(rho)^{-1} J(rho) against its two-term expansion."""
-    out = []
     A, Ap, h = problem.bc.A, problem.bc.A_perp, problem.bc.h
-    eye = np.eye(problem.dim)
+    rhos, r = _probe_rhos(probes)
+    J = apply_T(problem.bc, *_jost_at_zero(problem, rhos))
+    J0inv = A / (1j * r) - Ap
     w0 = omega(problem, 0.0, 0.0)
-    rhos = [pt.rho for pt in probes]
-    Js = apply_T(problem.bc, *_jost_at_zero(problem, rhos))
-    for rho, J in zip(rhos, Js):
-        J0inv = A / (1j * rho) - Ap
-        expansion = eye - (h + w0) / (1j * rho) + kappa(problem, rho) / (1j * rho)
-        out.append(matnorm(J0inv @ J - expansion))
-    return out
+    expansion = (np.eye(problem.dim) - (h + w0) / (1j * r)
+                 + kappa(problem, rhos) / (1j * r))
+    return [matnorm(d) for d in J0inv @ J - expansion]
 
 
 def weyl_expansion_residuals(problem: Problem, probes):
@@ -597,17 +617,14 @@ def weyl_expansion_residuals(problem: Problem, probes):
     I + h/(i rho) - 2 kappa/(i rho); the sandwich removes the unbounded
     outer factors so the remainder decays cleanly.
     """
-    out = []
     A, Ap, h = problem.bc.A, problem.bc.A_perp, problem.bc.h
-    eye = np.eye(problem.dim)
-    rhos = [pt.rho for pt in probes]
-    for rho, M in zip(rhos, _weyl_many(problem, rhos)):
-        left_inv = A + Ap / (1j * rho)       # = (A + i rho A_perp)^{-1}
-        right = 1j * rho * A - Ap
-        inner = left_inv @ M @ right
-        expansion = eye + h / (1j * rho) - 2.0 * kappa(problem, rho) / (1j * rho)
-        out.append(matnorm(inner - expansion))
-    return out
+    rhos, r = _probe_rhos(probes)
+    left_inv = A + Ap / (1j * r)         # = (A + i rho A_perp)^{-1}
+    right = 1j * r * A - Ap
+    inner = left_inv @ _weyl_many(problem, rhos) @ right
+    expansion = (np.eye(problem.dim) + h / (1j * r)
+                 - 2.0 * kappa(problem, rhos) / (1j * r))
+    return [matnorm(d) for d in inner - expansion]
 
 
 def asymptotics_report(problem: Problem, probes, which: str) -> AsymptoticsReport:

@@ -34,6 +34,7 @@ import scipy.linalg
 
 from .contour import Contour, ContourNode, _param_weights
 from .core import (
+    BoundaryCondition,
     DataQualityError,
     PotentialGrid,
     ReconstructionError,
@@ -44,8 +45,8 @@ from .core import (
     sin_over,
     sinc,
 )
-from .forward import (Problem, _march_many, _weyl_many, transpose_problem,
-                      weyl_matrix)
+from .forward import (Problem, _march_many, _weyl_many, kappa,
+                      transpose_problem, weyl_matrix)
 
 __all__ = [
     "WeylData",
@@ -331,14 +332,18 @@ def problem_D(problem: Problem, x: float, lam: SpectralPoint,
 # Projector extraction from the tail
 # ---------------------------------------------------------------------------
 
-def extract_A(tail_samples, residual_tol: float = 1e-3) -> np.ndarray:
+# Largest tail extrapolation misfit extract_A accepts.
+_A_RESIDUAL_TOL = 1e-3
+
+
+def extract_A(tail_samples) -> np.ndarray:
     """Recover A from the Weyl tail: A = I - lim M(lambda)/(-i rho).
 
     Fits I - M/(-i rho) entrywise against a cubic in 1/|rho| and takes
     the constant term, then projects onto the nearest orthogonal
     projector (symmetrize, eigendecompose, round eigenvalues to {0, 1}).
     Eigenvalues in the ambiguous band [0.25, 0.75] and extrapolation
-    misfits above residual_tol raise DataQualityError.
+    misfits above _A_RESIDUAL_TOL raise DataQualityError.
     """
     if len(tail_samples) < 4:
         raise DataQualityError("need at least 4 tail samples")
@@ -367,9 +372,9 @@ def extract_A(tail_samples, residual_tol: float = 1e-3) -> np.ndarray:
     A_proj = (A_proj + A_proj.conj().T) / 2.0
 
     residual = max(misfit, matnorm(A_raw - A_proj))
-    if residual > residual_tol:
+    if residual > _A_RESIDUAL_TOL:
         raise DataQualityError(
-            f"tail extrapolation residual {residual:.3e} exceeds {residual_tol}"
+            f"tail extrapolation residual {residual:.3e} exceeds {_A_RESIDUAL_TOL}"
         )
     return A_proj
 
@@ -527,8 +532,12 @@ def nystrom_phi_at(weyl: WeylData, A, sol: MainEquationSolution,
     return _Assembler(weyl, A).phi_at(sol, pt)
 
 
+# Cut-node midpoints at which main_equation_residual probes a slice.
+_N_RESIDUAL_PROBES = 8
+
+
 def main_equation_residual(weyl: WeylData, A, sol: MainEquationSolution,
-                           n_probe: int = 8, assembler=None) -> float:
+                           assembler=None) -> float:
     """Off-node consistency residual of a solved x-slice.
 
     phi is interpolated linearly between adjacent cut nodes and the main
@@ -542,9 +551,9 @@ def main_equation_residual(weyl: WeylData, A, sol: MainEquationSolution,
              if segs[k] == segs[k + 1] and segs[k] != "circle"]
     if not picks:
         return 0.0
-    step = max(1, len(picks) // n_probe)
+    step = max(1, len(picks) // _N_RESIDUAL_PROBES)
     worst = 0.0
-    for k in picks[::step][:n_probe]:
+    for k in picks[::step][:_N_RESIDUAL_PROBES]:
         lam_mid = 0.5 * (lams[k] + lams[k + 1])
         sheet = "upper" if segs[k] == "upper_cut" else "lower"
         pt = lambda_to_point(lam_mid, sheet)
@@ -621,26 +630,7 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
 # Self-consistent tail extension
 # ---------------------------------------------------------------------------
 
-def _omega_of_grid(Q: PotentialGrid, rhos):
-    """omega(0, rho) = (1/2) int_0^X Q(t) exp(2 i rho t) dt for many rho.
-
-    Endpoint-corrected trapezoid, vectorized over the rho array; rho may
-    have either sign of the real part (the two cut sides).
-    """
-    rhos = np.asarray(rhos)
-    t = Q.x_nodes
-    dx = Q.dx
-    w = np.full(t.size, dx)
-    w[0] = w[-1] = dx / 2.0
-    phase = np.exp(2j * np.outer(rhos, t))                      # (E, N)
-    base = np.einsum("et,t,tab->eab", phase, w, Q.values, optimize=True)
-    Qp = np.gradient(Q.values, dx, axis=0, edge_order=2)
-    f0 = Qp[0] + 2j * rhos[:, None, None] * Q.values[0]
-    fN = (Qp[-1] + 2j * rhos[:, None, None] * Q.values[-1]) * phase[:, -1, None, None]
-    return 0.5 * (base + (dx * dx / 12.0) * (f0 - fN))
-
-
-def _asymptotic_mhat(A, h, kappa, rhos):
+def _asymptotic_mhat(A, h, kap, rhos):
     """Leading Weyl-matrix deviation from the zero model at large |rho|:
 
     M - M~ = (A + i rho A_perp) (h - 2 kappa(rho)) (A/(i rho) - A_perp) / (i rho).
@@ -651,14 +641,20 @@ def _asymptotic_mhat(A, h, kappa, rhos):
     r = np.asarray(rhos)[:, None, None]
     left = A[None] + 1j * r * Ap[None]
     right = A[None] / (1j * r) - Ap[None]
-    mid = (h[None] - 2.0 * kappa) / (1j * r)
+    mid = (h[None] - 2.0 * kap) / (1j * r)
     return left @ mid @ right
 
 
-def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, h_prior,
-                    rho_fit_min: float = None, n_coarse: int = 101,
-                    tv_weight: float = 3e-3, anchor_weight: float = 0.5,
-                    irls_iters: int = 8):
+# Settings of _fit_tail_model: the coarse node count of the fitted Q (odd),
+# the weights of the total-variation and prior-anchor rows, and the number
+# of reweighting passes.
+_FIT_NODES = 101
+_FIT_TV_WEIGHT = 3e-3
+_FIT_ANCHOR_WEIGHT = 0.5
+_FIT_IRLS_ITERS = 8
+
+
+def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
     """Fit (Q, h) to the large-|rho| structure of the measured Weyl data.
 
     For |rho| past the low-lying singularities,
@@ -667,12 +663,13 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, h_prior,
             = h - 2 (A_perp - A) omega(0, rho) + O(1/rho^2),
 
     and omega(0, rho) = (1/2) int_0^X Q(t) exp(2 i rho t) dt is linear in
-    the samples of Q, so the outer cut nodes and the imaginary-axis tail
-    samples give a linear system for (h, Q).  The outer band carries no
-    low-frequency information, so the smooth component is anchored to the
-    first-pass reconstruction Q_prior, while an edge-preserving total
-    variation penalty (iteratively reweighted least squares) supplies the
-    compact-support extrapolation beyond the data band.  The result seeds
+    the samples of Q, so the outer cut nodes, |rho| >= max(3, 0.45 sqrt(R)),
+    and the imaginary-axis tail samples give a linear system for (h, Q).
+    The outer band carries no low-frequency information, so the smooth
+    component is anchored to the first-pass reconstruction Q_prior, while
+    an edge-preserving total variation penalty (iteratively reweighted
+    least squares) supplies the compact-support extrapolation beyond the
+    data band.  The result seeds
     the synthetic kernel tail past the truncation radius; it is a coarse
     estimate of Q only, never the reconstruction itself.
     """
@@ -681,8 +678,7 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, h_prior,
     Ap = np.eye(n) - A
     S = Ap - A                       # involution: S @ S = I
     rho_R = np.sqrt(weyl.contour.R)
-    if rho_fit_min is None:
-        rho_fit_min = max(3.0, 0.45 * rho_R)
+    rho_fit_min = max(3.0, 0.45 * rho_R)
 
     rhos, Ys = [], []
     for k, nd in enumerate(weyl.contour.nodes):
@@ -700,8 +696,7 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, h_prior,
     Ys = (1j * rhos)[:, None, None] * (Linv @ np.array(Ys) @ Rinv)
 
     x_max = Q_prior.x_max
-    if n_coarse % 2 == 0:
-        n_coarse += 1
+    n_coarse = _FIT_NODES
     t = np.linspace(0.0, x_max, n_coarse)
     dt = t[1] - t[0]
     # Y = h + c/rho + basis . (S Q); basis integrates the piecewise-linear
@@ -722,12 +717,7 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, h_prior,
 
     # anchor: the band-limited component of Q must match the prior
     sigma = 2.0 / rho_R
-    prior = np.empty((n_coarse, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            col = Q_prior.values[:, i, j]
-            prior[:, i, j] = (np.interp(t, Q_prior.x_nodes, col.real)
-                              + 1j * np.interp(t, Q_prior.x_nodes, col.imag))
+    prior = Q_prior.sample(t)
     kern = np.exp(-0.5 * ((t[:, None] - t[None, :]) / sigma) ** 2)
     kern /= kern.sum(axis=1, keepdims=True)
     # the prior carries a spurious boundary layer at x = 0, so ramp the
@@ -735,9 +725,9 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, h_prior,
     layer = 3.0 / rho_R
     ramp = np.clip(t / layer - 1.0, 0.0, 1.0)
     kern = ramp[:, None] * kern
-    anchor = np.hstack([np.zeros((n_coarse, 2)), kern]) * anchor_weight
+    anchor = np.hstack([np.zeros((n_coarse, 2)), kern]) * _FIT_ANCHOR_WEIGHT
     SQ_prior = np.einsum("ab,tbc->tac", S, prior)
-    rhs_anchor = anchor_weight * (kern @ SQ_prior.reshape(n_coarse, n * n))
+    rhs_anchor = _FIT_ANCHOR_WEIGHT * (kern @ SQ_prior.reshape(n_coarse, n * n))
 
     D1 = np.zeros((n_coarse - 1, n_coarse + 2))
     for i in range(n_coarse - 1):
@@ -746,7 +736,7 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, h_prior,
 
     Z = None
     eps = 1e-3
-    for _ in range(irls_iters):
+    for _ in range(_FIT_IRLS_ITERS):
         if Z is None:
             w_tv = np.ones((n_coarse - 1, n * n))
         else:
@@ -754,7 +744,8 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, h_prior,
             w_tv = 1.0 / np.sqrt(jumps + eps)
         sol = np.empty((n_coarse + 2, n * n), dtype=complex)
         for c in range(n * n):
-            big = np.vstack([design, anchor, tv_weight * w_tv[:, c, None] * D1])
+            big = np.vstack([design, anchor,
+                             _FIT_TV_WEIGHT * w_tv[:, c, None] * D1])
             rhs = np.concatenate([rhs_data[:, c], rhs_anchor[:, c],
                                   np.zeros(n_coarse - 1)])
             sol[:, c] = np.linalg.lstsq(big, rhs, rcond=None)[0]
@@ -765,11 +756,7 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, h_prior,
     # resample onto the prior's fine grid so downstream Fourier integrals
     # of the fit stay resolved well past the data band
     tf = Q_prior.x_nodes
-    fine = np.empty((tf.size, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            fine[:, i, j] = (np.interp(tf, t, Q_fit[:, i, j].real)
-                             + 1j * np.interp(tf, t, Q_fit[:, i, j].imag))
+    fine = PotentialGrid(x_nodes=t, values=Q_fit).sample(tf)
     return PotentialGrid(x_nodes=tf, values=fine), h_fit
 
 
@@ -913,7 +900,6 @@ def recover_potential(solutions, weyl: WeylData, A, lambda_probes,
 def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     """Run the reconstruction pipeline on measured Weyl data."""
     A = extract_A(weyl.tail_samples)
-    Ap = np.eye(weyl.dim) - A
     xs = np.linspace(0.0, config.x_max, config.x_nodes)
     rho_band = np.sqrt(weyl.contour.R)
 
@@ -923,9 +909,12 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
         if p > 0:
             ext_rhos, ext_w = _extension_nodes(weyl.contour,
                                                config.tail_extension_factor)
-            Q_fit, h_fit = _fit_tail_model(weyl, A, Q, h)
-            kap = (Ap - A)[None] @ _omega_of_grid(Q_fit, ext_rhos)
-            ext_Mhat = _asymptotic_mhat(A, h_fit, kap, ext_rhos)
+            Q_fit, h_fit = _fit_tail_model(weyl, A, Q)
+            # kappa depends on Q and A only
+            tail_model = Problem(potential=Q_fit,
+                                 bc=BoundaryCondition(A=A, h=np.zeros_like(A)))
+            ext_Mhat = _asymptotic_mhat(A, h_fit, kappa(tail_model, ext_rhos),
+                                        ext_rhos)
             asm = _Assembler(weyl, A, extension=(ext_rhos, ext_w, ext_Mhat))
             rho_band = config.tail_extension_factor * np.sqrt(weyl.contour.R)
         solutions = [asm.solve(x, cond_limit=config.system_cond_limit)
@@ -1034,12 +1023,7 @@ def discretization_estimate(weyl: WeylData, config: InvertConfig,
         a = result.Q
         b = res.Q
         na = np.abs(a.values).sum(axis=-1).max(axis=-1)
-        nb = np.empty_like(na)
-        db = np.abs(b.values - np.stack(
-            [[np.interp(b.x_nodes, a.x_nodes, a.values[:, i, j].real)
-              + 1j * np.interp(b.x_nodes, a.x_nodes, a.values[:, i, j].imag)
-              for j in range(a.dim)] for i in range(a.dim)],
-            axis=0).transpose(2, 0, 1)).sum(axis=-1).max(axis=-1)
+        db = np.abs(b.values - a.sample(b.x_nodes)).sum(axis=-1).max(axis=-1)
         num = np.trapezoid(db, b.x_nodes)
         den = np.trapezoid(na, a.x_nodes)
         return float(num / den) if den > 0 else float(num)

@@ -1,11 +1,18 @@
 """Command-line interface: modes, file formats, exit codes."""
 
+import copy
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylinv.cli import (
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_NUMERICAL,
     main,
     read_weyl_csv,
@@ -32,6 +39,12 @@ SCALAR_BOX = {
     "lambda_probes": [-4.0, -9.0],
     "tail": {"ts": [50.0, 100.0, 200.0, 400.0]},
 }
+
+# The same job on 9-node grids, valid for every mode; zeros scans a small disk.
+TINY = copy.deepcopy(SCALAR_BOX)
+TINY["problem"]["potential"]["nodes"] = 9
+TINY["x_grid"]["nodes"] = 9
+TINY["zeros"] = {"radius": 3.0, "grid_density": 6}
 
 
 class TestValidateBC:
@@ -176,3 +189,214 @@ class TestErrorHandling:
         rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
                    "--out", str(tmp_path / "inv")])
         assert rc == EXIT_NUMERICAL
+
+
+def _forward_csvs(tmp_path):
+    out = tmp_path / "fwd"
+    assert main(["forward", "--config", write_cfg(tmp_path / "f.json", SCALAR_BOX),
+                 "--out", str(out)]) == 0
+    return out / "weyl.csv", out / "tail.csv"
+
+
+def _edit_csv(path, edit):
+    """Rewrite a CSV file through edit, a function on its list of lines."""
+    path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
+
+
+def _set_cell(line, col, value):
+    def edit(lines):
+        row = lines[line].split(",")
+        row[col] = value
+        return lines[:line] + [",".join(row)] + lines[line + 1:]
+    return edit
+
+
+MALFORMED_CSVS = {
+    "non-numeric cell": _set_cell(4, 5, "abc"),
+    "unknown segment": _set_cell(4, 0, "sideways"),
+    "empty file": lambda lines: [],
+    "truncated row": lambda lines: (lines[:4] + [",".join(lines[4].split(",")[:4])]
+                                    + lines[5:]),
+    "fewer than 64 rows": lambda lines: lines[:40],
+}
+
+
+def _validate_bc(boundary, dim=2):
+    return ("validate-bc", {"problem": {"dim": dim, "boundary": boundary}})
+
+
+def _with(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+MALFORMED_CONFIGS = {
+    "validate-bc non-projector A": _validate_bc(
+        {"form": "projector", "A": [[0.5, 0], [0, 0]], "h": [[0, 0], [0, 0]]}),
+    "validate-bc delta without coupling": _validate_bc({"form": "delta"}),
+    "validate-bc non-unitary U": _validate_bc(
+        {"form": "unitary", "U": [[2, 0], [0, 1]]}),
+    "validate-bc dim 'two'": _validate_bc({"form": "neumann"}, dim="two"),
+    "zeros radius -1": ("zeros", _with(TINY, ("zeros", "radius"), -1)),
+    "zeros radius 'x'": ("zeros", _with(TINY, ("zeros", "radius"), "x")),
+    "zeros grid_density 0": ("zeros", _with(TINY, ("zeros", "grid_density"), 0)),
+    "forward tail.ts [50, 'a']": ("forward", _with(TINY, ("tail", "ts"), [50, "a"])),
+    "forward boundary not an object": (
+        "forward", _with(TINY, ("problem", "boundary"), [1, 2])),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_is_config_error(self, tmp_path, name):
+        mode, cfg = MALFORMED_CONFIGS[name]
+        rc = main([mode, "--config", write_cfg(tmp_path / "c.json", cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("old, new", [
+        ('"nodes": 9', '"nodes": 1e400'),
+        ('"x_max": 1.5', '"x_max": 1' + "0" * 400),
+        ('"radius": 3.0', '"radius": NaN'),
+    ], ids=["nodes 1e400", "x_max 10^400", "radius NaN"])
+    def test_number_out_of_range_is_config_error(self, tmp_path, old, new):
+        text = json.dumps(TINY)
+        assert old in text
+        (tmp_path / "c.json").write_text(text.replace(old, new))
+        rc = main(["zeros", "--config", str(tmp_path / "c.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CSVS))
+    def test_malformed_weyl_csv_is_config_error(self, tmp_path, name):
+        weyl_csv, tail_csv = _forward_csvs(tmp_path)
+        _edit_csv(weyl_csv, MALFORMED_CSVS[name])
+        cfg = dict(SCALAR_BOX, input={"weyl": str(weyl_csv), "tail": str(tail_csv)})
+        rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
+                   "--out", str(tmp_path / "inv")])
+        assert rc == EXIT_CONFIG
+
+    def test_negative_im_rho_in_weyl_csv_is_numerical_failure(self, tmp_path):
+        weyl_csv, tail_csv = _forward_csvs(tmp_path)
+        _edit_csv(weyl_csv, _set_cell(4, 2, "-1.0"))
+        cfg = dict(SCALAR_BOX, input={"weyl": str(weyl_csv), "tail": str(tail_csv)})
+        rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
+                   "--out", str(tmp_path / "inv")])
+        assert rc == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("probes, code", [([0.0, -4.0], EXIT_NUMERICAL),
+                                              ([-4.0], EXIT_CONFIG)])
+    def test_lambda_probes(self, tmp_path, probes, code):
+        weyl_csv, tail_csv = _forward_csvs(tmp_path)
+        cfg = dict(SCALAR_BOX, lambda_probes=probes,
+                   input={"weyl": str(weyl_csv), "tail": str(tail_csv)})
+        rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
+                   "--out", str(tmp_path / "inv")])
+        assert rc == code
+
+    def test_missing_input_key(self, tmp_path):
+        rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", SCALAR_BOX),
+                   "--out", str(tmp_path / "inv")])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("mode", ["invert", "forward"])
+    def test_absent_file_is_io_error(self, tmp_path, mode):
+        cfg = dict(SCALAR_BOX, input={"weyl": str(tmp_path / "absent.csv"),
+                                      "tail": str(tmp_path / "absent.csv")})
+        path = write_cfg(tmp_path / "i.json", cfg) if mode == "invert" \
+            else str(tmp_path / "absent.json")
+        rc = main([mode, "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_IO
+
+
+def test_roundtrip_scores_the_problem_it_sampled(tmp_path):
+    # a random-unitary boundary is drawn once per run, so roundtrip writes
+    # the same samples as forward with the same seed
+    cfg = copy.deepcopy(TINY)
+    cfg["problem"]["boundary"] = {"form": "random-unitary"}
+    path = write_cfg(tmp_path / "c.json", cfg)
+    for mode in ("forward", "roundtrip"):
+        assert main([mode, "--config", path, "--out", str(tmp_path / mode),
+                     "--seed", "11"]) == 0
+    assert ((tmp_path / "forward" / "weyl.csv").read_bytes()
+            == (tmp_path / "roundtrip" / "weyl.csv").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# Property: no mutation of a valid job ends in a traceback
+# ---------------------------------------------------------------------------
+
+MODES = ["forward", "invert", "roundtrip", "zeros", "validate-bc"]
+
+# JSON values small enough that no mutated size makes a run slow or large
+json_scalars = (st.none() | st.booleans() | st.integers(-3, 40)
+                | st.floats(-1e3, 1e3) | st.text(max_size=4))
+json_values = st.recursive(
+    json_scalars,
+    lambda v: st.lists(v, max_size=3) | st.dictionaries(st.text(max_size=4),
+                                                        v, max_size=3),
+    max_leaves=6)
+csv_cells = (st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+             | st.floats().map(repr))
+
+
+def _key_paths(node, prefix=()):
+    """Every key path into a tree of JSON objects and arrays."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def tiny_samples(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    assert main(["forward", "--config", write_cfg(out / "c.json", TINY),
+                 "--out", str(out)]) == 0
+    return {name: list(csv.reader((out / f"{name}.csv").open(newline="")))
+            for name in ("weyl", "tail")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mutated_job_exits_with_documented_code(tiny_samples, data):
+    mode = data.draw(st.sampled_from(MODES), label="mode")
+    target = data.draw(st.sampled_from(["config", "weyl", "tail"])
+                       if mode == "invert" else st.just("config"),
+                       label="target")
+    samples = copy.deepcopy(tiny_samples)
+    cfg = copy.deepcopy(TINY)
+    if target == "config":
+        path = data.draw(st.sampled_from(list(_key_paths(cfg))), label="path")
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if data.draw(st.booleans(), label="drop"):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = data.draw(json_values, label="value")
+    else:
+        rows = samples[target]
+        i = data.draw(st.integers(0, len(rows) - 1), label="row")
+        j = data.draw(st.integers(0, len(rows[i]) - 1), label="column")
+        rows[i][j] = data.draw(csv_cells, label="cell")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, rows in samples.items():
+            with (tmp / f"{name}.csv").open("w", newline="") as f:
+                csv.writer(f).writerows(rows)
+        if mode == "invert":
+            cfg["input"] = {"weyl": str(tmp / "weyl.csv"),
+                            "tail": str(tmp / "tail.csv")}
+        rc = main([mode, "--config", write_cfg(tmp / "c.json", cfg),
+                   "--out", str(tmp / "out")])
+    assert rc in (0, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)

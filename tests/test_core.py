@@ -116,6 +116,20 @@ class TestPotentialGrid:
         with pytest.raises(ValueError):
             g.index_of(1.0049)
 
+    def test_sample_interpolates_each_entry_and_vanishes_beyond(self, rng):
+        x = np.linspace(0.0, 1.0, 11)
+        v = rng.normal(size=(11, 2, 2)) + 1j * rng.normal(size=(11, 2, 2))
+        g = PotentialGrid(x_nodes=x, values=v)
+        assert np.array_equal(g.sample(x), v)
+        q = np.array([0.0, 0.05, 0.55, 1.0, 1.2])
+        got = g.sample(q)
+        assert got.shape == (5, 2, 2)
+        for i, j in np.ndindex(2, 2):
+            ref = (np.interp(q[:4], x, v[:, i, j].real)
+                   + 1j * np.interp(q[:4], x, v[:, i, j].imag))
+            assert np.array_equal(got[:4, i, j], ref)
+        assert np.all(got[4] == 0)
+
 
 class TestBracket:
     def test_constant_for_same_equation(self, rng):

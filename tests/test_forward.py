@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from weylinv import (
@@ -26,8 +27,8 @@ from weylinv import (
     zero_potential,
 )
 from weylinv.core import apply_T, bracket, tail_integrals
-from weylinv.forward import (_BLOCK_BYTES, _jost_at_zero, _march_many, kappa,
-                             omega)
+from weylinv.forward import (_BLOCK_BYTES, _jost_at_zero, _march_many,
+                             _scaled_tail_integrals, kappa, omega)
 
 from conftest import random_projector, scalar_box_problem, smooth_matrix_problem
 
@@ -219,6 +220,30 @@ class TestJostSolution:
         # A = I so kappa = -omega
         assert np.allclose(kappa(prob, rho), -omega(prob, 0.0, rho))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("x", [0.0, 0.6])
+    def test_omega_matches_jost_recurrence(self, rng, n, x):
+        # the direct sum against the backward recurrence the Jost solver
+        # runs, at both cut sides, far up the imaginary axis and off-axis
+        prob = (scalar_box_problem(nodes=401) if n == 1
+                else smooth_matrix_problem(2, rng, nodes=301))
+        pot = prob.potential
+        rhos = np.concatenate([np.linspace(-99.0, 99.0, 12),
+                               [50j, 400j, 3 + 2j]]).astype(complex)
+        i = pot.index_of(x)
+        ref = 0.5 * _scaled_tail_integrals(pot.values[i:, None], rhos,
+                                           pot.dx)[0]
+        got = omega(prob, x, rhos)
+        assert got.shape == (rhos.size, n, n)
+        scale = np.abs(ref).max(axis=(1, 2))
+        assert np.all(np.abs(got - ref).max(axis=(1, 2)) <= 1e-12 * scale)
+        # one rho gives one matrix, its row of the batch
+        one = omega(prob, x, rhos[3])
+        assert one.shape == (n, n)
+        assert np.abs(one - got[3]).max() <= 1e-14 * scale[3]
+        assert np.array_equal(kappa(prob, rhos), (prob.bc.A_perp - prob.bc.A)
+                              @ omega(prob, 0.0, rhos))
+
 
 class TestRegularSolutions:
     def test_initial_data(self, rng):
@@ -276,6 +301,34 @@ class TestWeylMatrix:
                              * np.exp(1j * rng.uniform(0.1, np.pi - 0.1)))
                for _ in range(3)]
         assert check_m_equals_mstar(prob, pts) < 1e-7
+
+    @settings(max_examples=20, deadline=None)
+    @given(amp=st.lists(st.floats(-0.8, 0.8), min_size=4, max_size=4),
+           center=st.lists(st.floats(0.2, 1.2), min_size=4, max_size=4),
+           width=st.lists(st.floats(0.15, 0.4), min_size=4, max_size=4),
+           rank=st.integers(0, 2),
+           basis=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           herm=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           polar=st.lists(st.tuples(st.floats(1.0, 6.0),
+                                    st.floats(0.1, np.pi - 0.1)),
+                          min_size=1, max_size=4))
+    def test_m_equals_mstar_property(self, amp, center, width, rank, basis,
+                                     herm, polar):
+        # a Gaussian bump in every entry of Q, a projector of any rank and a
+        # Hermitian h = A h A; the bound is criterion 3's
+        x = np.linspace(0.0, 1.5, 301)
+        prof = np.exp(-(((x[:, None] - np.array(center)) / np.array(width)) ** 2))
+        Q = PotentialGrid(x_nodes=x,
+                          values=(prof * np.array(amp)).reshape(-1, 2, 2))
+        X = np.reshape(basis[:4], (2, 2)) + 1j * np.reshape(basis[4:], (2, 2))
+        V = np.linalg.qr(X)[0][:, :rank]
+        A = V @ V.conj().T
+        A = (A + A.conj().T) / 2.0
+        H = np.reshape(herm[:4], (2, 2)) + 1j * np.reshape(herm[4:], (2, 2))
+        h = A @ ((H + H.conj().T) / 2.0) @ A
+        prob = Problem(potential=Q, bc=BoundaryCondition(A=A, h=h))
+        pts = [SpectralPoint(r * np.exp(1j * t)) for r, t in polar]
+        assert check_m_equals_mstar(prob, pts) <= 1e-7
 
     def test_bracket_of_weyl_and_regular(self):
         # <Phi^t, phi> is constant in x for the scalar problem; its value

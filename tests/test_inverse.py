@@ -23,6 +23,7 @@ from weylinv import (
     zero_potential,
 )
 from weylinv.core import sin_over
+from weylinv.forward import omega
 from weylinv.inverse import (
     WeylData,
     _Assembler,
@@ -30,7 +31,6 @@ from weylinv.inverse import (
     _extension_nodes,
     _fit_tail_model,
     _model_D_coeffs,
-    _omega_of_grid,
     main_equation_residual,
     model_D,
     model_phi,
@@ -339,10 +339,10 @@ class TestTailModelFit:
         prior_vals = prob.potential.values.copy()
         prior_vals[:20] = 0.0
         prior = PotentialGrid(x_nodes=x, values=prior_vals)
-        Q_fit, h_fit = _fit_tail_model(weyl, A, prior, np.zeros((1, 1)))
+        Q_fit, h_fit = _fit_tail_model(weyl, A, prior)
         rhos = np.linspace(15.0, 40.0, 9) + 0j
-        om_f = _omega_of_grid(Q_fit, rhos)
-        om_t = _omega_of_grid(prob.potential, rhos)
+        om_f = omega(Problem(potential=Q_fit, bc=prob.bc), 0.0, rhos)
+        om_t = omega(prob, 0.0, rhos)
         scale = np.abs(om_t).max()
         assert np.abs(om_f - om_t).max() < 0.35 * scale
         assert matnorm(h_fit) < 5e-2
