@@ -69,6 +69,8 @@ __all__ = [
     "zero_potential",
 ]
 
+# Largest Jost-matrix 1-norm condition number the Weyl objects accept, and
+# the update tolerance and sweep budget of the Jost iteration.
 COND_LIMIT = 1e10
 JOST_TOL = 1e-12
 JOST_MAX_ITER = 50
@@ -122,12 +124,12 @@ def transpose_problem(problem: Problem) -> Problem:
 # Jost solution
 # ---------------------------------------------------------------------------
 
-def _jost_scaled(Q, rhos, dx, tol=JOST_TOL, max_iter=JOST_MAX_ITER):
+def _jost_scaled(Q, rhos, dx):
     """Scaled Jost solutions E = e * exp(-i rho x) and E' for a block of points.
 
     Q is the (N, n, n) potential and rhos a (B,) array; returns two
     (N, B, n, n) arrays.  A point leaves the sweep once its update norm
-    is within tol, so it stops after as many sweeps as it would alone.
+    is within JOST_TOL, so it stops after as many sweeps as it would alone.
     A NaN update never counts as converged.
     """
     N, n = Q.shape[:2]
@@ -139,20 +141,20 @@ def _jost_scaled(Q, rhos, dx, tol=JOST_TOL, max_iter=JOST_MAX_ITER):
     Qb = Q[:, None]
     live = np.arange(rhos.size)
     Ea, r = E, rhos
-    for _ in range(max_iter):
+    for _ in range(JOST_MAX_ITER):
         P = Qb @ Ea
         E_new = eye + ((_scaled_tail_integrals(P, r, dx) - tail_integrals(P, dx))
                        / (2j * r)[:, None, None])
         upd = np.abs(E_new - Ea).sum(axis=-1).max(axis=(0, 2))
         E[:, live] = E_new
-        going = ~(upd <= tol)
+        going = ~(upd <= JOST_TOL)
         if not going.any():
             break
         live, r, Ea = live[going], r[going], E_new[:, going]
     else:
         last = float(np.max(upd))
         raise ConvergenceError(
-            f"Jost iteration did not reach {tol} in {max_iter} sweeps "
+            f"Jost iteration did not reach {JOST_TOL} in {JOST_MAX_ITER} sweeps "
             f"(last update {last:.3e})",
             residual=last,
         )
@@ -206,8 +208,7 @@ def _jost_at_zero(problem: Problem, rhos):
     return e0, e0p
 
 
-def solve_jost(problem: Problem, pt: SpectralPoint, tol=JOST_TOL,
-               max_iter=JOST_MAX_ITER) -> MatrixWave:
+def solve_jost(problem: Problem, pt: SpectralPoint) -> MatrixWave:
     """Jost solution e(., rho) and e'(., rho) on the potential grid.
 
     Q is treated as zero beyond x_max, where e = exp(i rho x) I holds
@@ -216,8 +217,7 @@ def solve_jost(problem: Problem, pt: SpectralPoint, tol=JOST_TOL,
     """
     rho = pt.rho
     pot = problem.potential
-    E, Eprime = _jost_scaled(pot.values, np.array([rho]), pot.dx,
-                             tol=tol, max_iter=max_iter)
+    E, Eprime = _jost_scaled(pot.values, np.array([rho]), pot.dx)
     phase = np.exp(1j * rho * pot.x_nodes)[:, None, None]
     value = E[:, 0] * phase
     derivative = (1j * rho * E[:, 0] + Eprime[:, 0]) * phase
@@ -352,32 +352,31 @@ def solve_adjoint(problem: Problem, pt: SpectralPoint):
 # Weyl objects
 # ---------------------------------------------------------------------------
 
-def _checked_inv(J, cond_limit=COND_LIMIT):
+def _checked_inv(J):
     """Inverse of a Jost matrix, or of each of a stack of them."""
     cond = np.linalg.cond(J, 1)
-    if not np.all(cond <= cond_limit):
+    if not np.all(cond <= COND_LIMIT):
         worst = float(np.max(cond))
         raise PoleProximityError(
             f"Jost matrix nearly singular (cond = {worst:.3e})", cond=worst)
     return np.linalg.inv(J)
 
 
-def _weyl_many(problem: Problem, rhos, cond_limit=COND_LIMIT) -> np.ndarray:
+def _weyl_many(problem: Problem, rhos) -> np.ndarray:
     """Weyl matrices M = [A e(0) + A_perp e'(0)] J^{-1} at every rho, (K, n, n)."""
     bc = problem.bc
     e0, e0p = _jost_at_zero(problem, rhos)
-    Jinv = _checked_inv(apply_T(bc, e0, e0p), cond_limit)
+    Jinv = _checked_inv(apply_T(bc, e0, e0p))
     return (bc.A @ e0 + bc.A_perp @ e0p) @ Jinv
 
 
-def weyl_matrix(problem: Problem, pt: SpectralPoint,
-                cond_limit=COND_LIMIT) -> np.ndarray:
+def weyl_matrix(problem: Problem, pt: SpectralPoint) -> np.ndarray:
     """Weyl matrix M(lambda) = [A e(0) + A_perp e'(0)] J(rho)^{-1}."""
-    return _weyl_many(problem, [pt.rho], cond_limit)[0]
+    return _weyl_many(problem, [pt.rho])[0]
 
 
-def weyl_solution(problem: Problem, pt: SpectralPoint, check_tol=None,
-                  cond_limit=COND_LIMIT) -> MatrixWave:
+def weyl_solution(problem: Problem, pt: SpectralPoint,
+                  check_tol=None) -> MatrixWave:
     """Weyl solution Phi(x, lambda) = e(x, rho) J(rho)^{-1}.
 
     With check_tol set, asserts T(Phi) = I and the decomposition
@@ -386,7 +385,7 @@ def weyl_solution(problem: Problem, pt: SpectralPoint, check_tol=None,
     """
     e = solve_jost(problem, pt)
     J = apply_T(problem.bc, e.value[0], e.derivative[0])
-    Jinv = _checked_inv(J, cond_limit)
+    Jinv = _checked_inv(J)
     Phi = MatrixWave(grid=e.grid, value=e.value @ Jinv,
                      derivative=e.derivative @ Jinv, at=pt)
     if check_tol is not None:
@@ -403,19 +402,17 @@ def weyl_solution(problem: Problem, pt: SpectralPoint, check_tol=None,
     return Phi
 
 
-def adjoint_weyl_solution(problem: Problem, pt: SpectralPoint,
-                          cond_limit=COND_LIMIT) -> MatrixWave:
+def adjoint_weyl_solution(problem: Problem, pt: SpectralPoint) -> MatrixWave:
     """Adjoint Weyl solution Phi* = (T*(e*))^{-1} e*."""
     tp = transpose_problem(problem)
-    Phi_t = weyl_solution(tp, pt, cond_limit=cond_limit)
+    Phi_t = weyl_solution(tp, pt)
     return _transpose_wave(Phi_t, pt)
 
 
-def adjoint_weyl_matrix(problem: Problem, pt: SpectralPoint,
-                        cond_limit=COND_LIMIT) -> np.ndarray:
+def adjoint_weyl_matrix(problem: Problem, pt: SpectralPoint) -> np.ndarray:
     """Adjoint Weyl matrix M*(lambda) = Phi*(0) A + Phi*'(0) A_perp, which
     is the transposed Weyl matrix of the transposed problem."""
-    return weyl_matrix(transpose_problem(problem), pt, cond_limit).T
+    return weyl_matrix(transpose_problem(problem), pt).T
 
 
 def check_m_equals_mstar(problem: Problem, pts) -> float:

@@ -10,13 +10,13 @@ discretize it by collocation at the quadrature nodes (Nystrom), solve for
 phi(x, .) at every x, and extract Q and h from the recovered solution.
 
 The zero-model kernel D~ is a sum of sin((rho +- tau) x)/(rho +- tau)
-terms.  On the fixed node grids (contour x contour for the Nystrom
-matrix, contour x extension nodes for the Born tail source) it is
-assembled in separable form: products of per-node sines and cosines
-times a Cauchy matrix 1/(lambda - mu) that is built once per inversion.
-Coincident node pairs (the diagonal, repeated joint nodes, mirrored cut
-nodes) are masked and take the direct closed form, which also serves
-every other lambda (the Nystrom interpolation at the probes).
+terms.  Every contraction with it (the Nystrom matrix over contour x
+contour, the Born tail source over contour x extension nodes, and the
+Nystrom interpolation rows at off-node lambda against both) is assembled
+in separable form: products of per-node sines and cosines times a Cauchy
+matrix 1/(lambda - mu).  Coincident pairs (the diagonal, repeated joint
+nodes, mirrored cut nodes, a row on a node) are masked and take the
+direct closed form.
 
 The unknown multiplies the kernel from the left, so the discrete system
 acts on transposed blocks.  Unknowns are equilibrated with the weight
@@ -27,7 +27,7 @@ keeps the system well scaled along the unbounded cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -386,21 +386,20 @@ def extract_A(tail_samples) -> np.ndarray:
 class _Assembler:
     """Precomputed node data shared by all x-slices of one inversion.
 
-    extension, if given, is a (rhos, weights, Mhat) triple of synthetic
-    cut nodes beyond the data truncation.  Their unknowns are replaced by
-    the model solution (a Born approximation, accurate to O(Mhat^2)), so
-    they only contribute source terms and never enlarge the system.
+    Every D~ contraction goes through _SeparableD.  The Cauchy matrices of
+    the fixed grids, contour x contour (the Nystrom matrix) and contour x
+    extension (the Born tail source), are built once, so each slice needs
+    only O(K + E) sines and cosines, elementwise products and, for the
+    tail source, one matrix product.  The interpolation rows at other
+    lambda (phi_at) get small (J x K) and (J x E) grids at each call.
 
-    The D~ coefficients on the two fixed grids, contour x contour (the
-    Nystrom matrix) and contour x extension (the Born tail source), come
-    from _SeparableD: its Cauchy matrices are built here once, so each
-    slice needs only O(K + E) sines and cosines, elementwise products and,
-    for the tail source, one matrix product.  Coincident node pairs are
-    masked and take the direct closed form.  Rows at other lambda (the
-    Nystrom interpolation at the probes) use the direct form throughout.
+    extend() adds synthetic cut nodes beyond the data truncation.  Their
+    unknowns are replaced by the model solution (a Born approximation,
+    accurate to O(Mhat^2)), so they only contribute source terms: the
+    Nystrom matrix is unchanged and the system never grows.
     """
 
-    def __init__(self, weyl: WeylData, A, extension=None):
+    def __init__(self, weyl: WeylData, A):
         self.weyl = weyl
         self.A = np.asarray(A, dtype=complex)
         n = weyl.dim
@@ -408,6 +407,7 @@ class _Assembler:
         self.Ap = np.eye(n) - self.A
         self.rhos = weyl.contour.rhos
         self.weights = weyl.contour.weights
+        self.wt = self.weights / (2j * np.pi)
         K = len(weyl.contour)
         self.K = K
         nodes = [nd.point for nd in weyl.contour.nodes]
@@ -428,50 +428,43 @@ class _Assembler:
         # FA_k = w_k Winv_k Mhat_k A / (2 pi i) and FP_k is the same with
         # A_perp.  They are held as [d, a, k] = F_k[a, d], since the
         # system stores each block transposed.
-        wt = (self.weights / (2j * np.pi))[:, None, None]
+        wt = self.wt[:, None, None]
         self._FA = np.transpose(wt * (self.Winv @ self.MhatA)).copy()
         self._FP = np.transpose(wt * (self.Winv @ self.MhatP)).copy()
-        if extension is None:
-            self.ext_rhos = None
-        else:
-            self.ext_rhos, ext_w, ext_Mhat = extension
-            self.ext_wt = ext_w / (2j * np.pi)
-            self.ext_MhatA = ext_Mhat @ self.A
-            self.ext_MhatP = ext_Mhat @ self.Ap
-            self._D_ext = _SeparableD(self.rhos, self.ext_rhos)
+        self.ext_rhos = None
 
-    def _phi_tilde_gen(self, x, r):
-        cos = np.cos(r * x)[:, None, None]
-        snc = sin_over(r, x)[:, None, None]
-        return cos * self.A[None, :, :] + snc * self.Ap[None, :, :]
-
-    def _ext_source(self, x, rhos=None):
-        """Born tail term (1/2 pi i) sum_e w_e phi~(x, mu_e) r~(x, ., mu_e)
-
-        at the contour nodes, or at the given rhos, shape (J, n, n).  With
-        U_e = w_e phi~(x, mu_e) Mhat_e A / (2 pi i) and V_e the same with
-        A_perp, it is cA @ U + cP @ V."""
-        phi_e = self.ext_wt[:, None, None] * self._phi_tilde_gen(x, self.ext_rhos)
-        E, n = self.ext_rhos.size, self.n
-        U = (phi_e @ self.ext_MhatA).reshape(E, n * n)
-        V = (phi_e @ self.ext_MhatP).reshape(E, n * n)
-        if rhos is None:
-            return self._D_ext.apply(x, U, V).reshape(-1, n, n)
-        cA, cP = _model_D_coeffs(x, np.asarray(rhos)[:, None],
-                                 self.ext_rhos[None, :])
-        return (cA @ U + cP @ V).reshape(-1, n, n)
+    def extend(self, ext_rhos, ext_w, ext_Mhat):
+        """Set the Born tail extension: the rhos, quadrature weights and
+        model Mhat samples of the synthetic nodes (replacing any earlier
+        ones)."""
+        self.ext_rhos = np.asarray(ext_rhos)
+        self.ext_wt = ext_w / (2j * np.pi)
+        self.ext_MhatA = ext_Mhat @ self.A
+        self.ext_MhatP = ext_Mhat @ self.Ap
+        self._D_ext = _SeparableD(self.rhos, self.ext_rhos)
 
     def phi_tilde(self, x, rhos=None):
+        """Zero-model solution phi~(x, .) at the given rhos (default: the
+        contour nodes), shape (J, n, n)."""
         r = self.rhos if rhos is None else np.asarray(rhos)
-        return self._phi_tilde_gen(x, r)
+        return (np.cos(r * x)[:, None, None] * self.A[None, :, :]
+                + sin_over(r, x)[:, None, None] * self.Ap[None, :, :])
 
-    def rtilde(self, x, rhos):
-        """Kernel tensor r~(x, lam_j, mu_k) at lam_j with the given rhos
-        and mu_k the contour nodes, shape (J, K, n, n)."""
-        cA, cP = _model_D_coeffs(x, np.asarray(rhos)[:, None],
-                                 self.rhos[None, :])
-        return (cA[:, :, None, None] * self.MhatA[None, :, :, :]
-                + cP[:, :, None, None] * self.MhatP[None, :, :, :])
+    def _kernel_sum(self, D, x, phi, wt, MhatA, MhatP):
+        """sum_k wt_k phi_k r~(x, ., mu_k) over the columns mu_k of the grid
+        D, at its rows, shape (J, n, n).  With U_k = wt_k phi_k Mhat_k A and
+        V_k the same with A_perp, it is cA @ U + cP @ V."""
+        m, n = wt.size, self.n
+        phi_w = wt[:, None, None] * phi
+        U = (phi_w @ MhatA).reshape(m, n * n)
+        V = (phi_w @ MhatP).reshape(m, n * n)
+        return D.apply(x, U, V).reshape(-1, n, n)
+
+    def _ext_source(self, x, D):
+        """Born tail term (1/2 pi i) sum_e w_e phi~(x, mu_e) r~(x, ., mu_e)
+        at the rows of D, a grid whose columns are the extension nodes."""
+        return self._kernel_sum(D, x, self.phi_tilde(x, self.ext_rhos),
+                                self.ext_wt, self.ext_MhatA, self.ext_MhatP)
 
     def solve(self, x: float, cond_limit: float = 1e12) -> MainEquationSolution:
         K, n = self.K, self.n
@@ -483,9 +476,9 @@ class _Assembler:
         B = B.reshape(K * n, K * n)
         B.flat[::K * n + 1] += 1.0
 
-        F = self.phi_tilde(x)
+        F = F0 = self.phi_tilde(x)
         if self.ext_rhos is not None:
-            F = F - self._ext_source(x)
+            F = F0 - self._ext_source(x, self._D_ext)
         Ft = F @ self.W
         rhs = np.transpose(Ft, (0, 2, 1)).reshape(K * n, n)
 
@@ -501,22 +494,19 @@ class _Assembler:
         X = scipy.linalg.lu_solve((lu, piv), rhs)
         psi = np.transpose(X.reshape(K, n, n), (0, 2, 1))
         phi = psi @ self.Winv
-        return MainEquationSolution(x=x, phi_nodes=phi,
-                                    phi_tilde_nodes=self.phi_tilde(x),
+        return MainEquationSolution(x=x, phi_nodes=phi, phi_tilde_nodes=F0,
                                     rcond=float(rcond))
 
-    def phi_at(self, sol: MainEquationSolution, pt: SpectralPoint) -> np.ndarray:
-        """Nystrom interpolation of the solved phi(x, .) to any lambda."""
+    def phi_at(self, sol: MainEquationSolution, rhos) -> np.ndarray:
+        """Nystrom interpolation of the solved phi(x, .) to the lambda of
+        each of the given rhos, shape (J, n, n)."""
         x = sol.x
-        rho = np.array([pt.rho])
-        Rt = self.rtilde(x, rhos=rho)[0]
-        corr = np.sum(
-            (self.weights / (2j * np.pi))[:, None, None] * (sol.phi_nodes @ Rt),
-            axis=0,
-        )
-        out = self.phi_tilde(x, rhos=rho)[0] - corr
+        rhos = np.asarray(rhos, dtype=complex)
+        out = self.phi_tilde(x, rhos) - self._kernel_sum(
+            _SeparableD(rhos, self.rhos), x, sol.phi_nodes, self.wt,
+            self.MhatA, self.MhatP)
         if self.ext_rhos is not None:
-            out = out - self._ext_source(x, rho)[0]
+            out -= self._ext_source(x, _SeparableD(rhos, self.ext_rhos))
         return out
 
 
@@ -529,7 +519,7 @@ def solve_main_equation(weyl: WeylData, A, x: float,
 def nystrom_phi_at(weyl: WeylData, A, sol: MainEquationSolution,
                    pt: SpectralPoint) -> np.ndarray:
     """Evaluate the recovered phi(x, lambda) off the quadrature nodes."""
-    return _Assembler(weyl, A).phi_at(sol, pt)
+    return _Assembler(weyl, A).phi_at(sol, [pt.rho])[0]
 
 
 # Cut-node midpoints at which main_equation_residual probes a slice.
@@ -552,15 +542,12 @@ def main_equation_residual(weyl: WeylData, A, sol: MainEquationSolution,
     if not picks:
         return 0.0
     step = max(1, len(picks) // _N_RESIDUAL_PROBES)
-    worst = 0.0
-    for k in picks[::step][:_N_RESIDUAL_PROBES]:
-        lam_mid = 0.5 * (lams[k] + lams[k + 1])
-        sheet = "upper" if segs[k] == "upper_cut" else "lower"
-        pt = lambda_to_point(lam_mid, sheet)
-        phi_mid = 0.5 * (sol.phi_nodes[k] + sol.phi_nodes[k + 1])
-        predicted = asm.phi_at(sol, pt)
-        worst = max(worst, matnorm(phi_mid - predicted))
-    return worst
+    ks = np.array(picks[::step][:_N_RESIDUAL_PROBES])
+    rhos = [lambda_to_point(0.5 * (lams[k] + lams[k + 1]),
+                            "upper" if segs[k] == "upper_cut" else "lower").rho
+            for k in ks]
+    phi_mid = 0.5 * (sol.phi_nodes[ks] + sol.phi_nodes[ks + 1])
+    return matnorm(phi_mid - asm.phi_at(sol, rhos))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +590,9 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
         phi_lam = _phi_values(problem, [lam.lam])[:, 0]
         phis_mu = _phi_values(problem, [mu.lam], adjoint=True)[:, 0]
 
-        rt_lam = asm.rtilde(x, rhos=np.array([lam.rho]))[0]   # (K, n, n)
+        cA, cP = _model_D_coeffs(x, lam.rho, asm.rhos)
+        rt_lam = (cA[:, None, None] * asm.MhatA
+                  + cP[:, None, None] * asm.MhatP)            # (K, n, n)
         rt_mu = Mhat_mu @ model_D(A, x, lam, mu)
 
         # D(x, xi_k, mu) and r(x, xi_k, mu)
@@ -801,7 +790,7 @@ def _fd_weights(offsets, order):
 
 
 def _second_derivative(values, dx):
-    """4th-order second x-derivative of an (N, n, n) sample array."""
+    """4th-order second x-derivative of an (N, ...) sample array."""
     N = values.shape[0]
     out = np.empty_like(values)
     c_int = _fd_weights(np.arange(-2, 3), 2) / dx**2
@@ -853,19 +842,17 @@ def recover_potential(solutions, weyl: WeylData, A, lambda_probes,
 
     asm = _Assembler(weyl, A) if assembler is None else assembler
     probes = [lambda_to_point(l) for l in np.atleast_1d(lambda_probes)]
+    rhos = [pt.rho for pt in probes]
+    lams = np.array([pt.lam for pt in probes])
 
-    Q_acc = np.zeros((xs.size, n, n), dtype=complex)
-    count = np.zeros(xs.size, dtype=int)
-    h_list = []
-    for pt in probes:
-        PHI = np.array([asm.phi_at(sol, pt) for sol in solutions])
-        d2 = _second_derivative(PHI, dx)
-        for i in range(xs.size):
-            if np.linalg.cond(PHI[i]) > phi_cond_limit:
-                continue
-            Q_acc[i] += d2[i] @ np.linalg.inv(PHI[i]) + pt.lam * np.eye(n)
-            count[i] += 1
-        h_list.append(_first_derivative_at0(PHI, dx) - Ap)
+    PHI = np.array([asm.phi_at(sol, rhos) for sol in solutions])  # (N, J, n, n)
+    d2 = _second_derivative(PHI, dx)
+    ok = ~(np.linalg.cond(PHI) > phi_cond_limit)                   # (N, J)
+    # phi(0) = A is singular when A != I, so only accepted entries are inverted
+    inv = np.linalg.inv(np.where(ok[..., None, None], PHI, np.eye(n)))
+    Q_j = d2 @ inv + lams[:, None, None] * np.eye(n)
+    Q_acc = np.where(ok[..., None, None], Q_j, 0.0).sum(axis=1)
+    count = ok.sum(axis=1)
 
     Q = np.zeros_like(Q_acc)
     valid = count > 0
@@ -888,7 +875,7 @@ def recover_potential(solutions, weyl: WeylData, A, lambda_probes,
             fill = np.polynomial.polynomial.polyval(xs[:i0], coef).T
             Q[:i0] = fill.reshape(i0, n, n)
 
-    h = np.mean(h_list, axis=0)
+    h = np.mean(_first_derivative_at0(PHI, dx) - Ap, axis=0)
     h = A @ h @ A
     return PotentialGrid(x_nodes=xs, values=Q), h
 
@@ -915,7 +902,7 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
                                  bc=BoundaryCondition(A=A, h=np.zeros_like(A)))
             ext_Mhat = _asymptotic_mhat(A, h_fit, kappa(tail_model, ext_rhos),
                                         ext_rhos)
-            asm = _Assembler(weyl, A, extension=(ext_rhos, ext_w, ext_Mhat))
+            asm.extend(ext_rhos, ext_w, ext_Mhat)
             rho_band = config.tail_extension_factor * np.sqrt(weyl.contour.R)
         solutions = [asm.solve(x, cond_limit=config.system_cond_limit)
                      for x in xs]
@@ -1028,13 +1015,7 @@ def discretization_estimate(weyl: WeylData, config: InvertConfig,
         den = np.trapezoid(na, a.x_nodes)
         return float(num / den) if den > 0 else float(num)
 
-    coarse_x = InvertConfig(
-        x_max=config.x_max, x_nodes=(config.x_nodes - 1) // 2 + 1,
-        lambda_probes=config.lambda_probes,
-        phi_cond_limit=config.phi_cond_limit,
-        system_cond_limit=config.system_cond_limit,
-        passes=config.passes,
-        tail_extension_factor=config.tail_extension_factor)
+    coarse_x = replace(config, x_nodes=(config.x_nodes - 1) // 2 + 1)
     est = rel_l1(invert(weyl, coarse_x))
     for mode in ("nodes", "radius"):
         est = max(est, rel_l1(invert(coarsen_weyl_data(weyl, mode), config)))

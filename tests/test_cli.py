@@ -14,6 +14,8 @@ from weylinv.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERICAL,
+    _CONFIG_ERRORS,
+    _NUMERICAL_ERRORS,
     main,
     read_weyl_csv,
 )
@@ -311,6 +313,19 @@ class TestExitCodes:
             else str(tmp_path / "absent.json")
         rc = main([mode, "--config", path, "--out", str(tmp_path / "out")])
         assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("code, errors", [
+        (EXIT_CONFIG, _CONFIG_ERRORS), (EXIT_NUMERICAL, _NUMERICAL_ERRORS)])
+    def test_readme_table_names_every_mapped_error(self, code, errors):
+        # the README exit-code row lists each class the mapping catches
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        rows = [line for line in readme.splitlines()
+                if line.startswith(f"| {code} |")]
+        assert len(rows) == 1
+        raised_as = rows[0].rstrip(" |").rsplit("|", 1)[1]
+        for cls in errors:
+            name = "csv.Error" if cls is csv.Error else cls.__name__
+            assert f"`{name}`" in raised_as, name
 
 
 def test_roundtrip_scores_the_problem_it_sampled(tmp_path):

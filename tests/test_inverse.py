@@ -34,6 +34,7 @@ from weylinv.inverse import (
     main_equation_residual,
     model_D,
     model_phi,
+    nystrom_phi_at,
     problem_D,
 )
 from weylinv import boundary
@@ -108,7 +109,7 @@ class TestMainEquation:
         asm = _Assembler(weyl, np.array([[1.0 + 0j]]))
         sol = asm.solve(0.5)
         pt = lambda_to_point(-4.0, "upper")
-        phi = asm.phi_at(sol, pt)
+        phi = asm.phi_at(sol, [pt.rho])[0]
         phi_true, _ = solve_regular(prob, pt)
         i = prob.potential.index_of(0.5)
         assert matnorm(phi - phi_true.value[i]) < 1e-3
@@ -174,10 +175,12 @@ def _box_weyl(n):
     return generate_weyl_data(prob, build_contour(**BENCH_CONTOUR)), A
 
 
-def _direct_ext_source(asm, x, ext_rhos, ext_w, ext_Mhat):
-    """Born tail source from the direct (J, E, n, n) kernel tensor."""
+def _direct_ext_source(asm, x, ext_rhos, ext_w, ext_Mhat, rows=None):
+    """Born tail source from the direct (J, E, n, n) kernel tensor, at the
+    contour nodes or at the given row rhos."""
     A, Ap = asm.A, asm.Ap
-    cA, cP = _model_D_coeffs(x, asm.rhos[:, None], ext_rhos[None, :])
+    rows = asm.rhos if rows is None else rows
+    cA, cP = _model_D_coeffs(x, rows[:, None], ext_rhos[None, :])
     Rt = (cA[:, :, None, None] * (ext_Mhat @ A)[None]
           + cP[:, :, None, None] * (ext_Mhat @ Ap)[None])
     phi_e = (np.cos(ext_rhos * x)[:, None, None] * A
@@ -186,10 +189,32 @@ def _direct_ext_source(asm, x, ext_rhos, ext_w, ext_Mhat):
                      optimize=True)
 
 
+def _direct_rtilde(asm, x, rhos):
+    """Kernel tensor r~(x, lam_j, mu_k) from the direct closed form, at the
+    lam_j of the given rhos and the contour nodes mu_k, shape (J, K, n, n)."""
+    cA, cP = _model_D_coeffs(x, np.asarray(rhos)[:, None], asm.rhos[None, :])
+    return (cA[:, :, None, None] * asm.MhatA[None]
+            + cP[:, :, None, None] * asm.MhatP[None])
+
+
+def _direct_phi_at(asm, sol, rhos, ext):
+    """Nystrom interpolation rows from the direct closed form of D~."""
+    x = sol.x
+    rhos = np.asarray(rhos, dtype=complex)
+    Rt = _direct_rtilde(asm, x, rhos)
+    corr = np.einsum("k,kab,jkbc->jac", asm.weights / (2j * np.pi),
+                     sol.phi_nodes, Rt, optimize=True)
+    out = (np.cos(rhos * x)[:, None, None] * asm.A
+           + sin_over(rhos, x)[:, None, None] * asm.Ap) - corr
+    if ext is None:
+        return out
+    return out - _direct_ext_source(asm, x, *ext, rows=rhos)
+
+
 def _direct_solve(asm, x, ext):
     """phi at the nodes from the Nystrom system assembled on the direct path."""
     K, n = asm.K, asm.n
-    Rt = (asm.rtilde(x, asm.rhos)
+    Rt = (_direct_rtilde(asm, x, asm.rhos)
           * (asm.weights / (2j * np.pi))[None, :, None, None])
     G = np.einsum("kab,jkbc,jcd->jkad", asm.Winv, Rt, asm.W, optimize=True)
     G[np.arange(K), np.arange(K)] += asm.Winv @ asm.W
@@ -214,7 +239,9 @@ class TestSeparableKernel:
                      + 1j * rng.normal(size=(ext_rhos.size, n, n)))
                     / ext_rhos[:, None, None])
         ext = (ext_rhos, ext_w, ext_Mhat)
-        return _Assembler(weyl, A, extension=ext), ext
+        asm = _Assembler(weyl, A)
+        asm.extend(*ext)
+        return asm, ext
 
     def test_contour_coincidences_are_masked(self, setup):
         asm, (ext_rhos, _, _) = setup
@@ -248,7 +275,8 @@ class TestSeparableKernel:
     @pytest.mark.parametrize("x", [0.0, X_STEP, X_MAX])
     def test_ext_source_matches_einsum(self, setup, x):
         asm, ext = setup
-        assert _rel(asm._ext_source(x), _direct_ext_source(asm, x, *ext)) < 1e-12
+        assert _rel(asm._ext_source(x, asm._D_ext),
+                    _direct_ext_source(asm, x, *ext)) < 1e-12
 
     @pytest.mark.parametrize("x", [X_STEP, 1.0, X_MAX])
     def test_solve_matches_direct_assembly(self, setup, x):
@@ -256,6 +284,36 @@ class TestSeparableKernel:
         sol = asm.solve(x)
         assert _rel(sol.phi_nodes, _direct_solve(asm, x, ext)) < 1e-10
         assert 0.0 < sol.rcond <= 1.0
+
+
+    @pytest.mark.parametrize("x", [X_STEP, 1.0, X_MAX])
+    @pytest.mark.parametrize("extended", [False, True], ids=["plain", "ext"])
+    def test_phi_at_matches_direct(self, setup, x, extended):
+        # rows: the probes i sqrt(2) and i sqrt(5), exact contour nodes (on
+        # the circle and on the cut), the mirror -rho of that cut node and a
+        # cut midpoint
+        asm, ext = setup
+        if not extended:
+            asm = _Assembler(asm.weyl, asm.A)
+            ext = None
+        segs = asm.weyl.contour.segments
+        k = segs.index("upper_cut") + 5
+        lams = asm.weyl.contour.lambdas
+        mid = lambda_to_point(0.5 * (lams[k] + lams[k + 1]), "upper").rho
+        rhos = np.array([1j * np.sqrt(2.0), 1j * np.sqrt(5.0), asm.rhos[40],
+                         asm.rhos[k], -asm.rhos[k], mid])
+        assert abs(asm.rhos[k].imag) == 0.0
+        sol = asm.solve(x)
+        fast = asm.phi_at(sol, rhos)
+        ref = _direct_phi_at(asm, sol, rhos, ext)
+        assert fast.shape == (rhos.size, asm.n, asm.n)
+        for f, r in zip(fast, ref):
+            assert _rel(f, r) < 1e-12
+        if not extended:
+            pt = lambda_to_point(-5.0)
+            assert np.array_equal(
+                nystrom_phi_at(asm.weyl, asm.A, sol, pt),
+                asm.phi_at(sol, [pt.rho])[0])
 
 
 _node = st.builds(complex, st.floats(-12.0, 12.0),
