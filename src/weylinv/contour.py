@@ -106,6 +106,20 @@ def _param_weights(mu_prime, h):
     return w
 
 
+def _cut_sides(sig, h, delta):
+    """(point, weight) pairs of both cut sides on the grid sig = sqrt(Re lambda)
+    of step h: the upper side inward (lambda + i delta) and the lower side
+    outward (lambda - i delta), with endpoint-corrected trapezoid weights.
+    The sheet tags only matter at delta = 0.
+    """
+    sides = []
+    for sheet, sg, shift, dlam in (("upper", sig[::-1], 1j * delta, -2.0),
+                                   ("lower", sig, -1j * delta, 2.0)):
+        pts = [lambda_to_point(lam, sheet) for lam in sg ** 2 + shift]
+        sides.append(list(zip(pts, _param_weights(dlam * sg, h))))
+    return sides
+
+
 def build_contour(r0: float, R: float, delta: float = None,
                   n_circle: int = 64, n_cut: int = 128) -> Contour:
     """Build the truncated contour with trapezoid weights per segment.
@@ -124,17 +138,10 @@ def build_contour(r0: float, R: float, delta: float = None,
 
     # uniform in sqrt(s): resolves kernels oscillating in tau = sqrt(mu)
     sig = np.linspace(np.sqrt(r0), np.sqrt(R), n_cut)
-    h_sig = sig[1] - sig[0]
-    s = sig ** 2
+    up, lo = _cut_sides(sig, sig[1] - sig[0], delta)
 
-    nodes = []
-
-    lam_up = s[::-1] + 1j * delta
-    w_up = _param_weights(-2.0 * sig[::-1], h_sig)
-    for lam, w in zip(lam_up, w_up):
-        pt = (lambda_to_point(lam, "upper") if delta == 0
-              else lambda_to_point(lam))
-        nodes.append(ContourNode(point=pt, weight=w, segment="upper_cut"))
+    nodes = [ContourNode(point=pt, weight=w, segment="upper_cut")
+             for pt, w in up]
 
     theta0 = np.arcsin(min(delta / r0, 1.0)) if delta > 0 else 0.0
     theta = np.linspace(theta0, 2.0 * np.pi - theta0, n_circle)
@@ -150,12 +157,8 @@ def build_contour(r0: float, R: float, delta: float = None,
             pt = lambda_to_point(lam, sheet)
         nodes.append(ContourNode(point=pt, weight=w, segment="circle"))
 
-    lam_lo = s - 1j * delta
-    w_lo = _param_weights(2.0 * sig, h_sig)
-    for lam, w in zip(lam_lo, w_lo):
-        pt = (lambda_to_point(lam, "lower") if delta == 0
-              else lambda_to_point(lam))
-        nodes.append(ContourNode(point=pt, weight=w, segment="lower_cut"))
+    nodes += [ContourNode(point=pt, weight=w, segment="lower_cut")
+              for pt, w in lo]
 
     return Contour(r0=float(r0), R=float(R), delta=float(delta),
                    nodes=tuple(nodes))

@@ -1,8 +1,9 @@
 """Forward solver for the half-line problem L(Q, A, h).
 
-Computes the Jost solution and Jost matrix, regular and adjoint solutions,
-Weyl solutions and the Weyl matrix, and the block diagnostic P comparing
-two problems with the same projector A.
+Computes the Jost solution and Jost matrix, regular solutions, Weyl
+solutions and the Weyl matrix, and the block diagnostic P comparing two
+problems with the same projector A.  Adjoint objects are the transposed
+objects of the transposed problem (transpose_problem).
 
 The outgoing solution is computed in the scaled variable
 E(x) = e(x, rho) * exp(-i rho x), which stays O(1) for Im rho > 0; this
@@ -34,6 +35,7 @@ import scipy.linalg
 from .core import (
     BoundaryCondition,
     ConvergenceError,
+    DomainError,
     MatrixWave,
     PoleProximityError,
     PotentialGrid,
@@ -50,10 +52,8 @@ __all__ = [
     "solve_jost",
     "jost_matrix",
     "solve_regular",
-    "solve_adjoint",
     "weyl_matrix",
     "weyl_solution",
-    "adjoint_weyl_solution",
     "adjoint_weyl_matrix",
     "check_m_equals_mstar",
     "scan_jost_zeros",
@@ -62,9 +62,6 @@ __all__ = [
     "kappa",
     "transpose_problem",
     "fit_decay_order",
-    "jost_expansion_residuals",
-    "jost_matrix_expansion_residuals",
-    "weyl_expansion_residuals",
     "asymptotics_report",
     "zero_potential",
 ]
@@ -327,27 +324,6 @@ def solve_regular(problem: Problem, pt: SpectralPoint):
     return phi, S
 
 
-def _transpose_wave(w: MatrixWave, pt: SpectralPoint) -> MatrixWave:
-    return MatrixWave(
-        grid=w.grid,
-        value=np.transpose(w.value, (0, 2, 1)),
-        derivative=np.transpose(w.derivative, (0, 2, 1)),
-        at=pt,
-    )
-
-
-def solve_adjoint(problem: Problem, pt: SpectralPoint):
-    """Adjoint solutions (phi*, S*, e*) of -Z'' + Z Q = lambda Z,
-
-    with phi*(0) = A, phi*'(0) = A_perp + h, S*(0) = -A_perp, S*'(0) = A.
-    Computed by transposition of the direct solver."""
-    tp = transpose_problem(problem)
-    phi_t, S_t = solve_regular(tp, pt)
-    e_t = solve_jost(tp, pt)
-    return (_transpose_wave(phi_t, pt), _transpose_wave(S_t, pt),
-            _transpose_wave(e_t, pt))
-
-
 # ---------------------------------------------------------------------------
 # Weyl objects
 # ---------------------------------------------------------------------------
@@ -402,13 +378,6 @@ def weyl_solution(problem: Problem, pt: SpectralPoint,
     return Phi
 
 
-def adjoint_weyl_solution(problem: Problem, pt: SpectralPoint) -> MatrixWave:
-    """Adjoint Weyl solution Phi* = (T*(e*))^{-1} e*."""
-    tp = transpose_problem(problem)
-    Phi_t = weyl_solution(tp, pt)
-    return _transpose_wave(Phi_t, pt)
-
-
 def adjoint_weyl_matrix(problem: Problem, pt: SpectralPoint) -> np.ndarray:
     """Adjoint Weyl matrix M*(lambda) = Phi*(0) A + Phi*'(0) A_perp, which
     is the transposed Weyl matrix of the transposed problem."""
@@ -433,8 +402,11 @@ def _detJ(problem, rho):
     return np.linalg.det(jost_matrix(problem, SpectralPoint(rho)))
 
 
-# Floor of max |rho_0|^2 in the circle radius that scan_jost_zeros suggests.
+# Floor of max |rho_0|^2 in the circle radius that scan_jost_zeros suggests,
+# and the secant budget of _refine_zero.  _detJ raises only these errors.
 _R0_FLOOR = 1.0
+_SECANT_ITERS = 40
+_DET_ERRORS = (ConvergenceError, DomainError)
 
 
 def scan_jost_zeros(problem: Problem, radius: float, grid_density: int = 24):
@@ -459,29 +431,17 @@ def scan_jost_zeros(problem: Problem, radius: float, grid_density: int = 24):
     J = apply_T(problem.bc, *_jost_at_zero(problem, grid.ravel()))
     vals = np.abs(np.linalg.det(J)).reshape(grid.shape)
 
-    cands = []
-    ni, nj = grid.shape
-    for i in range(ni):
-        for j in range(nj):
-            v = vals[i, j]
-            neigh = [vals[a, b]
-                     for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
-                     if 0 <= a < ni and 0 <= b < nj]
-            if v <= min(neigh):
-                cands.append(grid[i, j])
+    pad = np.pad(vals, 1, constant_values=np.inf)
+    cands = grid[(vals <= pad[:-2, 1:-1]) & (vals <= pad[2:, 1:-1])
+                 & (vals <= pad[1:-1, :-2]) & (vals <= pad[1:-1, 2:])]
 
     zeros = []
     step = radius / grid_density
     for rho0 in cands:
         rho = _refine_zero(problem, rho0, step)
-        if rho is None:
-            continue
-        try:
-            ok = abs(_detJ(problem, rho)) < 1e-6
-        except Exception:
-            continue
         # rho = 0 sits on the boundary of the domain, not inside it
-        if ok and abs(rho) > 1e-8 and all(abs(rho - z) > 1e-6 for z in zeros):
+        if (rho is not None and abs(rho) > 1e-8
+                and all(abs(rho - z) > 1e-6 for z in zeros)):
             zeros.append(rho)
 
     lam_zeros = [z * z for z in zeros]
@@ -489,14 +449,15 @@ def scan_jost_zeros(problem: Problem, radius: float, grid_density: int = 24):
     return lam_zeros, r0
 
 
-def _refine_zero(problem, rho0, step, iters=40):
-    """Secant iteration on det J from a starting guess; None on escape."""
+def _refine_zero(problem, rho0, step):
+    """Secant iteration on det J from a starting guess; None on escape or
+    if |det J| at the last iterate is not below 1e-6."""
     z0, z1 = complex(rho0), complex(rho0) + step * 1e-2
     try:
         f0, f1 = _detJ(problem, z0), _detJ(problem, z1)
-    except Exception:
+    except _DET_ERRORS:
         return None
-    for _ in range(iters):
+    for _ in range(_SECANT_ITERS):
         if f1 == f0:
             break
         z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
@@ -510,11 +471,11 @@ def _refine_zero(problem, rho0, step, iters=40):
         z1 = z2
         try:
             f1 = _detJ(problem, z1)
-        except Exception:
+        except _DET_ERRORS:
             return None
         if abs(z1 - z0) < 1e-12:
             break
-    return z1
+    return z1 if abs(f1) < 1e-6 else None
 
 
 # ---------------------------------------------------------------------------
@@ -529,20 +490,24 @@ def p_matrix_diagnostic(problem: Problem, model: Problem, pt: SpectralPoint,
         P_j2 = Phi^(j-1) phi~*  - phi^(j-1) Phi~*,
 
     where phi, Phi belong to `problem` and the starred objects are the
-    adjoint regular / adjoint Weyl solutions of `model`.
+    adjoint regular / adjoint Weyl solutions of `model`: the transposed
+    regular / Weyl solutions of its transposed problem.
     """
     if matnorm(problem.bc.A - model.bc.A) > 1e-10:
         raise ValueError("P diagnostic requires identical projectors A")
     phi, _ = solve_regular(problem, pt)
     Phi = weyl_solution(problem, pt)
-    phi_s, _, _ = solve_adjoint(model, pt)
-    Phi_s = adjoint_weyl_solution(model, pt)
+    tp = transpose_problem(model)
+    phi_t, _ = solve_regular(tp, pt)
+    Phi_t = weyl_solution(tp, pt)
     i = phi.index_of(x)
+    phs, phs_d = phi_t.value[i].T, phi_t.derivative[i].T
+    Phs, Phs_d = Phi_t.value[i].T, Phi_t.derivative[i].T
 
-    P11 = phi.value[i] @ Phi_s.derivative[i] - Phi.value[i] @ phi_s.derivative[i]
-    P21 = phi.derivative[i] @ Phi_s.derivative[i] - Phi.derivative[i] @ phi_s.derivative[i]
-    P12 = Phi.value[i] @ phi_s.value[i] - phi.value[i] @ Phi_s.value[i]
-    P22 = Phi.derivative[i] @ phi_s.value[i] - phi.derivative[i] @ Phi_s.value[i]
+    P11 = phi.value[i] @ Phs_d - Phi.value[i] @ phs_d
+    P21 = phi.derivative[i] @ Phs_d - Phi.derivative[i] @ phs_d
+    P12 = Phi.value[i] @ phs - phi.value[i] @ Phs
+    P22 = Phi.derivative[i] @ phs - phi.derivative[i] @ Phs
     return P11, P12, P21, P22
 
 
@@ -575,69 +540,42 @@ def fit_decay_order(rho_abs, residuals) -> float:
     return float(-slope)
 
 
-def _probe_rhos(probes):
-    """The rho of each probe as a (P,) array and as a (P, 1, 1) column."""
-    rhos = np.array([pt.rho for pt in probes], dtype=complex)
-    return rhos, rhos[:, None, None]
-
-
-def jost_expansion_residuals(problem: Problem, probes, derivative=False):
-    """Residual of the two-term large-|rho| expansion of e (or of e')."""
-    rhos, r = _probe_rhos(probes)
-    e0, e0p = _jost_at_zero(problem, rhos)
-    eye = np.eye(problem.dim)
-    w0 = omega(problem, 0.0, 0.0)
-    wr = omega(problem, 0.0, rhos)
-    if derivative:
-        diff = e0p / (1j * r) - (eye - (w0 + wr) / (1j * r))
-    else:
-        diff = e0 - (eye + (-w0 + wr) / (1j * r))
-    return [matnorm(d) for d in diff]
-
-
-def jost_matrix_expansion_residuals(problem: Problem, probes):
-    """Residual of J0(rho)^{-1} J(rho) against its two-term expansion."""
-    A, Ap, h = problem.bc.A, problem.bc.A_perp, problem.bc.h
-    rhos, r = _probe_rhos(probes)
-    J = apply_T(problem.bc, *_jost_at_zero(problem, rhos))
-    J0inv = A / (1j * r) - Ap
-    w0 = omega(problem, 0.0, 0.0)
-    expansion = (np.eye(problem.dim) - (h + w0) / (1j * r)
-                 + kappa(problem, rhos) / (1j * r))
-    return [matnorm(d) for d in J0inv @ J - expansion]
-
-
-def weyl_expansion_residuals(problem: Problem, probes):
-    """Weighted residual of the Weyl-matrix expansion.
-
-    Compares (A + i rho A_perp)^{-1} M (i rho A - A_perp) against
-    I + h/(i rho) - 2 kappa/(i rho); the sandwich removes the unbounded
-    outer factors so the remainder decays cleanly.
-    """
-    A, Ap, h = problem.bc.A, problem.bc.A_perp, problem.bc.h
-    rhos, r = _probe_rhos(probes)
-    left_inv = A + Ap / (1j * r)         # = (A + i rho A_perp)^{-1}
-    right = 1j * r * A - Ap
-    inner = left_inv @ _weyl_many(problem, rhos) @ right
-    expansion = (np.eye(problem.dim) + h / (1j * r)
-                 - 2.0 * kappa(problem, rhos) / (1j * r))
-    return [matnorm(d) for d in inner - expansion]
-
-
 def asymptotics_report(problem: Problem, probes, which: str) -> AsymptoticsReport:
-    """Residual report for one expansion: 'jost', 'jost_derivative',
+    """Residual report for one large-|rho| expansion, with the fitted decay
+    order attached.  which is one of
 
-    'jost_matrix' or 'weyl', with the fitted decay order attached."""
+    'jost':            e(0) against I + (omega(0, rho) - omega(0, 0))/(i rho);
+    'jost_derivative': e'(0)/(i rho) against I - (omega(0, 0) + omega(0, rho))/(i rho);
+    'jost_matrix':     J0^{-1} J with J0^{-1} = A/(i rho) - A_perp, against
+                       I - (h + omega(0, 0))/(i rho) + kappa/(i rho);
+    'weyl':            (A + i rho A_perp)^{-1} M (i rho A - A_perp) against
+                       I + h/(i rho) - 2 kappa/(i rho); the sandwich removes
+                       the unbounded outer factors so the remainder decays
+                       cleanly.
+    """
     probes = tuple(probes)
-    if which == "jost":
-        res = jost_expansion_residuals(problem, probes)
-    elif which == "jost_derivative":
-        res = jost_expansion_residuals(problem, probes, derivative=True)
-    elif which == "jost_matrix":
-        res = jost_matrix_expansion_residuals(problem, probes)
-    elif which == "weyl":
-        res = weyl_expansion_residuals(problem, probes)
-    else:
+    if which not in ("jost", "jost_derivative", "jost_matrix", "weyl"):
         raise ValueError(f"unknown expansion {which!r}")
+    A, Ap, h = problem.bc.A, problem.bc.A_perp, problem.bc.h
+    rhos = np.array([pt.rho for pt in probes], dtype=complex)
+    r = rhos[:, None, None]
+    eye = np.eye(problem.dim)
+    if which == "weyl":
+        inner = (A + Ap / (1j * r)) @ _weyl_many(problem, rhos) @ (1j * r * A - Ap)
+        diff = inner - (eye + h / (1j * r)
+                        - 2.0 * kappa(problem, rhos) / (1j * r))
+    else:
+        e0, e0p = _jost_at_zero(problem, rhos)
+        w0 = omega(problem, 0.0, 0.0)
+        if which == "jost":
+            diff = e0 - (eye + (-w0 + omega(problem, 0.0, rhos)) / (1j * r))
+        elif which == "jost_derivative":
+            diff = e0p / (1j * r) - (eye - (w0 + omega(problem, 0.0, rhos))
+                                     / (1j * r))
+        else:
+            J = apply_T(problem.bc, e0, e0p)
+            diff = (A / (1j * r) - Ap) @ J - (eye - (h + w0) / (1j * r)
+                                              + kappa(problem, rhos) / (1j * r))
+    res = [matnorm(d) for d in diff]
     order = fit_decay_order([abs(p.rho) for p in probes], res)
     return AsymptoticsReport(probes=probes, residuals=tuple(res), order=order)

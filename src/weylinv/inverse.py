@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .contour import Contour, ContourNode, _param_weights
+from .contour import Contour, ContourNode, _cut_sides, _param_weights
 from .core import (
     BoundaryCondition,
     DataQualityError,
@@ -127,15 +127,19 @@ class ReconstructionResult:
 class InvertConfig:
     """Knobs of the inversion pipeline.
 
+    Q is recovered on x_nodes (odd) uniform slices of [0, x_max].
     lambda_probes are the energies at which Q is read off the recovered
     solution; they should avoid the positive real axis.
 
-    passes > 1 enables the self-consistent tail extension: the first
+    passes > 1 enables the self-consistent tail extension: the previous
     reconstruction supplies an asymptotic model of the kernel beyond the
-    data truncation radius (out to tail_extension_factor * sqrt(R) in
-    rho), which enters later passes as a Born-approximated source term.
-    This sharpens the band limit of the recovered Q without growing the
-    linear system.
+    data truncation radius (out to 7 sqrt(R) in rho), which enters the
+    next pass as a Born-approximated source term.  This sharpens the band
+    limit of the recovered Q without growing the linear system.
+
+    phi_cond_limit bounds the condition number of phi(x, lam) at which a
+    probe still enters the Q average (recover_potential), and
+    system_cond_limit that of the Nystrom system at each x-slice.
     """
 
     x_max: float
@@ -144,7 +148,6 @@ class InvertConfig:
     phi_cond_limit: float = 1e8
     system_cond_limit: float = 1e12
     passes: int = 2
-    tail_extension_factor: float = 7.0
 
     def __post_init__(self):
         if self.x_nodes < 3 or self.x_nodes % 2 == 0:
@@ -155,8 +158,6 @@ class InvertConfig:
             raise ValueError("need at least two lambda probes")
         if self.passes < 1:
             raise ValueError("passes must be >= 1")
-        if self.tail_extension_factor < 1.0:
-            raise ValueError("tail_extension_factor must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +166,14 @@ class InvertConfig:
 
 def model_weyl(A, pt: SpectralPoint) -> np.ndarray:
     """Weyl matrix of the zero model: M~ = A/(i rho) - i rho A_perp."""
+    return _model_weyl(A, [pt.rho])[0]
+
+
+def _model_weyl(A, rhos) -> np.ndarray:
+    """model_weyl at every rho of an array, (K, n, n)."""
     A = np.asarray(A, dtype=complex)
-    Ap = np.eye(A.shape[0]) - A
-    rho = pt.rho
-    return A / (1j * rho) - 1j * rho * Ap
+    r = np.asarray(rhos, dtype=complex)[:, None, None]
+    return A / (1j * r) - 1j * r * (np.eye(A.shape[0]) - A)
 
 
 def model_phi(A, x, pt: SpectralPoint):
@@ -408,12 +413,8 @@ class _Assembler:
         self.rhos = weyl.contour.rhos
         self.weights = weyl.contour.weights
         self.wt = self.weights / (2j * np.pi)
-        K = len(weyl.contour)
-        self.K = K
-        nodes = [nd.point for nd in weyl.contour.nodes]
-        self.Mhat = np.array([
-            weyl.M_samples[k] - model_weyl(self.A, nodes[k]) for k in range(K)
-        ])
+        self.K = len(weyl.contour)
+        self.Mhat = weyl.M_samples - _model_weyl(self.A, self.rhos)
         self.MhatA = self.Mhat @ self.A
         self.MhatP = self.Mhat @ self.Ap
         # equilibration weights W_k = A + i rho_k A_perp and inverses
@@ -619,19 +620,33 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
 # Self-consistent tail extension
 # ---------------------------------------------------------------------------
 
-def _asymptotic_mhat(A, h, kap, rhos):
-    """Leading Weyl-matrix deviation from the zero model at large |rho|:
+# The Born tail extension reaches out to this multiple of sqrt(R) in rho.
+_TAIL_EXTENSION_FACTOR = 7.0
 
-    M - M~ = (A + i rho A_perp) (h - 2 kappa(rho)) (A/(i rho) - A_perp) / (i rho).
+
+def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid):
+    """Synthetic Born-tail nodes past the data truncation radius.
+
+    Fits (Q, h) to the data tail (_fit_tail_model, anchored to the
+    reconstruction Q_prior) and returns the extension nodes' rhos,
+    weights and the leading Weyl-matrix deviation from the zero model,
+
+        M - M~ = (A + i rho A_perp) (h - 2 kappa(rho)) (A/(i rho) - A_perp) / (i rho),
+
+    of the fitted problem at them.
     """
+    rhos, w = _extension_nodes(weyl.contour, _TAIL_EXTENSION_FACTOR)
+    Q_fit, h_fit = _fit_tail_model(weyl, A, Q_prior)
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    Ap = np.eye(n) - A
-    r = np.asarray(rhos)[:, None, None]
+    Ap = np.eye(A.shape[0]) - A
+    # kappa depends on Q and A only
+    kap = kappa(Problem(potential=Q_fit,
+                        bc=BoundaryCondition(A=A, h=np.zeros_like(A))), rhos)
+    r = rhos[:, None, None]
     left = A[None] + 1j * r * Ap[None]
     right = A[None] / (1j * r) - Ap[None]
-    mid = (h[None] - 2.0 * kap) / (1j * r)
-    return left @ mid @ right
+    mid = (h_fit[None] - 2.0 * kap) / (1j * r)
+    return rhos, w, left @ mid @ right
 
 
 # Settings of _fit_tail_model: the coarse node count of the fitted Q (odd),
@@ -669,20 +684,17 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
     rho_R = np.sqrt(weyl.contour.R)
     rho_fit_min = max(3.0, 0.45 * rho_R)
 
-    rhos, Ys = [], []
-    for k, nd in enumerate(weyl.contour.nodes):
-        rho = nd.point.rho
-        if nd.segment == "circle" or abs(rho) < rho_fit_min:
-            continue
-        rhos.append(rho)
-        Ys.append(weyl.M_samples[k] - model_weyl(A, nd.point))
-    for pt, M in weyl.tail_samples:
-        rhos.append(pt.rho)
-        Ys.append(np.asarray(M, dtype=complex) - model_weyl(A, pt))
-    rhos = np.array(rhos)
+    cont = weyl.contour
+    keep = ((np.array(cont.segments) != "circle")
+            & (np.abs(cont.rhos) >= rho_fit_min))
+    tail = weyl.tail_samples
+    rhos = np.concatenate([cont.rhos[keep], [pt.rho for pt, _ in tail]])
+    Ys = np.concatenate([weyl.M_samples[keep],
+                         np.reshape([M for _, M in tail], (-1, n, n))]
+                        ) - _model_weyl(A, rhos)
     Linv = A[None] + Ap[None] / (1j * rhos)[:, None, None]
     Rinv = (1j * rhos)[:, None, None] * A[None] - Ap[None]
-    Ys = (1j * rhos)[:, None, None] * (Linv @ np.array(Ys) @ Rinv)
+    Ys = (1j * rhos)[:, None, None] * (Linv @ Ys @ Rinv)
 
     x_max = Q_prior.x_max
     n_coarse = _FIT_NODES
@@ -718,10 +730,9 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
     SQ_prior = np.einsum("ab,tbc->tac", S, prior)
     rhs_anchor = _FIT_ANCHOR_WEIGHT * (kern @ SQ_prior.reshape(n_coarse, n * n))
 
-    D1 = np.zeros((n_coarse - 1, n_coarse + 2))
-    for i in range(n_coarse - 1):
-        D1[i, i + 2] = -1.0
-        D1[i, i + 3] = 1.0
+    # first differences of the Q columns (the two leading columns are h, c)
+    D1 = (np.eye(n_coarse - 1, n_coarse + 2, k=3)
+          - np.eye(n_coarse - 1, n_coarse + 2, k=2))
 
     Z = None
     eps = 1e-3
@@ -756,23 +767,15 @@ def _extension_nodes(contour: Contour, factor: float):
     spacing, ordered like the contour (upper side inward first, then the
     lower side outward), with endpoint-corrected trapezoid weights.
     """
-    segs = contour.segments
-    n_cut = segs.count("upper_cut")
+    n_cut = contour.segments.count("upper_cut")
     sig_R = np.sqrt(contour.R)
     h_sig = (sig_R - np.sqrt(contour.r0)) / (n_cut - 1)
     sig_max = factor * sig_R
     m = max(8, int(np.ceil((sig_max - sig_R) / h_sig)) + 1)
     sig = sig_R + h_sig * np.arange(m)
-    delta = contour.delta
-
-    def pt(lam, sheet):
-        return lambda_to_point(lam, sheet).rho
-
-    rho_up = np.array([pt(s * s + 1j * delta, "upper") for s in sig[::-1]])
-    w_up = _param_weights(-2.0 * sig[::-1], h_sig)
-    rho_lo = np.array([pt(s * s - 1j * delta, "lower") for s in sig])
-    w_lo = _param_weights(2.0 * sig, h_sig)
-    return np.concatenate([rho_up, rho_lo]), np.concatenate([w_up, w_lo])
+    up, lo = _cut_sides(sig, h_sig, contour.delta)
+    return (np.array([pt.rho for pt, _ in up + lo]),
+            np.array([w for _, w in up + lo]))
 
 
 # ---------------------------------------------------------------------------
@@ -894,16 +897,8 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     Q = h = None
     for p in range(config.passes):
         if p > 0:
-            ext_rhos, ext_w = _extension_nodes(weyl.contour,
-                                               config.tail_extension_factor)
-            Q_fit, h_fit = _fit_tail_model(weyl, A, Q)
-            # kappa depends on Q and A only
-            tail_model = Problem(potential=Q_fit,
-                                 bc=BoundaryCondition(A=A, h=np.zeros_like(A)))
-            ext_Mhat = _asymptotic_mhat(A, h_fit, kappa(tail_model, ext_rhos),
-                                        ext_rhos)
-            asm.extend(ext_rhos, ext_w, ext_Mhat)
-            rho_band = config.tail_extension_factor * np.sqrt(weyl.contour.R)
+            asm.extend(*_tail_extension(weyl, A, Q))
+            rho_band = _TAIL_EXTENSION_FACTOR * np.sqrt(weyl.contour.R)
         solutions = [asm.solve(x, cond_limit=config.system_cond_limit)
                      for x in xs]
         Q, h = recover_potential(solutions, weyl, A, config.lambda_probes,

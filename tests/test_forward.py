@@ -27,8 +27,10 @@ from weylinv import (
     zero_potential,
 )
 from weylinv.core import apply_T, bracket, tail_integrals
+import weylinv.forward as fw
 from weylinv.forward import (_BLOCK_BYTES, _jost_at_zero, _march_many,
-                             _scaled_tail_integrals, kappa, omega)
+                             _scaled_tail_integrals, _weyl_many, kappa, omega,
+                             transpose_problem)
 
 from conftest import random_projector, scalar_box_problem, smooth_matrix_problem
 
@@ -94,6 +96,86 @@ def reference_weyl(problem, rho):
     bc = problem.bc
     e0, e0p = reference_jost_at_zero(problem, rho)
     return (bc.A @ e0 + bc.A_perp @ e0p) @ np.linalg.inv(apply_T(bc, e0, e0p))
+
+
+def reference_expansion_residuals(problem, probes, which):
+    """The four large-|rho| expansion residuals as three separate formulas,
+    in the expression order asymptotics_report keeps."""
+    A, Ap, h = problem.bc.A, problem.bc.A_perp, problem.bc.h
+    rhos = np.array([pt.rho for pt in probes], dtype=complex)
+    r = rhos[:, None, None]
+    eye = np.eye(problem.dim)
+    w0 = omega(problem, 0.0, 0.0)
+    if which in ("jost", "jost_derivative"):
+        e0, e0p = _jost_at_zero(problem, rhos)
+        wr = omega(problem, 0.0, rhos)
+        if which == "jost_derivative":
+            diff = e0p / (1j * r) - (eye - (w0 + wr) / (1j * r))
+        else:
+            diff = e0 - (eye + (-w0 + wr) / (1j * r))
+    elif which == "jost_matrix":
+        J = apply_T(problem.bc, *_jost_at_zero(problem, rhos))
+        J0inv = A / (1j * r) - Ap
+        expansion = (np.eye(problem.dim) - (h + w0) / (1j * r)
+                     + kappa(problem, rhos) / (1j * r))
+        diff = J0inv @ J - expansion
+    else:
+        left_inv = A + Ap / (1j * r)
+        right = 1j * r * A - Ap
+        inner = left_inv @ _weyl_many(problem, rhos) @ right
+        expansion = (np.eye(problem.dim) + h / (1j * r)
+                     - 2.0 * kappa(problem, rhos) / (1j * r))
+        diff = inner - expansion
+    return [matnorm(d) for d in diff]
+
+
+def nonsymmetric_problem(nodes=801):
+    """n = 2 problem with Q != Q^T, A = diag(1, 0) and a complex h."""
+    x = np.linspace(0.0, 2.0, nodes)
+    vals = np.zeros((nodes, 2, 2), complex)
+    vals[:, 0, 0] = 0.2 * np.exp(-(((x - 0.9) / 0.3) ** 2))
+    vals[:, 0, 1] = 0.5 * np.exp(-(((x - 0.6) / 0.2) ** 2))
+    vals[:, 1, 0] = -0.3j * np.exp(-(((x - 1.0) / 0.3) ** 2))
+    h = np.zeros((2, 2), complex)
+    h[0, 0] = 0.1 + 0.05j
+    A = np.diag([1.0, 0.0]).astype(complex)
+    return Problem(potential=PotentialGrid(x_nodes=x, values=vals),
+                   bc=BoundaryCondition(A=A, h=h))
+
+
+def reference_grid_minima(problem, radius, density):
+    """Local minima of |det J| on the polar grid of scan_jost_zeros, found by
+    comparing each grid point with its in-grid neighbours one at a time."""
+    radii = np.linspace(radius / density, radius, density)
+    angles = np.linspace(0.0, np.pi, density + 1)
+    rr, aa = np.meshgrid(radii, angles, indexing="ij")
+    grid = rr * np.exp(1j * aa)
+    grid = np.where(grid.imag < 0, grid.real + 0j, grid)
+    J = apply_T(problem.bc, *_jost_at_zero(problem, grid.ravel()))
+    vals = np.abs(np.linalg.det(J)).reshape(grid.shape)
+    ni, nj = grid.shape
+    out = []
+    for i in range(ni):
+        for j in range(nj):
+            neigh = [vals[a, b]
+                     for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1))
+                     if 0 <= a < ni and 0 <= b < nj]
+            if vals[i, j] <= min(neigh):
+                out.append(grid[i, j])
+    return out
+
+
+def neumann_well(depth, nodes=401):
+    """Scalar Neumann problem with Q = -depth on [0, 1] inside [0, 2]."""
+    x = np.linspace(0.0, 2.0, nodes)
+    v = (-depth * (x <= 1.0))[:, None, None].astype(complex)
+    return Problem(potential=PotentialGrid(x_nodes=x, values=v),
+                   bc=BoundaryCondition(A=np.array([[1.0 + 0j]]),
+                                        h=np.zeros((1, 1), complex)))
+
+
+def transposed_wave(w):
+    return np.transpose(w.value, (0, 2, 1)), np.transpose(w.derivative, (0, 2, 1))
 
 
 def batch_problems():
@@ -350,6 +432,42 @@ class TestDiagnostics:
         assert asymptotics_report(prob, probes, "jost").order > 1.8
         assert asymptotics_report(prob, probes, "weyl").order > 0.8
 
+    @pytest.mark.parametrize("which", ["jost", "jost_derivative",
+                                       "jost_matrix", "weyl"])
+    def test_report_matches_expansion_formulas(self, rng, which):
+        probes = [SpectralPoint(r + 1.0j) for r in np.geomspace(10, 60, 6)]
+        for prob in (smooth_matrix_problem(2, rng, nodes=601, scale=0.3),
+                     nonsymmetric_problem()):
+            rep = asymptotics_report(prob, probes, which)
+            ref = reference_expansion_residuals(prob, probes, which)
+            assert list(rep.residuals) == ref
+
+    def test_p_matrix_nonsymmetric_model(self, rng):
+        """The starred objects of a model with Q != Q^T are the transposed
+        regular and Weyl solutions of the transposed model problem."""
+        model = nonsymmetric_problem()
+        prob = Problem(potential=smooth_matrix_problem(
+            2, rng, x_max=2.0, nodes=801).potential, bc=model.bc)
+        pt, x = SpectralPoint(7.0 + 1.0j), 0.7
+        tp = transpose_problem(model)
+        phi, _ = solve_regular(prob, pt)
+        Phi = weyl_solution(prob, pt)
+        phis, phis_d = transposed_wave(solve_regular(tp, pt)[0])
+        Phis, Phis_d = transposed_wave(weyl_solution(tp, pt))
+        i = phi.index_of(x)
+        ref = (phi.value[i] @ Phis_d[i] - Phi.value[i] @ phis_d[i],
+               Phi.value[i] @ phis[i] - phi.value[i] @ Phis[i],
+               phi.derivative[i] @ Phis_d[i] - Phi.derivative[i] @ phis_d[i],
+               Phi.derivative[i] @ phis[i] - phi.derivative[i] @ Phis[i])
+        got = p_matrix_diagnostic(prob, model, pt, x)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+        # the model is far from symmetric, so a missing transpose would show
+        phis_u, Phis_u = solve_regular(model, pt)[0], weyl_solution(model, pt)
+        untransposed = (phi.value[i] @ Phis_u.derivative[i]
+                        - Phi.value[i] @ phis_u.derivative[i])
+        assert matnorm(untransposed - got[0]) > 1e-3 * matnorm(got[0])
+
     def test_unknown_expansion_rejected(self, rng):
         prob = smooth_matrix_problem(2, rng, nodes=301)
         with pytest.raises(ValueError):
@@ -371,6 +489,29 @@ class TestDiagnostics:
         zeros, r0 = scan_jost_zeros(prob, 3.0)
         assert zeros == []
         assert r0 >= 1.0
+
+    def test_scan_propagates_unexpected_errors(self, monkeypatch):
+        prob = Problem(potential=zero_potential(1, 1.0, 41),
+                       bc=BoundaryCondition(A=np.array([[1.0 + 0j]]),
+                                            h=np.zeros((1, 1), complex)))
+
+        def broken(problem, pt):
+            raise RuntimeError("not a convergence or domain failure")
+
+        monkeypatch.setattr(fw, "jost_matrix", broken)
+        with pytest.raises(RuntimeError, match="not a convergence"):
+            scan_jost_zeros(prob, 3.0)
+
+    @pytest.mark.parametrize("depth, density", [(0.0, 6), (1.5, 24), (9.0, 12)])
+    def test_scan_candidates_match_neighbour_loop(self, monkeypatch, depth,
+                                                  density):
+        # depth 0 has |det J| = |rho|: a whole ring of tied minima
+        prob = neumann_well(depth)
+        seen = []
+        monkeypatch.setattr(fw, "_refine_zero",
+                            lambda problem, rho0, step: seen.append(rho0))
+        assert scan_jost_zeros(prob, 3.0, grid_density=density)[0] == []
+        assert seen == reference_grid_minima(prob, 3.0, density)
 
     def test_scan_finds_bound_state(self):
         # Q = -1.5 on [0,1] with Neumann data has a negative eigenvalue,
