@@ -143,8 +143,14 @@ class TestRoundtrip:
         # production sizes
         assert report["error_norms"]["q_l1_relative"] < 0.5
         assert report["error_norms"]["A_error"] == 0.0
-        assert 0.0 < report["diagnostics"]["min_rcond"] <= 1.0
-        assert 0.0 <= report["diagnostics"]["min_rcond_x"]
+        diag = report["diagnostics"]
+        assert 0.0 < diag["min_rcond"] <= 1.0
+        assert 0.0 <= diag["min_rcond_x"]
+        # A = 1: phi(0) = 1, and a scalar phi is rejected only where it
+        # vanishes, so no node is filled in
+        assert diag["phi_filled_nodes"] == 0
+        assert 0.0 < diag["q_pass_change"] < 1.0
+        assert 0.0 < diag["tail_fit_residual"] < 1.0
         assert (tmp_path / "out" / "q_recovered.csv").exists()
 
 
@@ -290,8 +296,9 @@ class TestExitCodes:
                    "--out", str(tmp_path / "inv")])
         assert rc == EXIT_NUMERICAL
 
-    @pytest.mark.parametrize("probes, code", [([0.0, -4.0], EXIT_NUMERICAL),
-                                              ([-4.0], EXIT_CONFIG)])
+    @pytest.mark.parametrize("probes, code", [
+        ([0.0, -4.0], EXIT_NUMERICAL), ([-4.0], EXIT_CONFIG),
+        ([float("nan"), -4.0], EXIT_CONFIG), ([-4.0, float("inf")], EXIT_CONFIG)])
     def test_lambda_probes(self, tmp_path, probes, code):
         weyl_csv, tail_csv = _forward_csvs(tmp_path)
         cfg = dict(SCALAR_BOX, lambda_probes=probes,
@@ -299,6 +306,15 @@ class TestExitCodes:
         rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
                    "--out", str(tmp_path / "inv")])
         assert rc == code
+
+    @pytest.mark.parametrize("x_max", [float("nan"), float("inf"), 0.0])
+    def test_x_grid_x_max_not_finite_positive(self, tmp_path, x_max):
+        weyl_csv, tail_csv = _forward_csvs(tmp_path)
+        cfg = _with(SCALAR_BOX, ("x_grid", "x_max"), x_max)
+        cfg["input"] = {"weyl": str(weyl_csv), "tail": str(tail_csv)}
+        rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
+                   "--out", str(tmp_path / "inv")])
+        assert rc == EXIT_CONFIG
 
     def test_missing_input_key(self, tmp_path):
         rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", SCALAR_BOX),

@@ -24,18 +24,24 @@ from weylinv import (
 )
 from weylinv.core import sin_over
 from weylinv.forward import omega
+from weylinv import inverse
 from weylinv.inverse import (
+    _FIT_IRLS_ITERS,
+    _FIT_TV_WEIGHT,
     WeylData,
     _Assembler,
     _SeparableD,
     _extension_nodes,
     _fit_tail_model,
     _model_D_coeffs,
+    _node_factors,
     main_equation_residual,
     model_D,
     model_phi,
     nystrom_phi_at,
     problem_D,
+    recover_potential,
+    solve_main_equation,
 )
 from weylinv import boundary
 
@@ -212,17 +218,27 @@ def _direct_phi_at(asm, sol, rhos, ext):
 
 
 def _direct_solve(asm, x, ext):
-    """phi at the nodes from the Nystrom system assembled on the direct path."""
+    """phi at the nodes from the Nystrom system assembled on the direct path
+    (ext None: without the Born tail source)."""
     K, n = asm.K, asm.n
     Rt = (_direct_rtilde(asm, x, asm.rhos)
           * (asm.weights / (2j * np.pi))[None, :, None, None])
     G = np.einsum("kab,jkbc,jcd->jkad", asm.Winv, Rt, asm.W, optimize=True)
     G[np.arange(K), np.arange(K)] += asm.Winv @ asm.W
     B = np.transpose(G, (0, 3, 1, 2)).reshape(K * n, K * n)
-    F = asm.phi_tilde(x) - _direct_ext_source(asm, x, *ext)
+    F = (np.cos(asm.rhos * x)[:, None, None] * asm.A
+         + sin_over(asm.rhos, x)[:, None, None] * asm.Ap)
+    if ext is not None:
+        F = F - _direct_ext_source(asm, x, *ext)
     rhs = np.transpose(F @ asm.W, (0, 2, 1)).reshape(K * n, n)
     psi = np.transpose(np.linalg.solve(B, rhs).reshape(K, n, n), (0, 2, 1))
     return psi @ asm.Winv
+
+
+def _factors_at(grid, x):
+    """Row factors of a _SeparableD grid's rhos and column factors of its
+    taus at x."""
+    return _node_factors(grid.rhos, x)[0], _node_factors(grid.taus, x)[1]
 
 
 class TestSeparableKernel:
@@ -269,13 +285,14 @@ class TestSeparableKernel:
         asm, (ext_rhos, _, _) = setup
         for grid, taus in ((asm._D_nodes, asm.rhos), (asm._D_ext, ext_rhos)):
             direct = _model_D_coeffs(x, asm.rhos[:, None], taus[None, :])
-            for fast, ref in zip(grid(x), direct):
+            for fast, ref in zip(grid(x, *_factors_at(grid, x)), direct):
                 assert _rel(fast, ref) < 1e-12
 
     @pytest.mark.parametrize("x", [0.0, X_STEP, X_MAX])
     def test_ext_source_matches_einsum(self, setup, x):
         asm, ext = setup
-        assert _rel(asm._ext_source(x, asm._D_ext),
+        rows, _ = _node_factors(asm.rhos, x)
+        assert _rel(asm._ext_source(x, asm._D_ext, rows),
                     _direct_ext_source(asm, x, *ext)) < 1e-12
 
     @pytest.mark.parametrize("x", [X_STEP, 1.0, X_MAX])
@@ -285,24 +302,27 @@ class TestSeparableKernel:
         assert _rel(sol.phi_nodes, _direct_solve(asm, x, ext)) < 1e-10
         assert 0.0 < sol.rcond <= 1.0
 
-
-    @pytest.mark.parametrize("x", [X_STEP, 1.0, X_MAX])
-    @pytest.mark.parametrize("extended", [False, True], ids=["plain", "ext"])
-    def test_phi_at_matches_direct(self, setup, x, extended):
-        # rows: the probes i sqrt(2) and i sqrt(5), exact contour nodes (on
-        # the circle and on the cut), the mirror -rho of that cut node and a
-        # cut midpoint
-        asm, ext = setup
-        if not extended:
-            asm = _Assembler(asm.weyl, asm.A)
-            ext = None
+    @staticmethod
+    def _rows(asm):
+        """Interpolation rows: the probes i sqrt(2) and i sqrt(5), exact
+        contour nodes (on the circle and on the cut), the mirror -rho of
+        that cut node and a cut midpoint."""
         segs = asm.weyl.contour.segments
         k = segs.index("upper_cut") + 5
         lams = asm.weyl.contour.lambdas
         mid = lambda_to_point(0.5 * (lams[k] + lams[k + 1]), "upper").rho
-        rhos = np.array([1j * np.sqrt(2.0), 1j * np.sqrt(5.0), asm.rhos[40],
-                         asm.rhos[k], -asm.rhos[k], mid])
         assert abs(asm.rhos[k].imag) == 0.0
+        return np.array([1j * np.sqrt(2.0), 1j * np.sqrt(5.0), asm.rhos[40],
+                         asm.rhos[k], -asm.rhos[k], mid])
+
+    @pytest.mark.parametrize("x", [X_STEP, 1.0, X_MAX])
+    @pytest.mark.parametrize("extended", [False, True], ids=["plain", "ext"])
+    def test_phi_at_matches_direct(self, setup, x, extended):
+        asm, ext = setup
+        if not extended:
+            asm = _Assembler(asm.weyl, asm.A)
+            ext = None
+        rhos = self._rows(asm)
         sol = asm.solve(x)
         fast = asm.phi_at(sol, rhos)
         ref = _direct_phi_at(asm, sol, rhos, ext)
@@ -314,6 +334,26 @@ class TestSeparableKernel:
             assert np.array_equal(
                 nystrom_phi_at(asm.weyl, asm.A, sol, pt),
                 asm.phi_at(sol, [pt.rho])[0])
+
+    @pytest.mark.parametrize("x", [X_STEP, 1.0, X_MAX])
+    @pytest.mark.parametrize("extended", [False, True], ids=["plain", "ext"])
+    def test_step_probe_rows_match_direct(self, setup, x, extended):
+        # the same rows as test_phi_at_matches_direct, now as the probes of
+        # the assembler: they share the slice's factors, and with the
+        # extension their Born source is stacked under the contour rows
+        asm, ext = setup
+        rhos = self._rows(asm)
+        stepper = _Assembler(asm.weyl, asm.A, rhos)
+        if extended:
+            stepper.extend(*ext)
+        else:
+            ext = None
+        sol, probe = stepper.step(x)
+        assert _rel(sol.phi_nodes, _direct_solve(stepper, x, ext)) < 1e-10
+        ref = _direct_phi_at(stepper, sol, rhos, ext)
+        assert probe.shape == (rhos.size, stepper.n, stepper.n)
+        for f, r in zip(probe, ref):
+            assert _rel(f, r) < 1e-12
 
 
 _node = st.builds(complex, st.floats(-12.0, 12.0),
@@ -339,12 +379,12 @@ def test_separable_grids_equal_direct(rhos, taus, cut, x):
                      np.abs(r[:, None] + t[None, :]))
     amp = np.exp((r.imag[:, None] + t.imag[None, :]) * x)
     bound = 32 * np.finfo(float).eps * amp * (x + 1.0 / np.maximum(gap, 1e-2))
-    for fast, ref in zip(grid(x), direct):
+    for fast, ref in zip(grid(x, *_factors_at(grid, x)), direct):
         assert np.all(np.abs(fast - ref) <= bound)
     rng = np.random.default_rng(len(t))
     U, V = rng.normal(size=(2, t.size, 3)) + 1j * rng.normal(size=(2, t.size, 3))
     ref = direct[0] @ U + direct[1] @ V
-    assert np.all(np.abs(grid.apply(x, U, V) - ref)
+    assert np.all(np.abs(grid.apply(x, *_factors_at(grid, x), U, V) - ref)
                   <= 2 * bound @ (np.abs(U) + np.abs(V)))
 
 
@@ -397,13 +437,162 @@ class TestTailModelFit:
         prior_vals = prob.potential.values.copy()
         prior_vals[:20] = 0.0
         prior = PotentialGrid(x_nodes=x, values=prior_vals)
-        Q_fit, h_fit = _fit_tail_model(weyl, A, prior)
+        Q_fit, h_fit, _ = _fit_tail_model(weyl, A, prior)
         rhos = np.linspace(15.0, 40.0, 9) + 0j
         om_f = omega(Problem(potential=Q_fit, bc=prob.bc), 0.0, rhos)
         om_t = omega(prob, 0.0, rhos)
         scale = np.abs(om_t).max()
         assert np.abs(om_f - om_t).max() < 0.35 * scale
         assert matnorm(h_fit) < 5e-2
+
+    def test_recovers_two_channel_box_structure(self):
+        # the rotated two-channel box of the matrix benchmark, A = diag(1, 0)
+        x = np.linspace(0.0, 2.0, 401)
+        c, s = np.cos(0.5), np.sin(0.5)
+        U = np.array([[c, -s], [s, c]])
+        D = np.zeros((x.size, 2, 2))
+        D[:, 0, 0] = 0.25 * (x <= 0.9)
+        D[:, 1, 1] = 0.2 * (x <= 0.8)
+        A = np.diag([1.0, 0.0]).astype(complex)
+        prob = Problem(potential=PotentialGrid(x_nodes=x,
+                                               values=(U @ D @ U.T).astype(complex)),
+                       bc=BoundaryCondition(A=A, h=np.zeros((2, 2), complex)))
+        cont = build_contour(r0=2.0, R=200.0, n_cut=128, n_circle=64,
+                             delta=0.0)
+        weyl = generate_weyl_data(prob, cont)
+        prior_vals = prob.potential.values.copy()
+        prior_vals[:20] = 0.0
+        prior = PotentialGrid(x_nodes=x, values=prior_vals)
+        Q_fit, h_fit, _ = _fit_tail_model(weyl, A, prior)
+        rhos = np.linspace(15.0, 40.0, 9) + 0j
+        om_f = omega(Problem(potential=Q_fit, bc=prob.bc), 0.0, rhos)
+        om_t = omega(prob, 0.0, rhos)
+        scale = np.abs(om_t).max()
+        assert np.abs(om_f - om_t).max() < 0.35 * scale
+        assert matnorm(h_fit) < 5e-2
+
+
+def _lstsq_irls(top, b, D1):
+    """The TV-regularized IRLS fit one column at a time, each least-squares
+    problem stacked in full and solved by lstsq (the reference for the
+    batched Gram solve)."""
+    Z = None
+    for _ in range(_FIT_IRLS_ITERS):
+        w = (np.ones((D1.shape[0], b.shape[1])) if Z is None
+             else 1.0 / np.sqrt(np.abs(D1 @ Z) + 1e-3))
+        Z = np.stack([np.linalg.lstsq(
+            np.vstack([top, _FIT_TV_WEIGHT * w[:, c, None] * D1]),
+            np.concatenate([b[:, c], np.zeros(D1.shape[0])]), rcond=None)[0]
+            for c in range(b.shape[1])], axis=1)
+    return Z
+
+
+class TestBatchedTailFit:
+    """The tail fit of a two-pass invert on the benchmark contour: the
+    stacked system _tv_irls received and what it returned, against the
+    per-entry lstsq fit, and the diagnostics invert reports."""
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["n1", "n2"])
+    def run(self, request):
+        weyl, _ = _box_weyl(request.param)
+        real = inverse._tv_irls
+        calls = []
+
+        def spy(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inverse, "_tv_irls", spy)
+            result = invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=61))
+        (args, out), = calls
+        return weyl, args, out, result
+
+    def test_matches_per_entry_lstsq(self, run):
+        _, (top, b, D1, n_data), (Z, misfit), _ = run
+        ref = _lstsq_irls(top, b, D1)
+        assert _rel(Z, ref) < 1e-10
+        r = b[:n_data] - top[:n_data] @ ref
+        assert misfit == pytest.approx(
+            np.linalg.norm(r) / np.linalg.norm(b[:n_data]), rel=1e-8)
+
+    def test_diagnostics(self, run):
+        weyl, _, (_, misfit), result = run
+        diag = result.diagnostics
+        assert diag["tail_fit_residual"] == misfit
+        assert 0.0 < misfit < 1.0
+        # phi(0) = A is singular at every probe when A != I
+        if weyl.dim == 1:
+            assert diag["phi_filled_nodes"] == 0
+        else:
+            assert diag["phi_filled_nodes"] >= 1
+        # pass 1 of a two-pass run is the one-pass run
+        one = invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=61, passes=1))
+        assert one.diagnostics["q_pass_change"] == 0.0
+        assert "tail_fit_residual" not in one.diagnostics
+        change = PotentialGrid(x_nodes=one.Q.x_nodes,
+                               values=result.Q.values - one.Q.values)
+        assert diag["q_pass_change"] == pytest.approx(
+            change.l1_norm() / one.Q.l1_norm(), rel=1e-12)
+
+
+@pytest.mark.parametrize("cols", [1, 4], ids=["n1", "n2"])
+def test_tv_irls_refinement_on_ill_conditioned_system(cols):
+    # The benchmark systems are ill-conditioned mostly through column
+    # scaling, which the LU of the Gram matrix absorbs: there the plain
+    # Gram solve already agrees with QR to 1e-13.  Here top has singular
+    # values 1e2 .. 1e-3 in random directions, and the stacked system a
+    # condition number of about 2.5e4, as on the benchmark contour; the
+    # Gram matrix squares it, and only the refinement step brings the fit
+    # back to the lstsq solution (without it the two differ by ~1e-7).
+    P, m = 23, 80
+    D1 = np.eye(P - 3, P, k=3) - np.eye(P - 3, P, k=2)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.normal(size=(m, P)) + 1j * rng.normal(size=(m, P)))
+        V, _ = np.linalg.qr(rng.normal(size=(P, P)) + 1j * rng.normal(size=(P, P)))
+        top = (U * np.geomspace(1e2, 1e-3, P)) @ V.conj().T
+        b = (top @ (rng.normal(size=(P, cols)) + 1j * rng.normal(size=(P, cols)))
+             + rng.normal(size=(m, cols)) + 1j * rng.normal(size=(m, cols)))
+        Z, _ = inverse._tv_irls(top, b, D1, m)
+        assert _rel(Z, _lstsq_irls(top, b, D1)) < 1e-10
+
+
+def test_slice_by_slice_path_matches_one_pass_invert():
+    # solve_main_equation at every x, then recover_potential, as a caller
+    # outside invert does it, gives invert's one-pass Q and h
+    for n in (1, 2):
+        weyl, _ = _box_weyl(n)
+        cfg = InvertConfig(x_max=X_MAX, x_nodes=13, passes=1)
+        res = invert(weyl, cfg)
+        A = extract_A(weyl.tail_samples)
+        sols = [solve_main_equation(weyl, A, x,
+                                    cond_limit=cfg.system_cond_limit)
+                for x in np.linspace(0.0, cfg.x_max, cfg.x_nodes)]
+        Q, h = recover_potential(sols, weyl, A, cfg.lambda_probes,
+                                 phi_cond_limit=cfg.phi_cond_limit,
+                                 edge_layer=1.5 / np.sqrt(weyl.contour.R))
+        assert _rel(Q.values, res.Q.values) <= 1e-12
+        assert np.abs(h - res.h).max() <= 1e-12
+
+
+class TestInvertConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"x_max": np.nan}, {"x_max": np.inf}, {"x_max": 0.0},
+        {"system_cond_limit": np.nan}, {"system_cond_limit": np.inf},
+        {"system_cond_limit": 0.5}, {"phi_cond_limit": np.nan},
+        {"phi_cond_limit": np.inf}, {"phi_cond_limit": 0.0},
+        {"lambda_probes": (np.nan, -5.0)}, {"lambda_probes": (-2.0, np.inf)},
+        {"lambda_probes": (-2.0, complex(-5.0, np.nan))},
+    ], ids=str)
+    def test_values_that_disable_checks_rejected(self, kwargs):
+        cfg = dict(x_max=2.0, x_nodes=9) | kwargs
+        with pytest.raises(ValueError):
+            InvertConfig(**cfg)
+
+    def test_limits_of_one_accepted(self):
+        InvertConfig(x_max=2.0, x_nodes=9, phi_cond_limit=1.0,
+                     system_cond_limit=1.0)
 
 
 class TestWeylDataValidation:
