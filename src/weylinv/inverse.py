@@ -413,7 +413,7 @@ class _Assembler:
     and the extension are evaluated once at that x, the Born source at
     the contour and probe rows is one matrix product, and the probe rows
     reuse the contour column factors of the Nystrom matrix.  phi_at()
-    interpolates to any other lambda on small grids built for the call.
+    interpolates a solution to any lambda on grids built for the call.
 
     extend() adds synthetic cut nodes beyond the data truncation.  Their
     unknowns are replaced by the model solution (a Born approximation,
@@ -536,20 +536,16 @@ class _Assembler:
         """The solution of step(x) without the probe values."""
         return self.step(x, cond_limit)[0]
 
-    def phi_at(self, sol: MainEquationSolution, rhos=None) -> np.ndarray:
+    def phi_at(self, sol: MainEquationSolution, rhos) -> np.ndarray:
         """Nystrom interpolation of the solved phi(x, .) to the lambda of
-        each of the given rhos (default: the probes, on the grid built
-        once), shape (J, n, n)."""
+        each of the given rhos, shape (J, n, n)."""
         x = sol.x
-        if rhos is None:
-            rhos, D = self._nodes[self.K:], self._D_probes
-        else:
-            rhos = np.asarray(rhos, dtype=complex)
-            D = _SeparableD(rhos, self.rhos)
+        rhos = np.asarray(rhos, dtype=complex)
         rows, cols = _node_factors(rhos, x)
         _, node_cols = _node_factors(self.rhos, x)
         out = self.phi_tilde(cols) - self._kernel_sum(
-            D, x, rows, node_cols, sol.phi_nodes, self.wt, self._MhatAP)
+            _SeparableD(rhos, self.rhos), x, rows, node_cols, sol.phi_nodes,
+            self.wt, self._MhatAP)
         if self.ext_rhos is not None:
             out -= self._ext_source(x, _SeparableD(rhos, self.ext_rhos), rows)
         return out
@@ -797,35 +793,27 @@ def _tv_irls(top, b, D1, n_data):
     Column c solves min ||top z - b_c||^2 + ||T_c z||^2 with the TV rows
     T_c = _FIT_TV_WEIGHT diag(w_c) D1, reweighted _FIT_IRLS_ITERS times
     with w_c = (|D1 z_c| + 1e-3)^(-1/2) from the previous solution (w = 1
-    at first).  The columns share top, so G = top^H top is formed once,
-    and each iteration solves (G + T_c^T T_c) z_c = top^H b_c for all
-    columns in one stacked call (normal equations; Bjorck, Numerical
-    Methods for Least Squares Problems, 1996, sec. 2.9).  Their condition
-    number is the square of the stacked system's: 5.9e8 against 2.4e4 at
-    the first iteration on the benchmark contour.  There it is mostly a
-    column scaling, which the LU absorbs, but in general the normal
-    equations lose about that factor in accuracy, so one step of
-    iterative refinement against the residual of the full stacked system
-    follows; it brings z_c to the least-squares solution of a QR or SVD
-    solve.  Returns Z (columns z_c) and the relative misfit ||r|| / ||b||
-    of the first n_data rows, taken from the last refinement residual.
+    at first).  Each iteration takes one stacked QR, R factor only, of
+    [top b_c; T_c 0] for all columns; the last column of R holds Q^H b_c,
+    so z_c is one triangular solve with its leading block.  Returns Z
+    (columns z_c) and the relative misfit ||b - top Z|| / ||b|| of the
+    first n_data rows.
     """
-    G = top.conj().T @ top
-    rhs = (top.conj().T @ b).T[..., None]             # (c, P, 1)
+    m, P = top.shape
+    Ab = np.zeros((b.shape[1], m + D1.shape[0], P + 1), dtype=complex)
+    Ab[:, :m, :P] = top
+    Ab[:, :m, P] = b.T
     w = np.ones((D1.shape[0], b.shape[1]))
     Z = None
     for _ in range(_FIT_IRLS_ITERS):
         if Z is not None:
             w = 1.0 / np.sqrt(np.abs(D1 @ Z) + 1e-3)
-        # T_c^T T_c for every column c, (c, P, P)
-        TtT = _FIT_TV_WEIGHT ** 2 * (D1.T[None] * (w.T ** 2)[:, None, :]) @ D1
-        Gc = G + TtT
-        z = np.linalg.solve(Gc, rhs)
-        r = b - top @ z[..., 0].T
-        z += np.linalg.solve(Gc, (top.conj().T @ r).T[..., None] - TtT @ z)
-        Z = z[..., 0].T
-    misfit = np.linalg.norm(r[:n_data]) / np.linalg.norm(b[:n_data])
-    return Z, float(misfit)
+        Ab[:, m:, :P] = _FIT_TV_WEIGHT * w.T[:, :, None] * D1
+        R = np.linalg.qr(Ab, mode="r")
+        Z = np.stack([scipy.linalg.solve_triangular(Rc[:P, :P], Rc[:P, P])
+                      for Rc in R], axis=1)
+    r = b[:n_data] - top[:n_data] @ Z
+    return Z, float(np.linalg.norm(r) / np.linalg.norm(b[:n_data]))
 
 
 def _extension_nodes(contour: Contour, factor: float):
@@ -895,10 +883,8 @@ def recover_potential(solutions, weyl: WeylData, A, lambda_probes,
     solutions = sorted(solutions, key=lambda s: s.x)
     A = np.asarray(A, dtype=complex)
     probes = [lambda_to_point(l) for l in np.atleast_1d(lambda_probes)]
-    rhos = [pt.rho for pt in probes]
-    if assembler is None:          # interpolate on its grid of the probes
-        assembler, rhos = _Assembler(weyl, A, rhos), None
-    PHI = np.array([assembler.phi_at(sol, rhos)
+    asm = assembler or _Assembler(weyl, A)
+    PHI = np.array([asm.phi_at(sol, [pt.rho for pt in probes])
                     for sol in solutions])                  # (N, J, n, n)
     Q, h, _ = _potential_from_probes(
         np.array([s.x for s in solutions]), PHI, A,

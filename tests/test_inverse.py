@@ -475,7 +475,7 @@ class TestTailModelFit:
 def _lstsq_irls(top, b, D1):
     """The TV-regularized IRLS fit one column at a time, each least-squares
     problem stacked in full and solved by lstsq (the reference for the
-    batched Gram solve)."""
+    batched QR solve)."""
     Z = None
     for _ in range(_FIT_IRLS_ITERS):
         w = (np.ones((D1.shape[0], b.shape[1])) if Z is None
@@ -514,7 +514,7 @@ class TestBatchedTailFit:
         assert _rel(Z, ref) < 1e-10
         r = b[:n_data] - top[:n_data] @ ref
         assert misfit == pytest.approx(
-            np.linalg.norm(r) / np.linalg.norm(b[:n_data]), rel=1e-8)
+            np.linalg.norm(r) / np.linalg.norm(b[:n_data]), rel=1e-10)
 
     def test_diagnostics(self, run):
         weyl, _, (_, misfit), result = run
@@ -534,28 +534,6 @@ class TestBatchedTailFit:
                                values=result.Q.values - one.Q.values)
         assert diag["q_pass_change"] == pytest.approx(
             change.l1_norm() / one.Q.l1_norm(), rel=1e-12)
-
-
-@pytest.mark.parametrize("cols", [1, 4], ids=["n1", "n2"])
-def test_tv_irls_refinement_on_ill_conditioned_system(cols):
-    # The benchmark systems are ill-conditioned mostly through column
-    # scaling, which the LU of the Gram matrix absorbs: there the plain
-    # Gram solve already agrees with QR to 1e-13.  Here top has singular
-    # values 1e2 .. 1e-3 in random directions, and the stacked system a
-    # condition number of about 2.5e4, as on the benchmark contour; the
-    # Gram matrix squares it, and only the refinement step brings the fit
-    # back to the lstsq solution (without it the two differ by ~1e-7).
-    P, m = 23, 80
-    D1 = np.eye(P - 3, P, k=3) - np.eye(P - 3, P, k=2)
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        U, _ = np.linalg.qr(rng.normal(size=(m, P)) + 1j * rng.normal(size=(m, P)))
-        V, _ = np.linalg.qr(rng.normal(size=(P, P)) + 1j * rng.normal(size=(P, P)))
-        top = (U * np.geomspace(1e2, 1e-3, P)) @ V.conj().T
-        b = (top @ (rng.normal(size=(P, cols)) + 1j * rng.normal(size=(P, cols)))
-             + rng.normal(size=(m, cols)) + 1j * rng.normal(size=(m, cols)))
-        Z, _ = inverse._tv_irls(top, b, D1, m)
-        assert _rel(Z, _lstsq_irls(top, b, D1)) < 1e-10
 
 
 def test_slice_by_slice_path_matches_one_pass_invert():
