@@ -13,20 +13,28 @@ overflow.  Successive approximation of the scaled Volterra equation
     E(x) = I + (1 / 2 i rho) [e^{-2 i rho x} I2(x) - I0(x)],
     I2(x) = int_x^X e^{2 i rho t} Q E dt,   I0(x) = int_x^X Q E dt,
 
-uses 4th-order cumulative tail quadrature, so each sweep costs O(N).
-Differentiating the representation gives E'(x) = -e^{-2 i rho x} I2(x)
-exactly, so no numerical differencing enters the Jost matrix.
+uses 4th-order cumulative tail quadrature.  Differentiating the
+representation gives E'(x) = -e^{-2 i rho x} I2(x) exactly, so no
+numerical differencing enters the Jost matrix; the Jost matrix needs E'
+at x = 0 only, which is one weighted sum.
 
-The solver works on blocks of spectral points: each sweep marches the
-recurrence over x once for a whole block of (N, B, n, n) arrays, and a
-point drops out as soon as it has converged, so it stops at the sweep
-count it would reach alone.  B comes from a fixed memory budget, so the
+The solver works on blocks of spectral points, (N, n, n, B) arrays with
+the points last, and a point drops out as soon as it has converged, so it
+stops at the sweep count it would reach alone.  A sweep is a fixed, small
+number of whole-block numpy operations, with no Python loop over x and no
+product per matrix: Q E is one (n, n) @ (n, n B) product per x-node; the
+scaled integral's backward recurrence J_i = a J_{i+1} + s_i,
+a = exp(2 i rho dx), is a chunked scan of about 2 sqrt(N) small steps;
+the plain integral is a cumulative sum; and the 4th-order endpoint terms
+of the two integrals cancel at every interior node, so no gradient is
+taken (_sweep_increment).  B comes from a fixed memory budget, so the
 working set does not grow with the number of points.  The regular
-solutions are marched for many energies at once in the same way.
+solutions are marched for many energies at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +51,6 @@ from .core import (
     apply_T,
     matnorm,
     sin_over,
-    tail_integrals,
 )
 
 __all__ = [
@@ -71,10 +78,12 @@ __all__ = [
 COND_LIMIT = 1e10
 JOST_TOL = 1e-12
 JOST_MAX_ITER = 50
-# Memory budget of one (N, B, n, n) complex array of the Jost march; the
-# block size B is the largest that fits it.  On the forward-matrix
-# benchmark one block of all 104 points was no faster and raised peak
-# memory from 68 to 87 MB.
+# Memory budget of one (N, n, n, B) complex array of the Jost march; the
+# block size B is the largest that fits it.  Re-measured for the loop-free
+# sweep on forward-matrix (seed 7, one BLAS thread, 5 calls of
+# generate_weyl_data in one process): one block of all 104 points took
+# 0.092 s a call against 0.083 s, and raised peak memory from 64.5 to
+# 80.4 MB; a 512 KB budget was no faster and added 2.6 MB.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -121,42 +130,145 @@ def transpose_problem(problem: Problem) -> Problem:
 # Jost solution
 # ---------------------------------------------------------------------------
 
-def _jost_scaled(Q, rhos, dx):
-    """Scaled Jost solutions E = e * exp(-i rho x) and E' for a block of points.
+def _node_product(Q, E):
+    """Q(x) E(x, rho) for every node and point of an (N, n, m, B) block
+    (points last): one (n, n) @ (n, m B) product per node, not one per
+    node and point."""
+    N, n, m, B = E.shape
+    return (Q @ E.reshape(N, n, m * B)).reshape(N, n, m, B)
 
-    Q is the (N, n, n) potential and rhos a (B,) array; returns two
-    (N, B, n, n) arrays.  A point leaves the sweep once its update norm
-    is within JOST_TOL, so it stops after as many sweeps as it would alone.
-    A NaN update never counts as converged.
+
+def _powers(rhos, N, dx):
+    """a^k = exp(2 i rho k dx) for k < N and every rho, as (N, B).
+
+    |a| <= 1 for Im rho >= 0, so no power overflows; far up the imaginary
+    axis the high powers underflow to 0, which is their value to rounding.
+    """
+    return np.exp(2j * rhos * (np.arange(N) * dx)[:, None])
+
+
+def _backward_scan(s, pw):
+    """J_i = a J_{i+1} + s_i for i < M and J_M = 0, as M + 1 rows, for an
+    (M, ...) array s and the powers pw of a (pw[k] = a^k for k <= M).
+
+    A chunked scan: the rows go into C chunks of L = ceil(sqrt(M)) rows
+    (the first chunk padded in front), every chunk is scanned on its own,
+    all chunks at once; one pass over the chunks carries J at the start
+    of the next chunk with a^L; one fix-up adds a^(L - j) times that
+    carry to row j of every chunk.  That is L + C small steps, not M.
+    """
+    M, rest = s.shape[0], s.shape[1:]
+    L = math.isqrt(M - 1) + 1
+    C = -(-(M + 1) // L)
+    pad = C * L - M - 1
+    y = np.zeros((C * L,) + rest, dtype=complex)
+    y[pad:-1] = s
+    y = y.reshape((C, L) + rest)
+    for j in range(L - 2, -1, -1):
+        y[:, j] += pw[1] * y[:, j + 1]
+    carry = np.zeros((C,) + rest, dtype=complex)
+    for c in range(C - 2, -1, -1):
+        np.multiply(pw[L], carry[c + 1], out=carry[c])
+        carry[c] += y[c + 1, 0]
+    y += pw[L - np.arange(L)] * carry[:, None]
+    return y.reshape((C * L,) + rest)[pad:]
+
+
+def _end_slopes(g, dx):
+    """g'(x_0) and g'(x_N) by the one-sided 3-point stencils that
+    np.gradient(edge_order=2) uses at the ends."""
+    return ((-1.5 * g[0] + 2.0 * g[1] - 0.5 * g[2]) / dx,
+            (0.5 * g[-3] - 2.0 * g[-2] + 1.5 * g[-1]) / dx)
+
+
+def _sweep_increment(P, pw, w, inv, dx):
+    """E_new - I = (S2(P) - S0(P)) / (2 i rho) for P = Q E of one sweep.
+
+    S2 is the scaled tail integral of P (_scaled_tail_integrals) and S0
+    the plain one (core.tail_integrals).  Their endpoint terms
+    (dx^2/12) P'(x_i) cancel at every node, which leaves the two
+    trapezoid sums plus (dx^2/12) [P + P'_N w - decay P_N] with
+    decay_i = a^(N-1-i) and w = (1 - decay) / (2 i rho), so no interior
+    gradient is taken.  pw are the powers of a and inv = 1 / (2 i rho);
+    the last row is zero.
+
+    The terms are formed in place in one scratch array s.  Freed
+    whole-block temporaries go back to the system, so each new one costs
+    its page faults again: written as plain expressions, a
+    generate_weyl_data call on forward-matrix took about 22 000 page
+    faults and 0.15 s, against 3 800 and 0.08 s in place.
+    """
+    half = 0.5 * dx
+    s = pw[1] * P[1:]
+    s += P[:-1]
+    s *= half
+    out = _backward_scan(s, pw)
+    np.add(P[:-1], P[1:], out=s)
+    s *= half
+    np.cumsum(s[::-1], axis=0, out=s[::-1])
+    out[:-1] -= s
+    out[:-1] *= inv
+    np.multiply(w[:-1], _end_slopes(P, dx)[1], out=s)
+    s -= pw[:0:-1] * P[-1]
+    s += P[:-1]
+    s *= dx * dx / 12.0
+    out[:-1] += s
+    return out
+
+
+def _sweep_factors(rhos, shape, dx):
+    """The rho-only factors of a sweep over an (N, n, n, B) block: the
+    powers pw of a, w = (1 - decay) / (2 i rho) and inv = 1 / (2 i rho).
+    They are stored at full width, so every product with them runs over
+    contiguous rows instead of broadcasting short ones."""
+    pw = np.broadcast_to(_powers(rhos, shape[0], dx)[:, None, None],
+                         shape).copy()
+    inv = np.broadcast_to(1.0 / (2j * rhos), shape[1:]).copy()
+    return pw, (1.0 - pw[::-1]) * inv, inv
+
+
+def _jost_scaled(Q, rhos, dx):
+    """Scaled Jost solutions E = e * exp(-i rho x) for a block of points.
+
+    Q is the (N, n, n) potential and rhos a (B,) array; returns E as an
+    (N, n, n, B) array (points last) and the (B,) sweep count of each
+    point.  A point leaves the sweep once its update norm is within
+    JOST_TOL, so it stops after as many sweeps as it would alone.  A NaN
+    update never counts as converged.
     """
     N, n = Q.shape[:2]
-    eye = np.eye(n, dtype=complex)
-    E = np.broadcast_to(eye, (N, rhos.size, n, n)).copy()
+    eye = np.eye(n, dtype=complex)[..., None]
+    E = np.broadcast_to(eye, (N, n, n, rhos.size)).copy()
+    sweeps = np.zeros(rhos.size, dtype=int)
     if not np.any(Q):
-        return E, np.zeros_like(E)
+        return E, sweeps
 
-    Qb = Q[:, None]
+    # formed once per block and cut down to the points still live
+    pw, w, inv = _sweep_factors(rhos, E.shape, dx)
     live = np.arange(rhos.size)
-    Ea, r = E, rhos
+    going = np.ones(rhos.size, dtype=bool)
+    Ea = E
     for _ in range(JOST_MAX_ITER):
-        P = Qb @ Ea
-        E_new = eye + ((_scaled_tail_integrals(P, r, dx) - tail_integrals(P, dx))
-                       / (2j * r)[:, None, None])
-        upd = np.abs(E_new - Ea).sum(axis=-1).max(axis=(0, 2))
-        E[:, live] = E_new
+        if not going.all():
+            live, pw, w, inv = (live[going], pw[..., going], w[..., going],
+                                inv[..., going])
+            Ea = Ea[..., going]
+        E_new = _sweep_increment(_node_product(Q, Ea), pw, w, inv, dx)
+        E_new += eye
+        upd = np.abs(E_new - Ea).sum(axis=2).max(axis=(0, 1))
+        E[..., live] = E_new
+        sweeps[live] += 1
         going = ~(upd <= JOST_TOL)
         if not going.any():
-            break
-        live, r, Ea = live[going], r[going], E_new[:, going]
-    else:
-        last = float(np.max(upd))
-        raise ConvergenceError(
-            f"Jost iteration did not reach {JOST_TOL} in {JOST_MAX_ITER} sweeps "
-            f"(last update {last:.3e})",
-            residual=last,
-        )
-    Eprime = -_scaled_tail_integrals(Qb @ E, rhos, dx)
-    return E, Eprime
+            return E, sweeps
+        Ea = E_new
+    worst = np.argmax(np.where(np.isnan(upd), np.inf, upd))
+    last = float(upd[worst])
+    raise ConvergenceError(
+        f"Jost iteration did not reach {JOST_TOL} in {JOST_MAX_ITER} sweeps; "
+        f"largest last update {last:.3e} at rho = {complex(rhos[live[worst]])}",
+        residual=last,
+    )
 
 
 def _scaled_tail_integrals(g, rhos, dx: float):
@@ -164,33 +276,48 @@ def _scaled_tail_integrals(g, rhos, dx: float):
 
     g is (N, B, n, n) with one column per entry of the (B,) array rhos
     (a column of size one is shared by all of them).  The kernel is
-    pre-scaled to the left endpoint so |exp(.)| <= 1 for Im rho >= 0 and
-    nothing overflows at large |rho|.  Backward recurrence
-    J_i = a J_{i+1} + trapezoid step with a = exp(2 i rho dx), plus the
-    trapezoid endpoint correction (dx^2/12)(f'(x_i) - scaled f'(x_N)) with
-    f = exp(2 i rho (t - x_i)) g, which restores 4th-order accuracy.
+    pre-scaled to the left endpoint, so every factor is a power of
+    a = exp(2 i rho dx) with |a| <= 1 for Im rho >= 0 and nothing
+    overflows at large |rho|.  The trapezoid sums obey the backward
+    recurrence J_i = a J_{i+1} + (dx/2)(g_i + a g_{i+1}), solved by the
+    chunked scan of _backward_scan; the trapezoid endpoint correction
+    (dx^2/12)(f'(x_i) - scaled f'(x_N)) with f = exp(2 i rho (t - x_i)) g
+    restores 4th-order accuracy.  A Jost sweep does not call this: there
+    the g'(x_i) terms cancel against those of the plain integral
+    (_sweep_increment).  solve_jost uses it for E' on the whole grid.
     """
     N = g.shape[0]
     r = rhos[:, None, None]
-    a = np.exp(2j * r * dx)
-    step = 0.5 * dx * (g[:-1] + a * g[1:])
-    J = np.zeros((N,) + step.shape[1:], dtype=complex)
-    for i in range(N - 2, -1, -1):
-        np.multiply(a, J[i + 1], out=J[i])
-        J[i] += step[i]
+    pw = _powers(rhos, N, dx)[..., None, None]
+    J = _backward_scan(0.5 * dx * (g[:-1] + pw[1] * g[1:]), pw)
     gp = np.gradient(g, dx, axis=0, edge_order=2)
-    x_rel = np.arange(N)[::-1] * dx  # x_N - x_i
-    decay = np.exp(2j * r * x_rel[:, None, None, None])
-    corr_lo = gp + 2j * r * g
-    corr_hi = decay * (gp[-1] + 2j * r * g[-1])
-    J += (dx * dx / 12.0) * (corr_lo - corr_hi)
+    J += (dx * dx / 12.0) * (gp + 2j * r * g
+                             - pw[::-1] * (gp[-1] + 2j * r * g[-1]))
     J[-1] = 0.0
     return J
 
 
+def _scaled_integral_at_start(g, rhos, dx):
+    """J_0 of _scaled_tail_integrals alone, (n, n, B): one weighted sum of
+    g against the trapezoid weights times a^k, plus the endpoint terms.
+
+    The sum is a running sum, so the order of its additions, and with it
+    the rounding, does not depend on how many points share the block.
+    """
+    N = g.shape[0]
+    pw = _powers(rhos, N, dx)[:, None, None]
+    wt = np.full((N, 1, 1, 1), dx)
+    wt[0] = wt[-1] = 0.5 * dx
+    d0, dN = _end_slopes(g, dx)
+    return (np.cumsum(wt * pw * g, axis=0)[-1]
+            + (dx * dx / 12.0) * (d0 + 2j * rhos * g[0]
+                                  - pw[-1] * (dN + 2j * rhos * g[-1])))
+
+
 def _jost_at_zero(problem: Problem, rhos):
     """e(0, rho) and e'(0, rho) for every rho of an array, each (K, n, n),
-    marched in blocks of the most points that fit _BLOCK_BYTES."""
+    marched in blocks of the most points that fit _BLOCK_BYTES.  E' is
+    formed at x = 0 only: E'(0) = -J_0 of the scaled tail integral of Q E."""
     pot = problem.potential
     rhos = np.asarray(rhos, dtype=complex)
     N, n = pot.x_nodes.size, pot.dim
@@ -199,9 +326,14 @@ def _jost_at_zero(problem: Problem, rhos):
     e0p = np.empty_like(e0)
     for s in range(0, rhos.size, B):
         r = rhos[s:s + B]
-        E, Eprime = _jost_scaled(pot.values, r, pot.dx)
-        e0[s:s + B] = E[0]
-        e0p[s:s + B] = 1j * r[:, None, None] * E[0] + Eprime[0]
+        E, _ = _jost_scaled(pot.values, r, pot.dx)
+        # i rho e(0) on (B, n, n) arrays: numpy's complex product rounds by
+        # the loop it picks, and with the points last a block of one point
+        # picks another loop than a block of many
+        e0[s:s + B] = np.moveaxis(E[0], -1, 0)
+        e0p[s:s + B] = 1j * r[:, None, None] * e0[s:s + B] - np.moveaxis(
+            _scaled_integral_at_start(_node_product(pot.values, E), r, pot.dx),
+            -1, 0)
     return e0, e0p
 
 
@@ -214,10 +346,13 @@ def solve_jost(problem: Problem, pt: SpectralPoint) -> MatrixWave:
     """
     rho = pt.rho
     pot = problem.potential
-    E, Eprime = _jost_scaled(pot.values, np.array([rho]), pot.dx)
+    rhos = np.array([rho])
+    E, _ = _jost_scaled(pot.values, rhos, pot.dx)
+    Eprime = -_scaled_tail_integrals(
+        np.moveaxis(_node_product(pot.values, E), -1, 1), rhos, pot.dx)
     phase = np.exp(1j * rho * pot.x_nodes)[:, None, None]
-    value = E[:, 0] * phase
-    derivative = (1j * rho * E[:, 0] + Eprime[:, 0]) * phase
+    value = E[..., 0] * phase
+    derivative = (1j * rho * E[..., 0] + Eprime[:, 0]) * phase
     return MatrixWave(grid=pot.x_nodes, value=value, derivative=derivative,
                       at=pt)
 
@@ -237,21 +372,12 @@ def omega(problem: Problem, x: float, rhos) -> np.ndarray:
     which it matches to rounding.
     """
     pot = problem.potential
-    i = pot.index_of(x)
     rhos = np.asarray(rhos, dtype=complex)
-    r = rhos.reshape(-1)
-    Q = pot.values[i:]
-    t = pot.x_nodes[i:] - pot.x_nodes[i]
-    dx = pot.dx
-    w = np.full(t.size, dx)
-    w[0] = w[-1] = dx / 2.0
-    phase = np.exp(2j * np.outer(r, t))                         # (E, N)
-    base = np.einsum("et,t,tab->eab", phase, w, Q, optimize=True)
-    Qp = np.gradient(Q, dx, axis=0, edge_order=2)
-    f0 = Qp[0] + 2j * r[:, None, None] * Q[0]
-    fN = (Qp[-1] + 2j * r[:, None, None] * Q[-1]) * phase[:, -1, None, None]
-    out = 0.5 * (base + (dx * dx / 12.0) * (f0 - fN))
-    return out.reshape(rhos.shape + Q.shape[1:])
+    Q = pot.values[pot.index_of(x):]
+    if Q.shape[0] < 3:
+        raise ValueError("omega needs at least 3 grid nodes in [x, x_max]")
+    out = 0.5 * _scaled_integral_at_start(Q[..., None], rhos.reshape(-1), pot.dx)
+    return np.moveaxis(out, -1, 0).reshape(rhos.shape + Q.shape[1:])
 
 
 def kappa(problem: Problem, rhos) -> np.ndarray:

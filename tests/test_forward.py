@@ -28,8 +28,10 @@ from weylinv import (
 )
 from weylinv.core import apply_T, bracket, tail_integrals
 import weylinv.forward as fw
-from weylinv.forward import (_BLOCK_BYTES, _jost_at_zero, _march_many,
-                             _scaled_tail_integrals, _weyl_many, kappa, omega,
+from weylinv.forward import (JOST_MAX_ITER, _BLOCK_BYTES, _jost_at_zero,
+                             _jost_scaled, _march_many, _node_product,
+                             _scaled_tail_integrals, _sweep_factors,
+                             _sweep_increment, _weyl_many, kappa, omega,
                              transpose_problem)
 
 from conftest import random_projector, scalar_box_problem, smooth_matrix_problem
@@ -70,15 +72,16 @@ def reference_scaled_tail_integrals(g, rho, dx):
 
 
 def reference_jost_at_zero(problem, rho, tol=1e-12, max_iter=50):
-    """e(0, rho) and e'(0, rho) by successive approximation, one point at
-    a time: the direct path the batched solver replaces."""
+    """e(0, rho), e'(0, rho) and the sweep count by successive
+    approximation, one point at a time: the direct path the batched
+    solver replaces."""
     pot = problem.potential
     Q, dx, n = pot.values, pot.dx, pot.dim
     eye = np.eye(n, dtype=complex)
     E = np.broadcast_to(eye, Q.shape).copy()
     if not np.any(Q):
-        return eye, 1j * rho * eye
-    for _ in range(max_iter):
+        return eye, 1j * rho * eye, 0
+    for sweeps in range(1, max_iter + 1):
         P = Q @ E
         E_new = eye + (reference_scaled_tail_integrals(P, rho, dx)
                        - tail_integrals(P, dx)) / (2j * rho)
@@ -89,12 +92,12 @@ def reference_jost_at_zero(problem, rho, tol=1e-12, max_iter=50):
     else:
         raise ConvergenceError("reference Jost iteration did not converge")
     Eprime0 = -reference_scaled_tail_integrals(Q @ E, rho, dx)[0]
-    return E[0], 1j * rho * E[0] + Eprime0
+    return E[0], 1j * rho * E[0] + Eprime0, sweeps
 
 
 def reference_weyl(problem, rho):
     bc = problem.bc
-    e0, e0p = reference_jost_at_zero(problem, rho)
+    e0, e0p, _ = reference_jost_at_zero(problem, rho)
     return (bc.A @ e0 + bc.A_perp @ e0p) @ np.linalg.inv(apply_T(bc, e0, e0p))
 
 
@@ -206,10 +209,13 @@ class TestBatchedJost:
         N, n = prob.potential.x_nodes.size, prob.dim
         assert rhos.size % (_BLOCK_BYTES // (16 * N * n * n)) != 0
         e0, e0p = _jost_at_zero(prob, rhos)
+        pot = prob.potential
+        sweeps = _jost_scaled(pot.values, rhos, pot.dx)[1]
         for k, rho in enumerate(rhos):
-            r0, r0p = reference_jost_at_zero(prob, rho)
+            r0, r0p, count = reference_jost_at_zero(prob, rho)
             assert matnorm(e0[k] - r0) <= 1e-13 * max(1.0, matnorm(r0))
             assert matnorm(e0p[k] - r0p) <= 1e-13 * max(1.0, matnorm(r0p))
+            assert sweeps[k] == count
         assert matnorm(e0[0] - e0[-len(self.TAIL) - 1]) == 0.0
 
         data = generate_weyl_data(prob, contour, tail_ts=self.TAIL)
@@ -227,10 +233,13 @@ class TestBatchedJost:
         bad = Problem(potential=PotentialGrid(prob.potential.x_nodes, vals),
                       bc=prob.bc)
         contour = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=32)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=f"in {JOST_MAX_ITER} sweeps"):
             generate_weyl_data(bad, contour)
-        with pytest.raises(ConvergenceError):
+        # the message names the point with the largest (here NaN) update
+        with pytest.raises(ConvergenceError,
+                           match=r"update nan at rho = \(1\+1j\)") as err:
             weyl_matrix(bad, SpectralPoint(1.0 + 1.0j))
+        assert np.isnan(err.value.residual)
 
     def test_point_at_jost_zero_raises(self):
         # Q = 0, A = 1, h = -2: J(rho) = i rho + 2 vanishes at rho = 2i,
@@ -255,6 +264,71 @@ class TestBatchedJost:
             ref_der = np.concatenate([phi.derivative, S.derivative], axis=-1)
             assert matnorm(val[:, k] - ref) <= 1e-13 * matnorm(ref)
             assert matnorm(der[:, k] - ref_der) <= 1e-13 * matnorm(ref_der)
+
+
+class TestJostSweep:
+    """The loop-free pieces of one Jost sweep against the sequential
+    forms they replace."""
+
+    RHOS = np.array([400j, 99.0, -99.0, 3 + 2j, 1e-3 + 1e-3j])
+
+    @staticmethod
+    def smooth(rng, N, cols):
+        # a smooth complex (N, cols, 2, 2) sample on [0, 1]
+        t = np.linspace(0.0, 1.0, N)[:, None, None, None]
+        c = rng.normal(size=(4, cols, 2, 2)) + 1j * rng.normal(size=(4, cols, 2, 2))
+        return (c[0] + c[1] * np.cos(3 * t + c[2].real)
+                + c[3] * np.exp(-((t - 0.4) / 0.3) ** 2))
+
+    # N - 1 = 2, 3, 24, 25, 26, 300, 400: one chunk, chunk count and
+    # padding moving across a square, and the benchmark's grid sizes
+    @pytest.mark.parametrize("N", [3, 4, 25, 26, 27, 301, 401])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_tail_integrals_match_sequential_recurrence(self, rng, N, shared):
+        rhos = self.RHOS
+        dx = 1.0 / (N - 1)
+        g = self.smooth(rng, N, 1 if shared else rhos.size)
+        J = _scaled_tail_integrals(g, rhos, dx)
+        assert J.shape == (N, rhos.size, 2, 2)
+        for k, rho in enumerate(rhos):
+            ref = reference_scaled_tail_integrals(g[:, 0 if shared else k],
+                                                  rho, dx)
+            assert np.abs(J[:, k] - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.all(J[-1, k] == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_node_product_matches_stacked_matmul(self, rng, n):
+        # bitwise for a real-valued Q (every potential of the benchmark and
+        # the acceptance suite but one); for a complex Q the BLAS kernels
+        # of the two shapes round differently in the last bit
+        N, B = 41, 7
+        E = rng.normal(size=(N, B, n, n)) + 1j * rng.normal(size=(N, B, n, n))
+        Q = rng.normal(size=(N, n, n)).astype(complex)
+        for Q in (Q, Q + 1j * rng.normal(size=Q.shape)):
+            ref = Q[:, None] @ E
+            got = np.moveaxis(_node_product(Q, np.moveaxis(E, 1, -1)), -1, 1)
+            if np.any(Q.imag):
+                assert np.abs(got - ref).max() <= 4e-16 * n * np.abs(ref).max()
+            else:
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("N", [3, 26, 301])
+    def test_sweep_increment_matches_two_integral_form(self, rng, N):
+        # the cancelled endpoint terms against (S2 - S0) / (2 i rho) with
+        # np.gradient, relative to the two integrals it is the difference
+        # of (at rho = 1e-3 the difference is 500 times smaller than they)
+        rhos = self.RHOS
+        dx = 1.5 / (N - 1)
+        P = self.smooth(rng, N, rhos.size)
+        inc = _sweep_increment(np.moveaxis(P, 1, -1).copy(),
+                               *_sweep_factors(rhos, (N, 2, 2, rhos.size), dx),
+                               dx)
+        for k, rho in enumerate(rhos):
+            S2 = reference_scaled_tail_integrals(P[:, k], rho, dx)
+            S0 = tail_integrals(P[:, k], dx)
+            scale = (np.abs(S2).max() + np.abs(S0).max()) / abs(2 * rho)
+            assert np.abs(inc[..., k] - (S2 - S0) / (2j * rho)).max() <= 1e-13 * scale
+            assert np.all(inc[-1, ..., k] == 0.0)
 
 
 class TestJostSolution:
@@ -295,6 +369,14 @@ class TestJostSolution:
         integ = np.trapezoid(prob.potential.values[:, 0, 0]
                              * np.exp(2j * rho * x), x)
         assert abs(omega(prob, 0.0, rho)[0, 0] - 0.5 * integ) < 1e-4
+
+    def test_omega_needs_three_nodes(self):
+        prob = scalar_box_problem(nodes=201)
+        pot = prob.potential
+        for x in (pot.x_max, pot.x_max - pot.dx):
+            with pytest.raises(ValueError, match="3 grid nodes"):
+                omega(prob, x, 3.0 + 1j)
+        assert omega(prob, pot.x_max - 2 * pot.dx, 3.0 + 1j).shape == (1, 1)
 
     def test_kappa_sign_convention(self):
         prob = scalar_box_problem(nodes=401)
