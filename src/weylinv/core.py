@@ -15,6 +15,7 @@ assumption on the potential.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +100,17 @@ def _as_square(M, dim=None, stacked=False):
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """A point of Omega together with its derived energy lambda = rho**2."""
+    """A point of Omega together with its derived energy lambda = rho**2.
+
+    Both rho and lambda must be finite; anything else raises DomainError.
+    """
 
     rho: complex
 
     def __post_init__(self):
         rho = complex(self.rho)
+        if not (cmath.isfinite(rho) and cmath.isfinite(rho * rho)):
+            raise DomainError(f"rho = {rho} or lambda = rho^2 is not finite")
         if rho == 0:
             raise DomainError("rho = 0 is excluded from Omega")
         if rho.imag < 0:

@@ -46,7 +46,7 @@ from .core import (
     sinc,
 )
 from .forward import (Problem, _march_many, _weyl_many, kappa,
-                      transpose_problem, weyl_matrix)
+                      transpose_problem)
 
 __all__ = [
     "WeylData",
@@ -613,23 +613,33 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
     """Max residual of the two closure identities linking r and r~.
 
     Requires the true problem, so this is a round-trip diagnostic only.
-    probe_pairs is an iterable of (lam, mu) SpectralPoint pairs.
+    probe_pairs is an iterable of (lam, mu) SpectralPoint pairs.  The
+    regular solutions at the contour nodes and every lam are one march,
+    the adjoint ones at the contour nodes and every mu another.
     """
+    pairs = list(probe_pairs)
+    if not pairs:
+        return 0.0
     A = problem.bc.A
     asm = _Assembler(weyl, A)
+    K = asm.K
     pot = problem.potential
     i = pot.index_of(x)
     dx = pot.dx
     w = weyl.contour.weights / (2j * np.pi)
+    nodes = weyl.contour.lambdas
+    mu_rhos = [mu.rho for _, mu in pairs]
 
-    phi_nodes = _phi_values(problem, weyl.contour.lambdas)    # (N, K, n, n)
-    phis_nodes = _phi_values(problem, weyl.contour.lambdas, adjoint=True)
+    phi = _phi_values(problem, np.concatenate([nodes, [lam.lam for lam, _ in pairs]]))
+    phis = _phi_values(problem, np.concatenate([nodes, [mu.lam for _, mu in pairs]]),
+                       adjoint=True)
+    phi_nodes, phis_nodes = phi[:, :K], phis[:, :K]            # (N, K, n, n)
+    Mhat = _weyl_many(problem, mu_rhos) - _model_weyl(A, mu_rhos)
 
     worst = 0.0
-    for lam, mu in probe_pairs:
-        Mhat_mu = weyl_matrix(problem, mu) - model_weyl(A, mu)
-        phi_lam = _phi_values(problem, [lam.lam])[:, 0]
-        phis_mu = _phi_values(problem, [mu.lam], adjoint=True)[:, 0]
+    for p, (lam, mu) in enumerate(pairs):
+        Mhat_mu = Mhat[p]
+        phi_lam, phis_mu = phi[:, K + p], phis[:, K + p]
 
         cA, cP = _model_D_coeffs(x, lam.rho, asm.rhos)
         rt_lam = (cA[:, None, None] * asm.MhatA
@@ -639,7 +649,7 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
         # D(x, xi_k, mu) and r(x, xi_k, mu)
         integ = prefix_integrals(phis_mu[:, None] @ phi_nodes, dx)[i]
         r_nodes_mu = Mhat_mu @ integ                          # (K, n, n)
-        r_mu = Mhat_mu @ problem_D(problem, x, lam, mu)
+        r_mu = Mhat_mu @ prefix_integrals(phis_mu @ phi_lam, dx)[i]
 
         res1 = rt_mu - r_mu - np.sum(w[:, None, None] * (r_nodes_mu @ rt_lam),
                                      axis=0)

@@ -34,6 +34,13 @@ class TestSpectralPoint:
         with pytest.raises(DomainError):
             SpectralPoint(0.0)
 
+    @pytest.mark.parametrize("rho", [complex("nan"), complex("inf"),
+                                     complex(1.0, float("inf")), 1e200 + 1j])
+    def test_non_finite_rho_or_lambda_rejected(self, rho):
+        # 1e200 + 1j is finite, but its lambda = rho^2 overflows
+        with pytest.raises(DomainError, match="not finite"):
+            SpectralPoint(rho)
+
     def test_real_rho_allowed_on_both_rays(self):
         assert SpectralPoint(3.0).rho == 3.0
         assert SpectralPoint(-3.0).rho == -3.0
@@ -58,6 +65,13 @@ class TestLambdaToPoint:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             lambda_to_point(0.0)
+
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"),
+                                     -float("inf"), complex(1.0, float("nan"))])
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(DomainError):
+            lambda_to_point(lam)
 
 
 class TestMatnorm:

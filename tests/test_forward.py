@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
@@ -28,8 +29,9 @@ from weylinv import (
 )
 from weylinv.core import apply_T, bracket, tail_integrals
 import weylinv.forward as fw
-from weylinv.forward import (JOST_MAX_ITER, _BLOCK_BYTES, _jost_at_zero,
-                             _jost_scaled, _march_many, _node_product,
+from weylinv.forward import (JOST_MAX_ITER, _BLOCK_BYTES, _STEP_NORM_MAX,
+                             _jost_at_zero, _jost_scaled, _march_many,
+                             _node_product, _prefix_apply, _propagators,
                              _scaled_tail_integrals, _sweep_factors,
                              _sweep_increment, _weyl_many, kappa, omega,
                              transpose_problem)
@@ -266,6 +268,86 @@ class TestBatchedJost:
             assert matnorm(der[:, k] - ref_der) <= 1e-13 * matnorm(ref_der)
 
 
+def expm_step(Qm, lam, dx):
+    """exp(dx [[0, I], [Qm - lam, 0]]) of one frozen step, by scipy's expm
+    (the per-matrix direct path)."""
+    n = Qm.shape[0]
+    G = np.zeros((2 * n, 2 * n), dtype=complex)
+    G[:n, n:] = np.eye(n)
+    G[n:, :n] = Qm - lam * np.eye(n)
+    return scipy.linalg.expm(dx * G)
+
+
+def unit_grid(values):
+    return PotentialGrid(np.linspace(0.0, 1.0, values.shape[0]), values)
+
+
+class TestRegularMarch:
+    """The Taylor step maps and the prefix-product scan against the
+    per-matrix expm and the sequential march they replace."""
+
+    @staticmethod
+    def assert_matches_expm(pot, lams):
+        P = _propagators(pot, lams)
+        V = pot.values
+        n = pot.dim
+        assert P.shape == (V.shape[0] - 1, len(lams), 2 * n, 2 * n)
+        Qm = 0.5 * (V[:-1] + V[1:])
+        for k in range(Qm.shape[0]):
+            for j, lam in enumerate(lams):
+                ref = expm_step(Qm[k], lam, pot.dx)
+                assert (np.linalg.norm(P[k, j] - ref, 1)
+                        <= 1e-13 * np.linalg.norm(ref, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_step_maps_match_expm(self, rng, n):
+        # dx = 0.05, so ||W|| = dx^2 ||Q - lambda|| reaches about 10
+        V = rng.normal(size=(21, n, n)) + 1j * rng.normal(size=(21, n, n))
+        self.assert_matches_expm(unit_grid(V), [1.0, -3.0 + 2.0j, 200.0, 4000j])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_doubling_branch_matches_expm(self, rng, n):
+        # ||W|| about 100 forces scaling and doubling for the whole stack,
+        # small-lambda maps included
+        V = rng.normal(size=(21, n, n)) + 1j * rng.normal(size=(21, n, n))
+        pot = unit_grid(V)
+        lams = [4e4, -4e4 + 3.0j, 1.0]
+        assert 4e4 * pot.dx ** 2 > 100 * _STEP_NORM_MAX
+        self.assert_matches_expm(pot, lams)
+
+    def test_defective_step_matrix(self):
+        # Q - lambda is a 2 x 2 Jordan block, nilpotent at lambda = 0.7
+        V = np.broadcast_to(np.array([[0.7, 1.0], [0.0, 0.7]], dtype=complex),
+                            (11, 2, 2))
+        self.assert_matches_expm(unit_grid(V), [0.7, 5.7, -30.0 + 2.0j])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_step_matrix_is_exact(self, n):
+        # lambda equal to a constant scalar Q: W = 0 and P = [[I, dx I], [0, I]]
+        pot = unit_grid(np.broadcast_to(1.5 * np.eye(n, dtype=complex),
+                                        (11, n, n)))
+        P = _propagators(pot, [1.5])
+        ref = np.eye(2 * n, dtype=complex)
+        ref[:n, n:] = pot.dx * np.eye(n)
+        assert np.array_equal(P, np.broadcast_to(ref, P.shape))
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 15, 16, 17, 300])
+    def test_prefix_scan_matches_sequential(self, rng, M):
+        # one chunk, exact squares and padded last chunks
+        K, n2, m = 3, 4, 2
+        P = (np.eye(n2) + 0.3 * (rng.normal(size=(M, K, n2, n2))
+                                 + 1j * rng.normal(size=(M, K, n2, n2))))
+        Y = rng.normal(size=(n2, m)) + 1j * rng.normal(size=(n2, m))
+        ref = np.empty((M + 1, K, n2, m), dtype=complex)
+        ref[0] = Y
+        for k in range(M):
+            ref[k + 1] = P[k] @ ref[k]
+        got = _prefix_apply(P, Y)
+        assert got.shape == ref.shape
+        for k in range(M + 1):
+            assert matnorm(got[k] - ref[k]) <= 1e-12 * matnorm(ref[k])
+
+
 class TestJostSweep:
     """The loop-free pieces of one Jost sweep against the sequential
     forms they replace."""
@@ -429,6 +511,17 @@ class TestRegularSolutions:
         assert matnorm(apply_T(bc, phi.value[0], phi.derivative[0])) < 1e-12
         assert matnorm(apply_T(bc, S.value[0], S.derivative[0])
                        - np.eye(2)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_potential_raises(self, bad):
+        prob = scalar_box_problem(nodes=201)
+        vals = prob.potential.values.copy()
+        vals[50] = bad
+        broken = Problem(potential=PotentialGrid(prob.potential.x_nodes, vals),
+                         bc=prob.bc)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="not finite"):
+            solve_regular(broken, SpectralPoint(1.0 + 1.0j))
 
     def test_scalar_free_solution_closed_form(self):
         # A = 1, h = 0, Q = 0: phi = cos(rho x)

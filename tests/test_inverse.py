@@ -35,6 +35,7 @@ from weylinv.inverse import (
     _fit_tail_model,
     _model_D_coeffs,
     _node_factors,
+    closure_residual,
     main_equation_residual,
     model_D,
     model_phi,
@@ -45,7 +46,7 @@ from weylinv.inverse import (
 )
 from weylinv import boundary
 
-from conftest import scalar_box_problem
+from conftest import scalar_box_problem, smooth_matrix_problem
 
 
 # The benchmark contour: K = 96 with repeated and mirrored nodes (delta = 0),
@@ -552,6 +553,22 @@ def test_slice_by_slice_path_matches_one_pass_invert():
                                  edge_layer=1.5 / np.sqrt(weyl.contour.R))
         assert _rel(Q.values, res.Q.values) <= 1e-12
         assert np.abs(h - res.h).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closure_residual_batch_matches_per_pair(rng, n):
+    # all pairs marched together give the worst of the one-pair calls
+    prob = (scalar_box_problem(nodes=201) if n == 1
+            else smooth_matrix_problem(2, rng, nodes=301))
+    weyl = generate_weyl_data(prob, build_contour(r0=2.0, R=50.0, n_cut=32,
+                                                  n_circle=32))
+    pairs = [(lambda_to_point(-4.0), lambda_to_point(-9.0)),
+             (lambda_to_point(-2.0 + 1j), lambda_to_point(-6.0 - 1j)),
+             (lambda_to_point(3.0 + 0.5j), lambda_to_point(-9.0))]
+    each = [closure_residual(weyl, prob, 0.5, [p]) for p in pairs]
+    assert len(set(each)) == len(pairs)
+    assert abs(closure_residual(weyl, prob, 0.5, pairs) - max(each)) <= 1e-12
+    assert closure_residual(weyl, prob, 0.5, []) == 0.0
 
 
 class TestInvertConfig:
