@@ -512,8 +512,17 @@ def _march_many(pot: PotentialGrid, lams, Y0, Y0p):
     (Y0, Y0p) at x = 0 for every energy; values and derivatives (N, K, n, m).
 
     The Taylor step maps of _propagators, chained by the prefix-product
-    scan of _prefix_apply."""
-    out = _prefix_apply(_propagators(pot, lams), np.vstack([Y0, Y0p]))
+    scan of _prefix_apply.  A solution that overflows (the growing wave
+    reaches exp(|Im rho| x_max) past the float range) raises
+    ConvergenceError naming the first energy affected."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _prefix_apply(_propagators(pot, lams), np.vstack([Y0, Y0p]))
+    bad = ~np.isfinite(out).all(axis=(0, 2, 3))
+    if bad.any():
+        lam = np.asarray(lams, dtype=complex)[bad][0]
+        raise ConvergenceError(
+            f"regular march overflowed at lambda = {lam:.6g} "
+            f"({bad.sum()} of {bad.size} energies)", residual=float("inf"))
     n = pot.dim
     return out[..., :n, :], out[..., n:, :]
 

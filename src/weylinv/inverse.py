@@ -405,20 +405,20 @@ class _Assembler:
     """Precomputed node data shared by all x-slices of one inversion.
 
     Every D~ contraction goes through _SeparableD.  The Cauchy matrices of
-    the fixed grids are built once: contour x contour (the Nystrom
-    matrix), probes x contour (the interpolation rows at the lambda
+    the fixed grids are built once: contour and probes stacked x contour
+    (the Nystrom matrix B and the interpolation rows L at the lambda
     probes) and, once extend() is called, contour and probes stacked x
-    extension (the Born tail source at both).  step() makes each x-slice
-    one pass over them: the per-node factors of the contour, the probes
-    and the extension are evaluated once at that x, the Born source at
-    the contour and probe rows is one matrix product, and the probe rows
-    reuse the contour column factors of the Nystrom matrix.  phi_at()
-    interpolates a solution to any lambda on grids built for the call.
+    extension (the Born tail source at both).  _factor() fills B and L of
+    one x-slice from per-node factors evaluated once at that x and
+    LU-factors B.  solve() solves the slice; gain() keeps G = L B^-1
+    instead, from which probe_values() reads the probes off any
+    right-hand side with one product.  phi_at() interpolates a solution
+    to any lambda on grids built for the call.
 
     extend() adds synthetic cut nodes beyond the data truncation.  Their
     unknowns are replaced by the model solution (a Born approximation,
-    accurate to O(Mhat^2)), so they only contribute source terms: the
-    Nystrom matrix is unchanged and the system never grows.
+    accurate to O(Mhat^2)), so they only contribute source terms: B and
+    L are unchanged and the system never grows.
     """
 
     def __init__(self, weyl: WeylData, A, probes=()):
@@ -442,14 +442,14 @@ class _Assembler:
                      + (1.0 / (1j * self.rhos))[:, None, None] * self.Ap[None, :, :])
         # the probe rhos follow the contour nodes in every per-slice array
         self._nodes = np.concatenate([self.rhos, np.asarray(probes, complex)])
-        self._D_nodes = _SeparableD(self.rhos, self.rhos)
-        self._D_probes = _SeparableD(self._nodes[self.K:], self.rhos)
+        self._D_nodes = _SeparableD(self._nodes, self.rhos)
         # Block (j, k) of the Nystrom matrix is Winv_k (delta_jk I + R_jk) W_j.
         # As A A_perp = 0 and Winv_k W_k = I, it equals
         # delta_jk I + cA_jk FA_k + i rho_j cP_jk FP_k, where
         # FA_k = w_k Winv_k Mhat_k A / (2 pi i) and FP_k is the same with
         # A_perp.  They are held as [d, a, k] = F_k[a, d], since the
-        # system stores each block transposed.
+        # system stores each block transposed.  A probe row j of L is
+        # cA_jk FA_k + cP_jk FP_k: the kernel sum over the unknowns psi_k.
         wt = self.wt[:, None, None]
         self._FA = np.transpose(wt * (self.Winv @ self.MhatA)).copy()
         self._FP = np.transpose(wt * (self.Winv @ self.MhatP)).copy()
@@ -491,50 +491,63 @@ class _Assembler:
         return self._kernel_sum(D, x, rows, cols, self.phi_tilde(cols),
                                 self.ext_wt, self._ext_MhatAP)
 
-    def step(self, x: float, cond_limit: float = 1e12):
-        """One x-slice: solve the main equation at x and interpolate the
-        solution to the probes.  Returns the MainEquationSolution and the
-        probe values phi(x, lambda_j), shape (J, n, n)."""
-        K, n = self.K, self.n
-        rows, cols = _node_factors(self._nodes, x)
-        cA, cP = self._D_nodes(x, rows[:, :K], cols[:, :K])
-        iP = (1j * self.rhos)[:, None] * cP
-        B = np.empty((K, n, K, n), dtype=complex)
-        for d, a in np.ndindex(n, n):
-            B[:, d, :, a] = cA * self._FA[d, a] + iP * self._FP[d, a]
-        B = B.reshape(K * n, K * n)
-        B.flat[::K * n + 1] += 1.0
-
-        F = F0 = self.phi_tilde(cols)          # contour nodes, then probes
+    def _source(self, x, rows, cols):
+        """phi~ at the contour nodes and the probes, the source
+        F = phi~ - Born tail source at the probes, and the Nystrom
+        right-hand side (K n, n) of F at the contour nodes."""
+        K = self.K
+        F0 = F = self.phi_tilde(cols)
         if self.ext_rhos is not None:
             F = F0 - self._ext_source(x, self._D_ext, rows)
-        Ft = F[:K] @ self.W
-        rhs = np.transpose(Ft, (0, 2, 1)).reshape(K * n, n)
+        rhs = np.transpose(F[:K] @ self.W, (0, 2, 1)).reshape(-1, self.n)
+        return F0, F[K:], rhs
 
+    def _factor(self, x, rows, cols, cond_limit):
+        """Fill B and L at x from the node factors, LU-factor B and check
+        its reciprocal 1-norm condition number against cond_limit.
+        Returns the LU factors, rcond and L, (Jn, Kn)."""
+        K, n = self.K, self.n
+        cA, cP = self._D_nodes(x, rows, cols[:, :K])
+        cP[:K] = (1j * self.rhos)[:, None] * cP[:K]
+        BL = np.empty((self._nodes.size, n, K, n), dtype=complex)
+        for d, a in np.ndindex(n, n):
+            BL[:, d, :, a] = cA * self._FA[d, a] + cP * self._FP[d, a]
+        BL = BL.reshape(-1, K * n)
+        B = BL[:K * n]
+        B.flat[::K * n + 1] += 1.0
         lu, piv = scipy.linalg.lu_factor(B)
-        anorm = np.linalg.norm(B, 1)
         gecon = scipy.linalg.get_lapack_funcs("gecon", (B,))
-        rcond, _ = gecon(lu, anorm)
+        rcond, _ = gecon(lu, np.linalg.norm(B, 1))
         if rcond == 0 or 1.0 / rcond > cond_limit:
             raise ReconstructionError(
                 f"main-equation system ill-conditioned (cond ~ {1.0 / max(rcond, 1e-300):.2e}); "
                 "refine the contour"
             )
-        X = scipy.linalg.lu_solve((lu, piv), rhs)
-        psi = np.transpose(X.reshape(K, n, n), (0, 2, 1))
-        phi = psi @ self.Winv
-        probe = F[K:]
-        if probe.size:
-            probe = probe - self._kernel_sum(self._D_probes, x, rows[:, K:],
-                                             cols[:, :K], phi, self.wt,
-                                             self._MhatAP)
-        sol = MainEquationSolution(x=x, phi_nodes=phi, phi_tilde_nodes=F0[:K],
-                                   rcond=float(rcond))
-        return sol, probe
+        return (lu, piv), float(rcond), BL[K * n:]
 
     def solve(self, x: float, cond_limit: float = 1e12) -> MainEquationSolution:
-        """The solution of step(x) without the probe values."""
-        return self.step(x, cond_limit)[0]
+        """Solve the main equation at x."""
+        rows, cols = _node_factors(self._nodes, x)
+        fac, rcond, _ = self._factor(x, rows, cols, cond_limit)
+        F0, _, rhs = self._source(x, rows, cols)
+        X = scipy.linalg.lu_solve(fac, rhs)
+        psi = np.transpose(X.reshape(self.K, self.n, self.n), (0, 2, 1))
+        return MainEquationSolution(x=x, phi_nodes=psi @ self.Winv,
+                                    phi_tilde_nodes=F0[:self.K], rcond=rcond)
+
+    def gain(self, x: float, cond_limit: float = 1e12):
+        """The probe gain G(x) = L B^-1 at x, (Jn, Kn), from one transposed
+        solve with Jn right-hand sides, and the rcond of B."""
+        fac, rcond, L = self._factor(x, *_node_factors(self._nodes, x),
+                                     cond_limit)
+        return scipy.linalg.lu_solve(fac, L.T, trans=1).T, rcond
+
+    def probe_values(self, x: float, gain) -> np.ndarray:
+        """phi(x, lambda_j) at the probes, (J, n, n): F - G rhs, with the
+        current extension in the source F and the right-hand side."""
+        _, F, rhs = self._source(x, *_node_factors(self._nodes, x))
+        GX = (gain @ rhs).reshape(-1, self.n, self.n)
+        return F - np.transpose(GX, (0, 2, 1))
 
     def phi_at(self, sol: MainEquationSolution, rhos) -> np.ndarray:
         """Nystrom interpolation of the solved phi(x, .) to the lambda of
@@ -967,11 +980,14 @@ def _potential_from_probes(xs, PHI, A, lams, phi_cond_limit, edge_layer):
 def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     """Run the reconstruction pipeline on measured Weyl data.
 
-    Each pass takes one _Assembler.step per x-slice and keeps only the
-    probe values, plus the first and middle solutions for the
-    diagnostics: main_equation_residual and phi0_deviation (of the last
-    pass), min_rcond and min_rcond_x (the worst-conditioned Nystrom
-    system; it is the same in every pass), phi_filled_nodes (x-nodes where
+    The Nystrom system of each x-slice is factored once, before pass 1,
+    and only its probe gain is kept (_Assembler.gain; (J n) x (K n) per
+    slice, about 16 MB at the criterion-6 matrix size).  Every pass reads
+    the probe values off the gains and its own right-hand side, which
+    alone carries the tail extension.  Diagnostics:
+    main_equation_residual and phi0_deviation (of the middle and first
+    slices, solved after the last pass), min_rcond and min_rcond_x (the
+    worst-conditioned Nystrom system), phi_filled_nodes (x-nodes where
     phi was rejected at every probe and filled in, last pass),
     q_pass_change (relative L1 change of Q over the last pass, 0 for one
     pass) and, with passes > 1, tail_fit_residual (relative data misfit
@@ -984,8 +1000,7 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     rho_band = np.sqrt(weyl.contour.R)
 
     asm = _Assembler(weyl, A, [pt.rho for pt in probes])
-    PHI = np.empty((xs.size, len(probes), asm.n, asm.n), dtype=complex)
-    rcond = np.empty(xs.size)
+    gains, rcond = zip(*(asm.gain(x, config.system_cond_limit) for x in xs))
     fit = {}
     Q = Q_prev = None
     for p in range(config.passes):
@@ -993,16 +1008,12 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
             *ext, fit["tail_fit_residual"] = _tail_extension(weyl, A, Q)
             asm.extend(*ext)
             rho_band = _TAIL_EXTENSION_FACTOR * np.sqrt(weyl.contour.R)
-        for i, x in enumerate(xs):
-            sol, PHI[i] = asm.step(x, cond_limit=config.system_cond_limit)
-            rcond[i] = sol.rcond
-            if i == 0:
-                first = sol
-            if i == xs.size // 2:
-                mid = sol
+        PHI = np.array([asm.probe_values(x, G) for x, G in zip(xs, gains)])
         Q_prev = Q
         Q, h, filled = _potential_from_probes(
             xs, PHI, A, lams, config.phi_cond_limit, 1.5 / rho_band)
+    first, mid = (asm.solve(xs[i], config.system_cond_limit)
+                  for i in (0, xs.size // 2))
 
     change = 0.0
     if Q_prev is not None:

@@ -523,6 +523,19 @@ class TestRegularSolutions:
                 pytest.raises(ConvergenceError, match="not finite"):
             solve_regular(broken, SpectralPoint(1.0 + 1.0j))
 
+    def test_overflowing_march_raises(self):
+        # x_max = 2: the growing wave reaches about e^600 at rho = 300i,
+        # which is finite, and e^800 at rho = 400i, which is not
+        prob = scalar_box_problem(nodes=201)
+        phi, S = solve_regular(prob, SpectralPoint(300j))
+        assert np.isfinite(phi.value).all() and np.isfinite(S.value).all()
+        assert np.abs(phi.value).max() > 1e250
+        with pytest.raises(ConvergenceError, match="-160000"):
+            solve_regular(prob, SpectralPoint(400j))
+        with pytest.raises(ConvergenceError, match=r"2 of 3 energies"):
+            _march_many(prob.potential, [-1.6e5, -4.0, -2.5e5],
+                        prob.bc.A, prob.bc.A_perp)
+
     def test_scalar_free_solution_closed_form(self):
         # A = 1, h = 0, Q = 0: phi = cos(rho x)
         prob = Problem(potential=zero_potential(1, 1.0, 201),

@@ -1,7 +1,10 @@
 """Main integral equation, data extraction and the reconstruction loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from weylinv import (
@@ -10,6 +13,7 @@ from weylinv import (
     InvertConfig,
     PotentialGrid,
     Problem,
+    ReconstructionError,
     SpectralPoint,
     build_contour,
     extract_A,
@@ -336,12 +340,13 @@ class TestSeparableKernel:
                 nystrom_phi_at(asm.weyl, asm.A, sol, pt),
                 asm.phi_at(sol, [pt.rho])[0])
 
-    @pytest.mark.parametrize("x", [X_STEP, 1.0, X_MAX])
+    @pytest.mark.parametrize("x", [0.0, X_STEP, 1.0, X_MAX])
     @pytest.mark.parametrize("extended", [False, True], ids=["plain", "ext"])
     def test_step_probe_rows_match_direct(self, setup, x, extended):
         # the same rows as test_phi_at_matches_direct, now as the probes of
-        # the assembler: they share the slice's factors, and with the
-        # extension their Born source is stacked under the contour rows
+        # the assembler: their values come from the slice's gain
+        # G = L B^-1 and its right-hand side, with the Born source of the
+        # extension stacked under the contour rows; at x = 0, B = I
         asm, ext = setup
         rhos = self._rows(asm)
         stepper = _Assembler(asm.weyl, asm.A, rhos)
@@ -349,8 +354,16 @@ class TestSeparableKernel:
             stepper.extend(*ext)
         else:
             ext = None
-        sol, probe = stepper.step(x)
+        G, rcond = stepper.gain(x)
+        assert G.shape == (rhos.size * stepper.n, stepper.K * stepper.n)
+        probe = stepper.probe_values(x, G)
+        sol = stepper.solve(x)
         assert _rel(sol.phi_nodes, _direct_solve(stepper, x, ext)) < 1e-10
+        assert rcond == sol.rcond
+        if x == 0.0:
+            assert rcond == pytest.approx(1.0, abs=1e-15) and not G.any()
+        else:
+            assert 0.0 < rcond < 1.0
         ref = _direct_phi_at(stepper, sol, rhos, ext)
         assert probe.shape == (rhos.size, stepper.n, stepper.n)
         for f, r in zip(probe, ref):
@@ -553,6 +566,60 @@ def test_slice_by_slice_path_matches_one_pass_invert():
                                  edge_layer=1.5 / np.sqrt(weyl.contour.R))
         assert _rel(Q.values, res.Q.values) <= 1e-12
         assert np.abs(h - res.h).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_slice_by_slice_path_matches_two_pass_invert(n):
+    # pass 2 reads its probe values off pass 1's gains; the reference
+    # extends an assembler with the tail fitted to the one-pass Q, solves
+    # every slice and recovers Q from the solutions.  The two-pass invert
+    # factors each of its N slices once, plus the first and middle slices
+    # for the diagnostics.
+    weyl, _ = _box_weyl(n)
+    cfg = InvertConfig(x_max=X_MAX, x_nodes=13)
+    real = scipy.linalg.lu_factor
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "lu_factor", spy)
+        res = invert(weyl, cfg)
+    A = extract_A(weyl.tail_samples)
+    asm = _Assembler(weyl, A)
+    assert calls == [(asm.K * n, asm.K * n)] * (cfg.x_nodes + 2)
+    Q1 = invert(weyl, replace(cfg, passes=1)).Q
+    asm.extend(*inverse._tail_extension(weyl, A, Q1)[:3])
+    sols = [asm.solve(x) for x in np.linspace(0.0, cfg.x_max, cfg.x_nodes)]
+    Q, h = recover_potential(sols, weyl, A, cfg.lambda_probes,
+                             phi_cond_limit=cfg.phi_cond_limit,
+                             edge_layer=1.5 / (7.0 * np.sqrt(weyl.contour.R)),
+                             assembler=asm)
+    assert _rel(res.Q.values, Q.values) <= 1e-10
+    assert np.abs(h - res.h).max() <= 1e-12
+    assert res.diagnostics["phi0_deviation"] == matnorm(
+        sols[0].phi_nodes - sols[0].phi_tilde_nodes)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_system_cond_limit_stops_pass_one(n):
+    # a limit just below the worst slice's condition number raises while
+    # pass 1 factors the slices, before any tail fit; just above it, the
+    # run completes and reports the same worst rcond
+    weyl, _ = _box_weyl(n)
+    cfg = InvertConfig(x_max=X_MAX, x_nodes=13, passes=1)
+    rcond = invert(weyl, cfg).diagnostics["min_rcond"]
+    fits = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inverse, "_tv_irls", lambda *a: fits.append(a))
+        with pytest.raises(ReconstructionError, match="ill-conditioned"):
+            invert(weyl, replace(cfg, passes=2,
+                                 system_cond_limit=0.99 / rcond))
+    assert fits == []
+    ok = invert(weyl, replace(cfg, passes=2, system_cond_limit=1.01 / rcond))
+    assert ok.diagnostics["min_rcond"] == rcond
 
 
 @pytest.mark.parametrize("n", [1, 2])
