@@ -406,12 +406,22 @@ def _mm(a, b):
     call per matrix of a stack, and for the 2n x 2n step maps that fixed
     cost is most of the time (16 solve_regular calls on forward-matrix:
     0.020-0.029 s with matmul throughout, 0.011-0.013 s with this for the
-    long stacks, one BLAS thread on a 2-core x86 host).  Short stacks, as
-    in the chunk steps of _prefix_apply, are faster with matmul."""
+    long stacks, one BLAS thread on a 2-core x86 host).  Short stacks are
+    faster with matmul (see _MM_MIN_STACK)."""
     out = a[..., :, :1] * b[..., None, 0, :]
     for k in range(1, a.shape[-1]):
         out += a[..., :, k, None] * b[..., None, k, :]
     return out
+
+
+# Shortest stack that _prefix_apply multiplies by _mm.  One BLAS thread on a
+# 2-core x86 host, matmul against _mm: 2 x 2 @ 2 x 2 stacks of 64 take 20
+# and 8 us, of 6440 1.9 and 0.6 ms (the n = 1 chunk steps of
+# closure_residual at K = 320); 4 x 4 @ 4 x 2 stacks of 322 take 169 and
+# 125 us, but 4 x 4 @ 4 x 4 stacks of 64 take 24 and 30 us.  The chunk
+# steps of a one-energy march (solve_regular) stack about sqrt(N)
+# matrices, below 64 for grids of up to 4000 nodes, and stay on matmul.
+_MM_MIN_STACK = 64
 
 
 def _propagators(pot: PotentialGrid, lams):
@@ -486,7 +496,9 @@ def _prefix_apply(P, Y):
     and the local prefix products of every chunk are formed together; one
     pass over the chunks carries the data T_{cL} Y to the start of each
     chunk; one fix-up product applies every local product to its chunk's
-    carried data.  That is about L + C small steps, not M.
+    carried data.  That is about L + C small steps, not M.  The chunk
+    steps multiply stacks of C K matrices and the carries stacks of K,
+    each by _mm from _MM_MIN_STACK matrices on.
     """
     M, K, n2 = P.shape[:3]
     L = math.isqrt(M - 1) + 1
@@ -495,12 +507,14 @@ def _prefix_apply(P, Y):
     U[:M] = P
     U[M:] = np.eye(n2)
     U = U.reshape(C, L, K, n2, n2)
+    step = _mm if C * K >= _MM_MIN_STACK else np.matmul
     for j in range(1, L):
-        U[:, j] = U[:, j] @ U[:, j - 1]
+        U[:, j] = step(U[:, j], U[:, j - 1])
     g = np.empty((C, K) + Y.shape, dtype=complex)
     g[0] = Y
+    carry = _mm if K >= _MM_MIN_STACK else np.matmul
     for c in range(1, C):
-        g[c] = U[c - 1, -1] @ g[c - 1]
+        g[c] = carry(U[c - 1, -1], g[c - 1])
     out = np.empty((M + 1, K) + Y.shape, dtype=complex)
     out[0] = Y
     out[1:] = _mm(U, g[:, None]).reshape((C * L, K) + Y.shape)[:M]

@@ -248,36 +248,33 @@ _COINCIDENT = 1e-2
 _SIN_SERIES = [(-1) ** k / math.factorial(2 * k + 1) for k in range(1, 10)]
 
 
-def _sin_over_minus_x(r, x):
-    """sin(r x)/r - x, by series where |r x| < 1 to avoid cancellation."""
+def _node_factors(r, xs):
+    """Per-node factors of _SeparableD for the nodes r at every x of xs:
+    the row factors (X, 6, J) of r taken as rho and the column factors
+    (X, 6, J) of r taken as tau, from s = sin(r x), c = cos(r x),
+    v = s / r, b = c - 1 = -2 sin^2(r x / 2) and a = v - x (by series
+    where |r x| < 1, and v = x + a there).  The column factors also carry
+    the c (index 0) and v (index 5) of phi~ = c A + v A_perp.  All of it
+    is elementwise: a slice of a block has the bits of its x alone."""
+    x = np.asarray(xs, dtype=float)[:, None]
     z = r * x
+    s, c = np.sin(z), np.cos(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = s / r
+    a = v - x
     small = np.abs(z) < 1.0
-    out = np.empty_like(z)
-    out[small] = x * z[small] ** 2 * np.polynomial.polynomial.polyval(
-        z[small] ** 2, _SIN_SERIES)
-    big = ~small
-    out[big] = np.sin(z[big]) / r[big] - x
-    return out
-
-
-def _node_factors(r, x):
-    """Per-node factors of _SeparableD for the nodes r at x: the row
-    factors (6, J) of r taken as rho and the column factors (6, J) of r
-    taken as tau.  Both come from one evaluation of s = sin(r x),
-    c = cos(r x), v = sin(r x) / r (sin_over), b = c - 1 and a = v - x;
-    the column factors also carry the c (index 0) and v (index 5) of the
-    model solution phi~ = c A + v A_perp."""
-    s, c = np.sin(r * x), np.cos(r * x)
-    v = sin_over(r, x)
-    b = -2.0 * np.sin(r * x / 2.0) ** 2
-    a = _sin_over_minus_x(r, x)
-    one = np.ones_like(r)
-    return (np.array([r * s, -c, a, -one, v, -b]),
-            np.array([c, r * s, one, a, b, v]))
+    zs, x_s = z[small], np.broadcast_to(x, z.shape)[small]
+    a[small] = x_s * zs ** 2 * np.polynomial.polynomial.polyval(
+        zs ** 2, _SIN_SERIES)
+    v[small] = x_s + a[small]
+    b = -2.0 * np.sin(z / 2.0) ** 2
+    one = np.ones_like(z)
+    return (np.stack([r * s, -c, a, -one, v, -b], axis=1),
+            np.stack([c, r * s, one, a, b, v], axis=1))
 
 
 class _SeparableD:
-    """Coefficient grids of D~ over fixed rho rows and tau columns.
+    """Contractions with D~ over fixed rho rows and tau columns.
 
     sin((rho +- tau) x) / (rho +- tau)
         = [sin(rho x) cos(tau x) +- cos(rho x) sin(tau x)] / (rho +- tau),
@@ -289,15 +286,17 @@ class _SeparableD:
         cP = C (v(rho) c(tau) - c(rho) v(tau)),
 
     with s = sin(. x), c = cos(. x) and v = s / (.).  C does not depend
-    on x and is built once; a slice passes in the per-node factors
-    (_node_factors) of the rows and of the columns at its x, so it costs
-    elementwise products only.  For small x the two terms of cP are each
-    O(x) while cP is O(x^3), so cP is evaluated as
+    on x and is built once; a block of x-slices passes in the per-node
+    factors (_node_factors) of the rows and of the columns at its xs:
+    the numerator of cA is sum_i rows_i cols_i over i < 2, that of cP
+    over i >= 2.  For small x the two terms of cP are each O(x) while cP
+    is O(x^3), so cP is evaluated as
     C (a(rho) - a(tau) + v(rho) b(tau) - b(rho) v(tau)) with the small
     quantities a = v - x and b = c - 1 = -2 sin^2(. x / 2) computed
     without cancellation.  Coincident pairs, |rho -+ tau| < _COINCIDENT
     (the diagonal, repeated nodes and mirrored cut nodes rho = -tau), are
-    masked out of C and filled from the direct closed form _model_D_coeffs.
+    masked out of C (near lists them) and take the direct closed form
+    _model_D_coeffs.
     """
 
     def __init__(self, rhos, taus):
@@ -309,29 +308,23 @@ class _SeparableD:
         self.C = np.where(near, 0.0, 1.0 / np.where(near, 1.0, dm * dp))
         self.near = np.nonzero(near)
 
-    def __call__(self, x: float, rows, cols):
-        """(cA, cP) at x, each of shape (J, K), from the row factors of
-        the rhos and the column factors of the taus at x.  The numerator
-        of cA is sum_i rows_i cols_i over i < 2, that of cP over i >= 2."""
-        cA = self.C * (rows[:2].T @ cols[:2])
-        cP = self.C * (rows[2:].T @ cols[2:])
-        j, k = self.near
-        cA[j, k], cP[j, k] = _model_D_coeffs(x, self.rhos[j], self.taus[k])
-        return cA, cP
-
-    def apply(self, x: float, rows, cols, U, V):
-        """cA @ U + cP @ V at x for (K, m) arrays U and V, shape (J, m).
+    def apply(self, xs, rows, cols, U, V):
+        """cA @ U.T + cP @ V.T at every x of xs, transposed: shape
+        (X, m, J) for (X, m, K) arrays U and V (the columns last) and the
+        row and column factors (X, 6, .) at xs.
 
         The row factors come out of the sum over columns, which leaves one
-        product of C with a (K, 6m) array."""
-        m = U.shape[1]
-        Y = self.C @ np.hstack([c[:, None] * W for c, W
-                                in zip(cols, (U, U, V, V, V, V))])
-        out = sum(r[:, None] * Y[:, i * m:(i + 1) * m]
-                  for i, r in enumerate(rows))
+        product of a (X 6 m, K) array with C^T for the whole block."""
+        X, m, K = U.shape
+        Z = np.empty((X, 6, m, K), dtype=complex)
+        Z[:, :2] = cols[:, :2, None] * U[:, None]
+        Z[:, 2:] = cols[:, 2:, None] * V[:, None]
+        Y = (Z.reshape(-1, K) @ self.C.T).reshape(X, 6, m, -1)
+        out = (rows[:, :, None] * Y).sum(axis=1)
         j, k = self.near
-        dA, dP = _model_D_coeffs(x, self.rhos[j], self.taus[k])
-        np.add.at(out, j, dA[:, None] * U[k] + dP[:, None] * V[k])
+        dA, dP = _model_D_coeffs(xs[:, None], self.rhos[j], self.taus[k])
+        np.add.at(out, (slice(None), slice(None), j),
+                  dA[:, None] * U[..., k] + dP[:, None] * V[..., k])
         return out
 
 
@@ -401,6 +394,16 @@ def extract_A(tail_samples) -> np.ndarray:
 # Nystrom solver for the main equation
 # ---------------------------------------------------------------------------
 
+# Memory budget of the B and L rows of one block of x-slices in
+# _Assembler; a block holds the most slices that fit it, at least one:
+# 8 on the scalar benchmark contour, 2 on the matrix one.  In-process
+# invert on roundtrip-matrix (seed 7, one BLAS thread, median of 12):
+# 0.33 s at 1 slice per block, 0.29 s at 2, no higher peak memory; on
+# roundtrip-scalar 13 slices per block added 2.7 MB of peak memory and
+# 27 slices 8 MB.
+_BLOCK_BYTES = 1280 * 1024
+
+
 class _Assembler:
     """Precomputed node data shared by all x-slices of one inversion.
 
@@ -408,12 +411,18 @@ class _Assembler:
     the fixed grids are built once: contour and probes stacked x contour
     (the Nystrom matrix B and the interpolation rows L at the lambda
     probes) and, once extend() is called, contour and probes stacked x
-    extension (the Born tail source at both).  _factor() fills B and L of
-    one x-slice from per-node factors evaluated once at that x and
-    LU-factors B.  solve() solves the slice; gain() keeps G = L B^-1
-    instead, from which probe_values() reads the probes off any
-    right-hand side with one product.  phi_at() interpolates a solution
-    to any lambda on grids built for the call.
+    extension (the Born tail source at both).
+
+    The x-grid is worked through in blocks of as many slices as fit their
+    B and L rows into _BLOCK_BYTES (8 on the scalar benchmark contour, 2
+    on the matrix one), each array with a leading block axis.  Per block,
+    the node factors are evaluated once, _factor() fills B and L with one
+    batched product, the Born source is one product with a Cauchy matrix,
+    and read_probes() reads the probes off the gains G = L B^-1 with one
+    batched product.  The LU, its condition check and the gain stay per
+    slice, in x order.  solve() runs the same routine on one slice;
+    phi_at() interpolates a solution through the same _SeparableD.apply,
+    on grids built for the call.
 
     extend() adds synthetic cut nodes beyond the data truncation.  Their
     unknowns are replaced by the model solution (a Born approximation,
@@ -447,12 +456,14 @@ class _Assembler:
         # As A A_perp = 0 and Winv_k W_k = I, it equals
         # delta_jk I + cA_jk FA_k + i rho_j cP_jk FP_k, where
         # FA_k = w_k Winv_k Mhat_k A / (2 pi i) and FP_k is the same with
-        # A_perp.  They are held as [d, a, k] = F_k[a, d], since the
+        # A_perp.  They are held as [k, d, a] = F_k[a, d], since the
         # system stores each block transposed.  A probe row j of L is
         # cA_jk FA_k + cP_jk FP_k: the kernel sum over the unknowns psi_k.
         wt = self.wt[:, None, None]
-        self._FA = np.transpose(wt * (self.Winv @ self.MhatA)).copy()
-        self._FP = np.transpose(wt * (self.Winv @ self.MhatP)).copy()
+        self._FA = np.swapaxes(wt * (self.Winv @ self.MhatA), 1, 2)
+        self._FP = np.swapaxes(wt * (self.Winv @ self.MhatP), 1, 2)
+        self._block = max(1, _BLOCK_BYTES // (16 * self._nodes.size * n
+                                              * self.K * n))
         self.ext_rhos = None
 
     def extend(self, ext_rhos, ext_w, ext_Mhat):
@@ -461,107 +472,151 @@ class _Assembler:
         ones)."""
         self.ext_rhos = np.asarray(ext_rhos)
         self.ext_wt = ext_w / (2j * np.pi)
-        self._ext_MhatAP = ext_Mhat @ np.hstack([self.A, self.Ap])
+        # phi~ = c A + v A_perp at these nodes, so w phi~ Mhat [A | A_perp]
+        # is c and v times the two halves of _ext_UV, (2, n, 2n, E)
+        MAP = (self.ext_wt[:, None, None] * ext_Mhat) @ np.hstack([self.A, self.Ap])
+        self._ext_UV = np.ascontiguousarray(
+            np.moveaxis(np.stack([self.A @ MAP, self.Ap @ MAP]), 1, -1))
         self._D_ext = _SeparableD(self._nodes, self.ext_rhos)
 
     def phi_tilde(self, cols):
         """Zero-model solution phi~(x, .) = cos(rho x) A + sin(rho x)/rho
         A_perp at the nodes of the column factors cols (_node_factors at
-        x), shape (J, n, n)."""
-        return (cols[0][:, None, None] * self.A[None, :, :]
-                + cols[5][:, None, None] * self.Ap[None, :, :])
+        xs), shape (X, J, n, n)."""
+        return (cols[:, 0, :, None, None] * self.A
+                + cols[:, 5, :, None, None] * self.Ap)
 
-    def _kernel_sum(self, D, x, rows, cols, phi, wt, MhatAP):
+    def _kernel_sum(self, D, xs, rows, cols, UV):
         """sum_k wt_k phi_k r~(x, ., mu_k) over the columns mu_k of the grid
-        D, at its rows, shape (J, n, n); rows and cols are the factors of
-        D's rows and columns at x, MhatAP = [Mhat A | Mhat A_perp] at its
-        columns.  With U_k = wt_k phi_k Mhat_k A and V_k the same with
-        A_perp, it is cA @ U + cP @ V."""
-        m, n = wt.size, self.n
-        UV = (wt[:, None, None] * phi) @ MhatAP
-        U = UV[..., :n].reshape(m, n * n)
-        V = UV[..., n:].reshape(m, n * n)
-        return D.apply(x, rows, cols, U, V).reshape(-1, n, n)
+        D, at its rows and every x of xs, shape (X, J, n, n); rows and
+        cols are the factors of D's rows and columns at xs.  UV holds
+        [U_k | V_k] = wt_k phi_k Mhat_k [A | A_perp] as (X, n, 2n, K), and
+        the sum is cA @ U + cP @ V."""
+        X, n = UV.shape[0], self.n
+        out = D.apply(xs, rows, cols, UV[:, :, :n].reshape(X, n * n, -1),
+                      UV[:, :, n:].reshape(X, n * n, -1))
+        return np.moveaxis(out.reshape(X, n, n, -1), -1, 1)
 
-    def _ext_source(self, x, D, rows):
+    def _ext_source(self, xs, D, rows):
         """Born tail term (1/2 pi i) sum_e w_e phi~(x, mu_e) r~(x, ., mu_e)
-        at the rows of D (row factors rows at x), a grid whose columns are
-        the extension nodes."""
-        _, cols = _node_factors(self.ext_rhos, x)
-        return self._kernel_sum(D, x, rows, cols, self.phi_tilde(cols),
-                                self.ext_wt, self._ext_MhatAP)
+        at the rows of D (row factors rows at xs), a grid whose columns
+        are the extension nodes, for every x of xs."""
+        _, cols = _node_factors(self.ext_rhos, xs)
+        UV = (cols[:, 0, None, None] * self._ext_UV[0]
+              + cols[:, 5, None, None] * self._ext_UV[1])
+        return self._kernel_sum(D, xs, rows, cols, UV)
 
-    def _source(self, x, rows, cols):
+    def _source(self, xs, rows, cols):
         """phi~ at the contour nodes and the probes, the source
         F = phi~ - Born tail source at the probes, and the Nystrom
-        right-hand side (K n, n) of F at the contour nodes."""
+        right-hand side (X, K n, n) of F at the contour nodes."""
         K = self.K
         F0 = F = self.phi_tilde(cols)
         if self.ext_rhos is not None:
-            F = F0 - self._ext_source(x, self._D_ext, rows)
-        rhs = np.transpose(F[:K] @ self.W, (0, 2, 1)).reshape(-1, self.n)
-        return F0, F[K:], rhs
+            F = F0 - self._ext_source(xs, self._D_ext, rows)
+        rhs = np.swapaxes(F[:, :K] @ self.W, -1, -2).reshape(xs.size, -1,
+                                                            self.n)
+        return F0, F[:, K:], rhs
 
-    def _factor(self, x, rows, cols, cond_limit):
-        """Fill B and L at x from the node factors, LU-factor B and check
-        its reciprocal 1-norm condition number against cond_limit.
-        Returns the LU factors, rcond and L, (Jn, Kn)."""
+    def _factor(self, xs, rows, cols, cond_limit):
+        """Fill B over L for every x of xs, (X, J n, K n): the row factors
+        R (X, J, 6), with i rho_j on the cP terms of B's rows, times the
+        column factors (X, 6, K) times FA (i < 2) or FP (i >= 2), in one
+        batched product, times C; the coincident pairs from the direct
+        closed form, then the identity on B.  Then, slice by slice in x
+        order, check that B and L are finite, LU-factor B and check its
+        reciprocal 1-norm condition number against cond_limit.  Yields
+        the LU factors, rcond and L of each slice."""
         K, n = self.K, self.n
-        cA, cP = self._D_nodes(x, rows, cols[:, :K])
-        cP[:K] = (1j * self.rhos)[:, None] * cP[:K]
-        BL = np.empty((self._nodes.size, n, K, n), dtype=complex)
-        for d, a in np.ndindex(n, n):
-            BL[:, d, :, a] = cA * self._FA[d, a] + cP * self._FP[d, a]
-        BL = BL.reshape(-1, K * n)
-        B = BL[:K * n]
-        B.flat[::K * n + 1] += 1.0
-        lu, piv = scipy.linalg.lu_factor(B)
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (B,))
-        rcond, _ = gecon(lu, np.linalg.norm(B, 1))
-        if rcond == 0 or 1.0 / rcond > cond_limit:
-            raise ReconstructionError(
-                f"main-equation system ill-conditioned (cond ~ {1.0 / max(rcond, 1e-300):.2e}); "
-                "refine the contour"
-            )
-        return (lu, piv), float(rcond), BL[K * n:]
+        X, _, J = rows.shape
+        R = np.swapaxes(rows, 1, 2).copy()
+        R[:, :K, 2:] *= (1j * self.rhos)[:, None]
+        T = np.empty((X, 6, n, K, n), dtype=complex)
+        T[:, :2] = cols[:, :2, None, :K, None] * np.swapaxes(self._FA, 0, 1)
+        T[:, 2:] = cols[:, 2:, None, :K, None] * np.swapaxes(self._FP, 0, 1)
+        BL = (R @ T.reshape(X, 6, -1)).reshape(X, J, n, K, n)
+        BL *= self._D_nodes.C[:, None, :, None]
+        j, k = self._D_nodes.near
+        cA, cP = _model_D_coeffs(xs[:, None], self._nodes[j], self.rhos[k])
+        cP = np.where(j < K, 1j * self._nodes[j], 1.0) * cP
+        # indexing at [:, j, :, k] puts the pairs first
+        BL[:, j, :, k] = (
+            cA.T[..., None, None] * self._FA[k, None]
+            + cP.T[..., None, None] * self._FP[k, None])
+        Kn = K * n
+        BL = BL.reshape(X, J * n, Kn)
+        BL[:, np.arange(Kn), np.arange(Kn)] += 1.0
+        # the 1-norm of each B: NaN or inf if B is not finite
+        norms = np.abs(BL[:, :Kn]).sum(axis=1).max(axis=1)
+        finite = np.isfinite(norms) & np.isfinite(BL[:, Kn:]).all(axis=(1, 2))
+        gecon = scipy.linalg.get_lapack_funcs("gecon", (BL,))
+        for x, ok, norm, S in zip(xs, finite, norms, BL):
+            if not ok:
+                raise ReconstructionError(
+                    f"main-equation system not finite at x = {x:.6g}")
+            lu, piv = scipy.linalg.lu_factor(S[:Kn], check_finite=False)
+            rcond, _ = gecon(lu, norm)
+            # written so that a NaN rcond fails too
+            if not (rcond > 0 and 1.0 / rcond <= cond_limit):
+                raise ReconstructionError(
+                    f"main-equation system ill-conditioned at x = {x:.6g} "
+                    f"(cond ~ {1.0 / max(rcond, 1e-300):.2e}); refine the contour")
+            yield (lu, piv), float(rcond), S[Kn:]
 
     def solve(self, x: float, cond_limit: float = 1e12) -> MainEquationSolution:
-        """Solve the main equation at x."""
-        rows, cols = _node_factors(self._nodes, x)
-        fac, rcond, _ = self._factor(x, rows, cols, cond_limit)
-        F0, _, rhs = self._source(x, rows, cols)
-        X = scipy.linalg.lu_solve(fac, rhs)
-        psi = np.transpose(X.reshape(self.K, self.n, self.n), (0, 2, 1))
+        """Solve the main equation at x: the block routine on one slice."""
+        xs = np.array([float(x)])
+        rows, cols = _node_factors(self._nodes, xs)
+        (fac, rcond, _), = self._factor(xs, rows, cols, cond_limit)
+        F0, _, rhs = self._source(xs, rows, cols)
+        X = scipy.linalg.lu_solve(fac, rhs[0], check_finite=False)
+        psi = np.swapaxes(X.reshape(self.K, self.n, self.n), 1, 2)
         return MainEquationSolution(x=x, phi_nodes=psi @ self.Winv,
-                                    phi_tilde_nodes=F0[:self.K], rcond=rcond)
+                                    phi_tilde_nodes=F0[0, :self.K], rcond=rcond)
 
-    def gain(self, x: float, cond_limit: float = 1e12):
-        """The probe gain G(x) = L B^-1 at x, (Jn, Kn), from one transposed
-        solve with Jn right-hand sides, and the rcond of B."""
-        fac, rcond, L = self._factor(x, *_node_factors(self._nodes, x),
-                                     cond_limit)
-        return scipy.linalg.lu_solve(fac, L.T, trans=1).T, rcond
-
-    def probe_values(self, x: float, gain) -> np.ndarray:
-        """phi(x, lambda_j) at the probes, (J, n, n): F - G rhs, with the
-        current extension in the source F and the right-hand side."""
-        _, F, rhs = self._source(x, *_node_factors(self._nodes, x))
-        GX = (gain @ rhs).reshape(-1, self.n, self.n)
-        return F - np.transpose(GX, (0, 2, 1))
+    def read_probes(self, xs, cond_limit: float = 1e12, gains=None):
+        """phi(x, lambda_j) at the probes for every x of xs, (X, J, n, n):
+        F - G rhs, with the current extension in the source F and the
+        right-hand side.  Without gains, each slice is factored first
+        (_factor) and its gain G = L B^-1 kept, from one transposed solve
+        with J n right-hand sides.  Returns the values, the gains
+        (X, J n, K n) and the rconds (None when the gains were given)."""
+        xs = np.asarray(xs, dtype=float)
+        rcond = None
+        if gains is None:
+            Kn = self.K * self.n
+            gains = np.empty((xs.size, self._nodes.size * self.n - Kn, Kn),
+                             dtype=complex)
+            rcond = np.empty(xs.size)
+        out = []
+        for s in range(0, xs.size, self._block):
+            blk = slice(s, s + self._block)
+            rows, cols = _node_factors(self._nodes, xs[blk])
+            if rcond is not None:
+                for i, (fac, rc, L) in enumerate(
+                        self._factor(xs[blk], rows, cols, cond_limit)):
+                    rcond[s + i] = rc
+                    gains[s + i] = scipy.linalg.lu_solve(
+                        fac, L.T, trans=1, check_finite=False).T
+            _, F, rhs = self._source(xs[blk], rows, cols)
+            out.append(F - np.swapaxes((gains[blk] @ rhs).reshape(F.shape),
+                                       -1, -2))
+        return np.concatenate(out), gains, rcond
 
     def phi_at(self, sol: MainEquationSolution, rhos) -> np.ndarray:
         """Nystrom interpolation of the solved phi(x, .) to the lambda of
         each of the given rhos, shape (J, n, n)."""
-        x = sol.x
+        xs = np.array([sol.x])
         rhos = np.asarray(rhos, dtype=complex)
-        rows, cols = _node_factors(rhos, x)
-        _, node_cols = _node_factors(self.rhos, x)
+        rows, cols = _node_factors(rhos, xs)
+        _, node_cols = _node_factors(self.rhos, xs)
+        UV = (self.wt[:, None, None] * sol.phi_nodes) @ self._MhatAP
         out = self.phi_tilde(cols) - self._kernel_sum(
-            _SeparableD(rhos, self.rhos), x, rows, node_cols, sol.phi_nodes,
-            self.wt, self._MhatAP)
+            _SeparableD(rhos, self.rhos), xs, rows, node_cols,
+            np.moveaxis(UV, 0, -1)[None])
         if self.ext_rhos is not None:
-            out -= self._ext_source(x, _SeparableD(rhos, self.ext_rhos), rows)
-        return out
+            out -= self._ext_source(xs, _SeparableD(rhos, self.ext_rhos), rows)
+        return out[0]
 
 
 def solve_main_equation(weyl: WeylData, A, x: float,
@@ -816,22 +871,24 @@ def _tv_irls(top, b, D1, n_data):
     Column c solves min ||top z - b_c||^2 + ||T_c z||^2 with the TV rows
     T_c = _FIT_TV_WEIGHT diag(w_c) D1, reweighted _FIT_IRLS_ITERS times
     with w_c = (|D1 z_c| + 1e-3)^(-1/2) from the previous solution (w = 1
-    at first).  Each iteration takes one stacked QR, R factor only, of
-    [top b_c; T_c 0] for all columns; the last column of R holds Q^H b_c,
-    so z_c is one triangular solve with its leading block.  Returns Z
-    (columns z_c) and the relative misfit ||b - top Z|| / ||b|| of the
-    first n_data rows.
+    at first).  top = Q0 R0 is factored once, since ||top z - b_c|| and
+    ||R0 z - Q0^H b_c|| differ by a constant; each iteration takes one
+    stacked QR, R factor only, of [R0 Q0^H b_c; T_c 0] for all columns,
+    and z_c is one triangular solve with the leading block of its R.
+    Returns Z (columns z_c) and the relative misfit ||b - top Z|| / ||b||
+    of the first n_data rows.
     """
-    m, P = top.shape
-    Ab = np.zeros((b.shape[1], m + D1.shape[0], P + 1), dtype=complex)
-    Ab[:, :m, :P] = top
-    Ab[:, :m, P] = b.T
+    P = top.shape[1]
+    Q0, R0 = np.linalg.qr(top)
+    Ab = np.zeros((b.shape[1], P + D1.shape[0], P + 1), dtype=complex)
+    Ab[:, :P, :P] = R0
+    Ab[:, :P, P] = (Q0.conj().T @ b).T
     w = np.ones((D1.shape[0], b.shape[1]))
     Z = None
     for _ in range(_FIT_IRLS_ITERS):
         if Z is not None:
             w = 1.0 / np.sqrt(np.abs(D1 @ Z) + 1e-3)
-        Ab[:, m:, :P] = _FIT_TV_WEIGHT * w.T[:, :, None] * D1
+        Ab[:, P:, :P] = _FIT_TV_WEIGHT * w.T[:, :, None] * D1
         R = np.linalg.qr(Ab, mode="r")
         Z = np.stack([scipy.linalg.solve_triangular(Rc[:P, :P], Rc[:P, P])
                       for Rc in R], axis=1)
@@ -980,11 +1037,13 @@ def _potential_from_probes(xs, PHI, A, lams, phi_cond_limit, edge_layer):
 def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     """Run the reconstruction pipeline on measured Weyl data.
 
-    The Nystrom system of each x-slice is factored once, before pass 1,
-    and only its probe gain is kept (_Assembler.gain; (J n) x (K n) per
-    slice, about 16 MB at the criterion-6 matrix size).  Every pass reads
-    the probe values off the gains and its own right-hand side, which
-    alone carries the tail extension.  Diagnostics:
+    The x-grid is worked through in blocks of slices
+    (_Assembler.read_probes, under a private 1.25 MB budget).  Pass 1 fills,
+    LU-factors and checks every slice once, in x order, and keeps only its
+    probe gain ((J n) x (K n) per slice, about 16 MB at the criterion-6
+    matrix size).  Every pass reads the probe values off the gains and its
+    own right-hand side, which alone carries the tail extension.
+    Diagnostics:
     main_equation_residual and phi0_deviation (of the middle and first
     slices, solved after the last pass), min_rcond and min_rcond_x (the
     worst-conditioned Nystrom system), phi_filled_nodes (x-nodes where
@@ -1000,7 +1059,7 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     rho_band = np.sqrt(weyl.contour.R)
 
     asm = _Assembler(weyl, A, [pt.rho for pt in probes])
-    gains, rcond = zip(*(asm.gain(x, config.system_cond_limit) for x in xs))
+    PHI, gains, rcond = asm.read_probes(xs, config.system_cond_limit)
     fit = {}
     Q = Q_prev = None
     for p in range(config.passes):
@@ -1008,7 +1067,7 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
             *ext, fit["tail_fit_residual"] = _tail_extension(weyl, A, Q)
             asm.extend(*ext)
             rho_band = _TAIL_EXTENSION_FACTOR * np.sqrt(weyl.contour.R)
-        PHI = np.array([asm.probe_values(x, G) for x, G in zip(xs, gains)])
+            PHI = asm.read_probes(xs, gains=gains)[0]
         Q_prev = Q
         Q, h, filled = _potential_from_probes(
             xs, PHI, A, lams, config.phi_cond_limit, 1.5 / rho_band)

@@ -242,8 +242,18 @@ def _direct_solve(asm, x, ext):
 
 def _factors_at(grid, x):
     """Row factors of a _SeparableD grid's rhos and column factors of its
-    taus at x."""
-    return _node_factors(grid.rhos, x)[0], _node_factors(grid.taus, x)[1]
+    taus at x, each (1, 6, .)."""
+    return _node_factors(grid.rhos, [x])[0], _node_factors(grid.taus, [x])[1]
+
+
+def _grid_coeffs(grid, x):
+    """(cA, cP) of a _SeparableD grid at x, (J, K) each: apply on unit
+    columns."""
+    eye = np.eye(grid.taus.size)[None]
+    zero = np.zeros_like(eye)
+    xs = np.array([x])
+    return tuple(grid.apply(xs, *_factors_at(grid, x), U, V)[0].T
+                 for U, V in ((eye, zero), (zero, eye)))
 
 
 class TestSeparableKernel:
@@ -290,14 +300,14 @@ class TestSeparableKernel:
         asm, (ext_rhos, _, _) = setup
         for grid, taus in ((asm._D_nodes, asm.rhos), (asm._D_ext, ext_rhos)):
             direct = _model_D_coeffs(x, asm.rhos[:, None], taus[None, :])
-            for fast, ref in zip(grid(x, *_factors_at(grid, x)), direct):
+            for fast, ref in zip(_grid_coeffs(grid, x), direct):
                 assert _rel(fast, ref) < 1e-12
 
     @pytest.mark.parametrize("x", [0.0, X_STEP, X_MAX])
     def test_ext_source_matches_einsum(self, setup, x):
         asm, ext = setup
-        rows, _ = _node_factors(asm.rhos, x)
-        assert _rel(asm._ext_source(x, asm._D_ext, rows),
+        rows, _ = _node_factors(asm.rhos, [x])
+        assert _rel(asm._ext_source(np.array([x]), asm._D_ext, rows)[0],
                     _direct_ext_source(asm, x, *ext)) < 1e-12
 
     @pytest.mark.parametrize("x", [X_STEP, 1.0, X_MAX])
@@ -340,34 +350,97 @@ class TestSeparableKernel:
                 nystrom_phi_at(asm.weyl, asm.A, sol, pt),
                 asm.phi_at(sol, [pt.rho])[0])
 
+    def _stepper(self, setup, extended):
+        """An assembler with the rows of _rows as its probes, extended or
+        not, and the extension (None when plain)."""
+        asm, ext = setup
+        rhos = self._rows(asm)
+        stepper = _Assembler(asm.weyl, asm.A, rhos)
+        if not extended:
+            return stepper, rhos, None
+        stepper.extend(*ext)
+        return stepper, rhos, ext
+
     @pytest.mark.parametrize("x", [0.0, X_STEP, 1.0, X_MAX])
     @pytest.mark.parametrize("extended", [False, True], ids=["plain", "ext"])
     def test_step_probe_rows_match_direct(self, setup, x, extended):
         # the same rows as test_phi_at_matches_direct, now as the probes of
-        # the assembler: their values come from the slice's gain
-        # G = L B^-1 and its right-hand side, with the Born source of the
-        # extension stacked under the contour rows; at x = 0, B = I
-        asm, ext = setup
-        rhos = self._rows(asm)
-        stepper = _Assembler(asm.weyl, asm.A, rhos)
-        if extended:
-            stepper.extend(*ext)
-        else:
-            ext = None
-        G, rcond = stepper.gain(x)
-        assert G.shape == (rhos.size * stepper.n, stepper.K * stepper.n)
-        probe = stepper.probe_values(x, G)
+        # the assembler, read for the four slices of the parameters in one
+        # block: the values at x come from its gain G = L B^-1 and its
+        # right-hand side, with the Born source of the extension stacked
+        # under the contour rows; at x = 0, B = I
+        stepper, rhos, ext = self._stepper(setup, extended)
+        xs = np.array([0.0, X_STEP, 1.0, X_MAX])
+        stepper._block = xs.size
+        probe, G, rcond = stepper.read_probes(xs)
+        n, K = stepper.n, stepper.K
+        assert G.shape == (xs.size, rhos.size * n, K * n)
+        assert probe.shape == (xs.size, rhos.size, n, n)
+        i = int(np.flatnonzero(xs == x)[0])
         sol = stepper.solve(x)
         assert _rel(sol.phi_nodes, _direct_solve(stepper, x, ext)) < 1e-10
-        assert rcond == sol.rcond
+        # solve is the block routine on one slice: the same B bits
+        assert rcond[i] == sol.rcond
         if x == 0.0:
-            assert rcond == pytest.approx(1.0, abs=1e-15) and not G.any()
+            assert rcond[i] == pytest.approx(1.0, abs=1e-15) and not G[i].any()
         else:
-            assert 0.0 < rcond < 1.0
+            assert 0.0 < rcond[i] < 1.0
         ref = _direct_phi_at(stepper, sol, rhos, ext)
-        assert probe.shape == (rhos.size, stepper.n, stepper.n)
-        for f, r in zip(probe, ref):
+        for f, r in zip(probe[i], ref):
             assert _rel(f, r) < 1e-12
+        # reads with given gains are the same reads
+        again, G2, none = stepper.read_probes(xs, gains=G)
+        assert G2 is G and none is None and np.array_equal(again, probe)
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["plain", "ext"])
+    def test_blocks_that_do_not_divide_the_grid(self, setup, extended):
+        # 7 slices in blocks of 3, 3 and 1, against one slice per block
+        # and against the direct interpolation of each slice's solution
+        stepper, rhos, ext = self._stepper(setup, extended)
+        xs = np.linspace(0.0, X_MAX, 7)
+        stepper._block = 3
+        probe, G, rcond = stepper.read_probes(xs)
+        stepper._block = 1
+        single, G1, rcond1 = stepper.read_probes(xs)
+        assert np.array_equal(rcond, rcond1)
+        assert _rel(G, G1) < 1e-12 and _rel(probe, single) < 1e-12
+        for x, P in zip(xs, probe):
+            ref = _direct_phi_at(stepper, stepper.solve(x), rhos, ext)
+            for f, r in zip(P, ref):
+                assert _rel(f, r) < 1e-12
+
+    def test_node_factors_of_a_block_equal_per_x(self, setup):
+        asm, (ext_rhos, _, _) = setup
+        xs = np.array([0.0, X_STEP, 0.3, 1.0, X_MAX])
+        for r in (asm._nodes, ext_rhos, self._rows(asm)):
+            block = _node_factors(r, xs)
+            for i, x in enumerate(xs):
+                for b, one in zip(block, _node_factors(r, [x])):
+                    assert np.array_equal(b[i], one[0])
+
+    def test_non_finite_system_raises(self, setup):
+        # a NaN in the fill fails the finiteness check before the LU, in
+        # the block path and in solve, and so do probe rows whose sines
+        # overflow; a NaN rcond fails the condition check
+        asm, _ = setup
+        bad = _Assembler(asm.weyl, asm.A, [1j * np.sqrt(2.0)])
+        bad._FA[5, 0, 0] = np.nan
+        with pytest.raises(ReconstructionError, match="not finite at x = 1"):
+            bad.solve(1.0)
+        with pytest.raises(ReconstructionError, match="not finite at x = 0.5"):
+            bad.read_probes([0.5, 1.0])
+        huge = _Assembler(asm.weyl, asm.A, [1j * np.sqrt(2.0), 1000j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ReconstructionError, match="not finite at x = 1"):
+                huge.read_probes([0.0, 0.5, 1.0, X_MAX])
+        good = _Assembler(asm.weyl, asm.A)
+        real = scipy.linalg.get_lapack_funcs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.linalg, "get_lapack_funcs",
+                       lambda *a: (lambda lu, norm: (np.nan, 0))
+                       if a[0] == "gecon" else real(*a))
+            with pytest.raises(ReconstructionError, match="ill-conditioned"):
+                good.solve(1.0)
 
 
 _node = st.builds(complex, st.floats(-12.0, 12.0),
@@ -393,13 +466,13 @@ def test_separable_grids_equal_direct(rhos, taus, cut, x):
                      np.abs(r[:, None] + t[None, :]))
     amp = np.exp((r.imag[:, None] + t.imag[None, :]) * x)
     bound = 32 * np.finfo(float).eps * amp * (x + 1.0 / np.maximum(gap, 1e-2))
-    for fast, ref in zip(grid(x, *_factors_at(grid, x)), direct):
+    for fast, ref in zip(_grid_coeffs(grid, x), direct):
         assert np.all(np.abs(fast - ref) <= bound)
     rng = np.random.default_rng(len(t))
     U, V = rng.normal(size=(2, t.size, 3)) + 1j * rng.normal(size=(2, t.size, 3))
     ref = direct[0] @ U + direct[1] @ V
-    assert np.all(np.abs(grid.apply(x, *_factors_at(grid, x), U, V) - ref)
-                  <= 2 * bound @ (np.abs(U) + np.abs(V)))
+    out = grid.apply(np.array([x]), *_factors_at(grid, x), U.T[None], V.T[None])
+    assert np.all(np.abs(out[0].T - ref) <= 2 * bound @ (np.abs(U) + np.abs(V)))
 
 
 class TestExtractA:
