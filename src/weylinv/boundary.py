@@ -25,6 +25,9 @@ __all__ = [
 # cotangent parameterization blows up.
 _DIRICHLET_BAND = 1e-10
 
+# Largest ||U^dag U - I|| that from_unitary accepts.
+_UNITARY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class GeneralBoundaryPair:
@@ -55,7 +58,7 @@ def pair_from_unitary(U) -> GeneralBoundaryPair:
     return GeneralBoundaryPair((U + np.eye(n)) / 2.0, 1j * (U - np.eye(n)) / 2.0)
 
 
-def from_unitary(U, tol: float = 1e-10) -> BoundaryCondition:
+def from_unitary(U) -> BoundaryCondition:
     """Transform the unitary-form vertex condition into projector form.
 
     Each eigenvalue mu of U away from -1 is written mu = -exp(-2i*theta)
@@ -67,7 +70,7 @@ def from_unitary(U, tol: float = 1e-10) -> BoundaryCondition:
     n = U.shape[0]
     if U.shape != (n, n):
         raise DimensionMismatchError(f"U must be square, got {U.shape}")
-    if matnorm(U.conj().T @ U - np.eye(n)) > tol:
+    if matnorm(U.conj().T @ U - np.eye(n)) > _UNITARY_TOL:
         raise ValueError("U is not unitary within tolerance")
 
     # U is normal, so an orthonormal eigenbasis exists; eigh on the

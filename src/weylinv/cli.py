@@ -43,7 +43,7 @@ from .core import (
     SpectralPoint,
     matnorm,
 )
-from .forward import Problem, scan_jost_zeros
+from .forward import Problem, scan_jost_zeros, zero_potential
 from .inverse import InvertConfig, WeylData, generate_weyl_data, invert
 
 __all__ = ["main", "run", "load_config"]
@@ -105,6 +105,12 @@ def _json_object(value, name: str) -> dict:
     return value
 
 
+def _given(spec: dict, **casts) -> dict:
+    """The keys of spec named in casts, each through its cast.  A key that
+    spec leaves out is not passed on, so the library's default holds."""
+    return {key: cast(spec[key]) for key, cast in casts.items() if key in spec}
+
+
 def _complex_out(z):
     z = complex(z)
     return [z.real, z.imag]
@@ -146,17 +152,16 @@ def _build_boundary(spec, n: int, rng) -> BoundaryCondition:
 def _build_potential(spec, n: int) -> PotentialGrid:
     spec = _json_object(spec, "problem.potential")
     kind = spec.get("kind")
-    x_max = float(spec.get("x_max", 0))
-    nodes = int(spec.get("nodes", 201))
+    grid = _given(spec, x_max=float, nodes=int)
     if kind == "zero":
-        return potentials.zero(n, x_max, nodes)
+        return zero_potential(n, **grid)
     if kind == "box":
         coupling = _as_matrix(spec["coupling"]) if n > 1 else _as_complex(spec["coupling"])
-        return potentials.box(coupling, float(spec["x_cut"]), x_max, nodes)
+        return potentials.box(coupling, float(spec["x_cut"]), **grid)
     if kind == "gaussian":
         coupling = _as_matrix(spec["coupling"]) if n > 1 else _as_complex(spec["coupling"])
         return potentials.gaussian(coupling, float(spec["center"]),
-                                   float(spec["width"]), x_max, nodes)
+                                   float(spec["width"]), **grid)
     if kind == "table":
         return potentials.from_table(
             np.asarray(spec["x"], dtype=float),
@@ -173,69 +178,77 @@ def _build_problem(cfg: dict, rng) -> Problem:
     return Problem(potential=_build_potential(spec["potential"], n), bc=bc)
 
 
-def _contour_delta(c: dict):
-    return None if c.get("delta") is None else float(c["delta"])
-
-
-def _build_contour(cfg: dict) -> Contour:
-    c = _json_object(cfg["contour"], "contour")
-    return build_contour(r0=float(c["r0"]), R=float(c["R"]), delta=_contour_delta(c),
-                         n_circle=int(c.get("n_circle", 64)),
-                         n_cut=int(c.get("n_cut", 128)))
+def _contour_params(spec) -> dict:
+    """build_contour's arguments from the config's contour object; a null
+    delta, like an absent one, takes the default."""
+    c = _json_object(spec, "contour")
+    return dict(r0=float(c["r0"]), R=float(c["R"]),
+                **_given(c, delta=lambda d: None if d is None else float(d),
+                         n_circle=int, n_cut=int))
 
 
 def _invert_config(cfg: dict) -> InvertConfig:
     g = cfg["x_grid"]
-    probes = tuple(float(p) for p in cfg.get("lambda_probes", (-2.0, -5.0)))
     return InvertConfig(x_max=float(g["x_max"]), x_nodes=int(g["nodes"]),
-                        lambda_probes=probes)
+                        **_given(cfg, lambda_probes=lambda ps: tuple(
+                            float(p) for p in ps)))
 
 
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
 
-def _weyl_header(n: int):
-    cols = ["segment", "re_rho", "im_rho", "weight_re", "weight_im"]
-    for i in range(n):
-        for j in range(n):
-            cols += [f"M{i}{j}_re", f"M{i}{j}_im"]
-    return cols
+_WEYL_COLUMNS = ["segment", "re_rho", "im_rho", "weight_re", "weight_im"]
 
 
-def _write_weyl_rows(path: str, n: int, rows) -> None:
-    """Write (segment, rho, weight, M) rows, complex values as re, im pairs."""
+def _columns(lead, name="", n=0):
+    """The lead columns, then re and im columns of each entry name{i}{j}
+    of an n x n matrix."""
+    return lead + [f"{name}{i}{j}_{part}" for i in range(n) for j in range(n)
+                   for part in ("re", "im")]
+
+
+def _write_csv(path: str, columns, rows) -> None:
+    """Write the header, then each (labels, values) row: the label cells as
+    given, then every complex value as its re, im pair (repr of a float)."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(_weyl_header(n))
-        for segment, rho, weight, M in rows:
-            w.writerow([segment] + [repr(float(v))
-                                    for z in (rho, weight, *np.ravel(M))
+        w.writerow(columns)
+        for labels, values in rows:
+            w.writerow([*labels] + [repr(float(v)) for z in values
                                     for v in (z.real, z.imag)])
 
 
+def _write_json(path: str, data) -> None:
+    with open(path, "w") as f:
+        json.dump(data, f, indent=2, sort_keys=True, default=str)
+        f.write("\n")
+
+
 def write_weyl_csv(path: str, weyl: WeylData) -> None:
-    _write_weyl_rows(path, weyl.dim,
-                     ((nd.segment, nd.point.rho, nd.weight, M)
-                      for nd, M in zip(weyl.contour.nodes, weyl.M_samples)))
+    _write_csv(path, _columns(_WEYL_COLUMNS, "M", weyl.dim),
+               (([nd.segment], (nd.point.rho, nd.weight, *np.ravel(M)))
+                for nd, M in zip(weyl.contour.nodes, weyl.M_samples)))
 
 
 def write_tail_csv(path: str, weyl: WeylData) -> None:
-    _write_weyl_rows(path, weyl.dim,
-                     (("tail", pt.rho, 0j, M) for pt, M in weyl.tail_samples))
+    _write_csv(path, _columns(_WEYL_COLUMNS, "M", weyl.dim),
+               ((["tail"], (pt.rho, 0j, *np.ravel(M)))
+                for pt, M in weyl.tail_samples))
 
 
 def _read_weyl_rows(path: str):
     """Sample dimension n and the (segment, rho, weight, M) rows of a file
-    written by _write_weyl_rows."""
+    written by write_weyl_csv or write_tail_csv."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
         rows = list(reader)
-    n = math.isqrt(max(len(header) - 5, 0) // 2)
-    if n == 0 or len(header) != 5 + 2 * n * n:
-        raise ConfigError(f"{path}: header needs 5 + 2 n^2 columns with n >= 1, "
-                          f"has {len(header)}")
+    lead = len(_WEYL_COLUMNS)
+    n = math.isqrt(max(len(header) - lead, 0) // 2)
+    if n == 0 or len(header) != lead + 2 * n * n:
+        raise ConfigError(f"{path}: header needs {lead} + 2 n^2 columns with "
+                          f"n >= 1, has {len(header)}")
     out = []
     for line, row in enumerate(rows, start=2):
         if len(row) != len(header):
@@ -251,12 +264,9 @@ def read_weyl_csv(weyl_path: str, tail_path: str, contour_params: dict) -> WeylD
     tn, tail = _read_weyl_rows(tail_path)
     if tn != n:
         raise ConfigError("tail and contour samples disagree on dimension")
-    c = _json_object(contour_params, "contour")
-    delta = _contour_delta(c)
+    c = _contour_params(contour_params)
     contour = Contour(
-        r0=float(c["r0"]),
-        R=float(c["R"]),
-        delta=1e-3 * float(c["r0"]) if delta is None else delta,
+        r0=c["r0"], R=c["R"], delta=c.get("delta"),
         nodes=tuple(ContourNode(point=SpectralPoint(rho), weight=weight,
                                 segment=segment)
                     for segment, rho, weight, _ in rows),
@@ -267,18 +277,9 @@ def read_weyl_csv(weyl_path: str, tail_path: str, contour_params: dict) -> WeylD
 
 
 def write_potential_csv(path: str, grid: PotentialGrid) -> None:
-    n = grid.values.shape[1]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        cols = ["x"]
-        for i in range(n):
-            for j in range(n):
-                cols += [f"Q{i}{j}_re", f"Q{i}{j}_im"]
-        w.writerow(cols)
-        for x, Q in zip(grid.x_nodes, grid.values):
-            row = [repr(float(x))]
-            row += [repr(float(v)) for z in Q.ravel() for v in (z.real, z.imag)]
-            w.writerow(row)
+    _write_csv(path, _columns(["x"], "Q", grid.dim),
+               (([repr(float(x))], Q.ravel())
+                for x, Q in zip(grid.x_nodes, grid.values)))
 
 
 def _sha256(path: str) -> str:
@@ -310,31 +311,31 @@ class _Report:
         self.data["timings"][self._stage] = time.perf_counter() - self._t0
         self._stage = None
 
-    def emit(self, name):
+    def emit(self, name, write, *args):
+        """Write the file name under out_dir by write(path, *args) and
+        enter its sha256 in the manifest."""
         path = os.path.join(self.out_dir, name)
+        write(path, *args)
         self.data["manifest"][name] = _sha256(path)
-        return path
 
     def write(self):
-        path = os.path.join(self.out_dir, "report.json")
-        with open(path, "w") as f:
-            json.dump(self.data, f, indent=2, sort_keys=True, default=str)
-            f.write("\n")
-        return path
+        _write_json(os.path.join(self.out_dir, "report.json"), self.data)
+
+
+def _boundary_out(bc) -> dict:
+    return {"A": _matrix_out(bc.A), "h": _matrix_out(bc.h)}
 
 
 def _forward(cfg, rep, problem: Problem) -> WeylData:
-    contour = _build_contour(cfg)
+    contour = build_contour(**_contour_params(cfg["contour"]))
     tail_ts = _json_object(cfg.get("tail", {}), "tail").get("ts")
     rep.start("forward")
     weyl = generate_weyl_data(problem, contour,
                               tail_ts=None if tail_ts is None else np.asarray(tail_ts))
     rep.stop()
     rep.start("emit")
-    write_weyl_csv(os.path.join(rep.out_dir, "weyl.csv"), weyl)
-    write_tail_csv(os.path.join(rep.out_dir, "tail.csv"), weyl)
-    rep.emit("weyl.csv")
-    rep.emit("tail.csv")
+    rep.emit("weyl.csv", write_weyl_csv, weyl)
+    rep.emit("tail.csv", write_tail_csv, weyl)
     rep.stop()
     rep.data["diagnostics"]["n_contour_nodes"] = len(contour)
     return weyl
@@ -346,13 +347,8 @@ def _invert(cfg, rep, weyl: WeylData):
     result = invert(weyl, icfg)
     rep.stop()
     rep.start("emit")
-    write_potential_csv(os.path.join(rep.out_dir, "q_recovered.csv"), result.Q)
-    with open(os.path.join(rep.out_dir, "boundary_recovered.json"), "w") as f:
-        json.dump({"A": _matrix_out(result.A), "h": _matrix_out(result.h)},
-                  f, indent=2)
-        f.write("\n")
-    rep.emit("q_recovered.csv")
-    rep.emit("boundary_recovered.json")
+    rep.emit("q_recovered.csv", write_potential_csv, result.Q)
+    rep.emit("boundary_recovered.json", _write_json, _boundary_out(result))
     rep.stop()
     for k, v in result.diagnostics.items():
         rep.data["diagnostics"][k] = float(v)
@@ -368,25 +364,12 @@ def _mode_invert(cfg, rep, rng):
     _invert(cfg, rep, read_weyl_csv(inp["weyl"], inp["tail"], cfg["contour"]))
 
 
-def _node_norms(values):
-    return np.abs(values).sum(axis=-1).max(axis=-1)
-
-
-def _l1_relative(q_rec: PotentialGrid, q_true: PotentialGrid) -> float:
-    """Relative L1 distance, sampling the true Q on the recovered grid."""
-    xs = q_rec.x_nodes
-    true_vals = q_true.sample(xs)
-    err = np.trapezoid(_node_norms(q_rec.values - true_vals), xs)
-    ref = np.trapezoid(_node_norms(true_vals), xs)
-    return float(err / ref) if ref > 0 else float(err)
-
-
 def _mode_roundtrip(cfg, rep, rng):
     problem = _build_problem(cfg, rng)
     result = _invert(cfg, rep, _forward(cfg, rep, problem))
     rep.start("compare")
-    rep.data["error_norms"]["q_l1_relative"] = _l1_relative(result.Q,
-                                                            problem.potential)
+    rep.data["error_norms"]["q_l1_relative"] = result.Q.relative_l1(
+        problem.potential)
     rep.data["error_norms"]["h_error"] = float(matnorm(result.h - problem.bc.h))
     rep.data["error_norms"]["A_error"] = float(matnorm(result.A - problem.bc.A))
     rep.stop()
@@ -396,17 +379,13 @@ def _mode_zeros(cfg, rep, rng):
     problem = _build_problem(cfg, rng)
     spec = _json_object(cfg.get("zeros", {}), "zeros")
     radius = float(spec.get("radius", 10.0))
-    density = int(spec.get("grid_density", 24))
     rep.start("zeros")
-    zeros, r0 = scan_jost_zeros(problem, radius, grid_density=density)
+    zeros, r0 = scan_jost_zeros(problem, radius,
+                                **_given(spec, grid_density=int))
     rep.stop()
     rep.start("emit")
-    with open(os.path.join(rep.out_dir, "zeros.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["re_lambda", "im_lambda"])
-        for z in zeros:
-            w.writerow([repr(z.real), repr(z.imag)])
-    rep.emit("zeros.csv")
+    rep.emit("zeros.csv", _write_csv, ["re_lambda", "im_lambda"],
+             (((), (z,)) for z in zeros))
     rep.stop()
     rep.data["diagnostics"]["n_zeros"] = len(zeros)
     rep.data["diagnostics"]["suggested_r0"] = float(r0)
@@ -418,10 +397,7 @@ def _mode_validate_bc(cfg, rep, rng):
     bc = _build_boundary(spec["boundary"], int(spec["dim"]), rng)
     rep.stop()
     rep.start("emit")
-    with open(os.path.join(rep.out_dir, "boundary.json"), "w") as f:
-        json.dump({"A": _matrix_out(bc.A), "h": _matrix_out(bc.h)}, f, indent=2)
-        f.write("\n")
-    rep.emit("boundary.json")
+    rep.emit("boundary.json", _write_json, _boundary_out(bc))
     rep.stop()
     for k, v in bc.residuals().items():
         rep.data["diagnostics"][k] = float(v)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .core import DimensionMismatchError, SpectralPoint, lambda_to_point
 
-__all__ = ["ContourNode", "Contour", "build_contour", "integrate", "cauchy_transform"]
+__all__ = ["ContourNode", "Contour", "build_contour", "coarsen_contour",
+           "extension_nodes", "integrate", "cauchy_transform"]
 
 SEGMENTS = ("circle", "upper_cut", "lower_cut")
 
@@ -47,9 +48,15 @@ class ContourNode:
         object.__setattr__(self, "weight", w)
 
 
+def _delta(r0, delta):
+    """The cut offset delta, 1e-3 r0 when None."""
+    return 1e-3 * r0 if delta is None else delta
+
+
 @dataclass(frozen=True)
 class Contour:
-    """Ordered quadrature nodes realizing the truncated contour."""
+    """Ordered quadrature nodes realizing the truncated contour; a delta
+    of None takes build_contour's default."""
 
     r0: float
     R: float
@@ -59,6 +66,7 @@ class Contour:
     def __post_init__(self):
         if not (0 < self.r0 < self.R):
             raise ValueError("need 0 < r0 < R")
+        object.__setattr__(self, "delta", _delta(self.r0, self.delta))
         if self.delta < 0:
             raise ValueError("delta must be >= 0")
         if len(self.nodes) < 64:
@@ -120,6 +128,24 @@ def _cut_sides(sig, h, delta):
     return sides
 
 
+def extension_nodes(contour: Contour, factor: float):
+    """Synthetic cut nodes continuing both sides from R out to factor^2 R.
+
+    Returns (rhos, weights) continuing the data cut's uniform-in-sqrt(s)
+    spacing, ordered like the contour (upper side inward first, then the
+    lower side outward), with endpoint-corrected trapezoid weights.
+    """
+    n_cut = contour.segments.count("upper_cut")
+    sig_R = np.sqrt(contour.R)
+    h_sig = (sig_R - np.sqrt(contour.r0)) / (n_cut - 1)
+    sig_max = factor * sig_R
+    m = max(8, int(np.ceil((sig_max - sig_R) / h_sig)) + 1)
+    sig = sig_R + h_sig * np.arange(m)
+    up, lo = _cut_sides(sig, h_sig, contour.delta)
+    return (np.array([pt.rho for pt, _ in up + lo]),
+            np.array([w for _, w in up + lo]))
+
+
 def build_contour(r0: float, R: float, delta: float = None,
                   n_circle: int = 64, n_cut: int = 128) -> Contour:
     """Build the truncated contour with trapezoid weights per segment.
@@ -131,10 +157,7 @@ def build_contour(r0: float, R: float, delta: float = None,
         raise ValueError("need 0 < r0 < R")
     if n_circle < 32 or n_cut < 32:
         raise ValueError("need n_circle >= 32 and n_cut >= 32")
-    if delta is None:
-        delta = 1e-3 * r0
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    delta = _delta(r0, delta)    # Contour rejects delta < 0
 
     # uniform in sqrt(s): resolves kernels oscillating in tau = sqrt(mu)
     sig = np.linspace(np.sqrt(r0), np.sqrt(R), n_cut)
@@ -162,6 +185,47 @@ def build_contour(r0: float, R: float, delta: float = None,
 
     return Contour(r0=float(r0), R=float(R), delta=float(delta),
                    nodes=tuple(nodes))
+
+
+def coarsen_contour(contour: Contour, mode: str):
+    """A coarser contour for self-convergence estimates, and the indices
+    of the nodes of contour that it keeps.
+
+    mode "nodes" keeps every other node of each segment (double spacing,
+    same truncation radius); mode "radius" keeps the cut nodes with
+    sigma = sqrt(Re lambda) <= sqrt(R / 2) (about half the truncation
+    radius at unchanged spacing).  The result is build_contour's for the
+    coarse parameters, so its weights are laid out afresh and its floors
+    hold (32 nodes on the circle and on each cut side).  Raises
+    ValueError for an unknown mode, a segment with an even node count in
+    mode "nodes", coarse parameters build_contour rejects, or a contour
+    whose kept nodes are not the rebuilt ones (one build_contour did not
+    lay out).
+    """
+    segs = np.array(contour.segments)
+    idx = {s: np.flatnonzero(segs == s) for s in SEGMENTS}
+    n_circle, n_cut = idx["circle"].size, idx["upper_cut"].size
+    if mode == "nodes":
+        if n_circle % 2 == 0 or n_cut % 2 == 0:
+            raise ValueError("halving the nodes needs odd node counts")
+        keep = {s: ii[::2] for s, ii in idx.items()}
+        params = dict(R=contour.R, n_circle=n_circle // 2 + 1,
+                      n_cut=n_cut // 2 + 1)
+    elif mode == "radius":
+        lo = idx["lower_cut"]
+        sig = np.sqrt(contour.lambdas[lo].real)
+        m = int(np.searchsorted(sig, sig[-1] / np.sqrt(2.0), side="right"))
+        keep = {"upper_cut": idx["upper_cut"][n_cut - m:],
+                "circle": idx["circle"], "lower_cut": lo[:m]}
+        params = dict(R=float(sig[m - 1] ** 2), n_circle=n_circle, n_cut=m)
+    else:
+        raise ValueError(f"unknown coarsening mode {mode!r}")
+    keep = np.concatenate([keep[s] for s in ("upper_cut", "circle", "lower_cut")])
+    coarse = build_contour(contour.r0, delta=contour.delta, **params)
+    if not np.allclose(coarse.rhos, contour.rhos[keep], rtol=1e-12, atol=0.0):
+        raise ValueError("the kept nodes are not build_contour's for the "
+                         "coarse parameters")
+    return coarse, keep
 
 
 def integrate(contour: Contour, samples, cauchy: bool = False):

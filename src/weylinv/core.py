@@ -184,6 +184,14 @@ class BoundaryCondition:
         }
 
 
+def _node_index(grid, x: float) -> int:
+    """Index of x on a uniform grid; ValueError if x is not a node."""
+    i = int(round((x - grid[0]) / (grid[1] - grid[0])))
+    if not (0 <= i < grid.size) or abs(grid[i] - x) > 1e-9:
+        raise ValueError(f"x = {x} is not a grid node")
+    return i
+
+
 @dataclass(frozen=True)
 class PotentialGrid:
     """Sampled n x n matrix potential Q on a uniform grid [0, x_max].
@@ -228,6 +236,16 @@ class PotentialGrid:
         rows = np.sum(np.abs(self.values), axis=-1).max(axis=-1)
         return float(np.sum(rows) * self.dx)
 
+    def relative_l1(self, reference: PotentialGrid) -> float:
+        """||Q - reference||_1 / ||reference||_1, both by the trapezoid
+        rule on this grid with reference sampled there (sample); the
+        absolute distance when reference vanishes."""
+        ref = reference.sample(self.x_nodes)
+        err, norm = (np.trapezoid(np.abs(v).sum(axis=-1).max(axis=-1),
+                                  self.x_nodes)
+                     for v in (self.values - ref, ref))
+        return float(err / norm) if norm > 0 else float(err)
+
     def sample(self, x) -> np.ndarray:
         """Q at the points x, shape x.shape + (n, n): linear interpolation
         of the real and imaginary parts of each entry, zero beyond x_max."""
@@ -239,10 +257,7 @@ class PotentialGrid:
         return np.stack(out, axis=-1).reshape(x.shape + self.values.shape[1:])
 
     def index_of(self, x: float) -> int:
-        i = int(round(x / self.dx))
-        if not (0 <= i < self.x_nodes.size) or abs(self.x_nodes[i] - x) > 1e-9:
-            raise ValueError(f"x = {x} is not a grid node")
-        return i
+        return _node_index(self.x_nodes, x)
 
 
 @dataclass(frozen=True)
@@ -267,11 +282,7 @@ class MatrixWave:
         object.__setattr__(self, "derivative", d)
 
     def index_of(self, x: float) -> int:
-        dx = self.grid[1] - self.grid[0]
-        i = int(round((x - self.grid[0]) / dx))
-        if not (0 <= i < self.grid.size) or abs(self.grid[i] - x) > 1e-9:
-            raise ValueError(f"x = {x} is not a grid node")
-        return i
+        return _node_index(self.grid, x)
 
 
 def bracket(Zval, Zder, Yval, Yder) -> np.ndarray:

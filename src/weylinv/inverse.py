@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .contour import Contour, ContourNode, _cut_sides, _param_weights
+from .contour import Contour, coarsen_contour, extension_nodes
 from .core import (
     BoundaryCondition,
     DataQualityError,
@@ -123,6 +123,17 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# Largest |rho_j| dx of a lambda probe on the x-grid: Q is read off
+# phi''(x, lambda_j) by finite differences, and phi grows like
+# exp(|rho_j| x).  On the box data of tests/test_inverse.py (x_max = 2,
+# n = 1 and 2, 9 to 25 slices, probes inside the band |rho| < sqrt(R))
+# the |h| error is below 0.01 at |rho_j| dx = 0.3 (13 and 25 slices),
+# at most 0.08 up to 0.56, 0.05 to 0.12 at 0.6, 0.12 to 0.32 at 0.7 and
+# 0.5 to 1.0 at 0.83.  The bound admits the largest value in use, 0.56
+# (the default probes on 9 slices).
+_PROBE_STEP_LIMIT = 0.6
+
+
 @dataclass(frozen=True)
 class InvertConfig:
     """Knobs of the inversion pipeline.
@@ -142,8 +153,9 @@ class InvertConfig:
     system_cond_limit that of the Nystrom system at each x-slice.
 
     x_max must be finite and positive, both limits finite and >= 1 (a NaN
-    limit would switch its check off) and every probe finite; anything
-    else raises ValueError.
+    limit would switch its check off), every probe finite and resolved by
+    the x-grid, |rho_j| x_max / (x_nodes - 1) <= _PROBE_STEP_LIMIT;
+    anything else raises ValueError.
     """
 
     x_max: float
@@ -164,8 +176,14 @@ class InvertConfig:
                 raise ValueError(f"{name} must be finite and >= 1")
         if len(self.lambda_probes) < 2:
             raise ValueError("need at least two lambda probes")
-        if not np.all(np.isfinite(np.asarray(self.lambda_probes, complex))):
+        lams = np.asarray(self.lambda_probes, complex)
+        if not np.all(np.isfinite(lams)):
             raise ValueError("lambda probes must be finite")
+        step = np.sqrt(np.abs(lams)).max() * self.x_max / (self.x_nodes - 1)
+        if step > _PROBE_STEP_LIMIT:
+            raise ValueError(
+                f"largest lambda probe has |rho| dx = {step:.3g} > "
+                f"{_PROBE_STEP_LIMIT}: refine the x-grid or take probes nearer 0")
         if self.passes < 1:
             raise ValueError("passes must be >= 1")
 
@@ -403,6 +421,9 @@ def extract_A(tail_samples) -> np.ndarray:
 # 27 slices 8 MB.
 _BLOCK_BYTES = 1280 * 1024
 
+# Cut-node midpoints at which _Assembler.residual probes a slice.
+_N_RESIDUAL_PROBES = 8
+
 
 class _Assembler:
     """Precomputed node data shared by all x-slices of one inversion.
@@ -422,7 +443,8 @@ class _Assembler:
     batched product.  The LU, its condition check and the gain stay per
     slice, in x order.  solve() runs the same routine on one slice;
     phi_at() interpolates a solution through the same _SeparableD.apply,
-    on grids built for the call.
+    on grids built for the call, and residual() checks a solution with it
+    at cut midpoints.
 
     extend() adds synthetic cut nodes beyond the data truncation.  Their
     unknowns are replaced by the model solution (a Born approximation,
@@ -618,6 +640,24 @@ class _Assembler:
             out -= self._ext_source(xs, _SeparableD(rhos, self.ext_rhos), rows)
         return out[0]
 
+    def residual(self, sol: MainEquationSolution) -> float:
+        """Off-node consistency residual of a solved x-slice: phi is
+        interpolated linearly between adjacent cut nodes and the main
+        equation re-evaluated at up to _N_RESIDUAL_PROBES of their
+        midpoints, with the current extension; the max norm excess."""
+        lams, segs = self.weyl.contour.lambdas, self.weyl.contour.segments
+        picks = [k for k in range(self.K - 1)
+                 if segs[k] == segs[k + 1] and segs[k] != "circle"]
+        if not picks:
+            return 0.0
+        step = max(1, len(picks) // _N_RESIDUAL_PROBES)
+        ks = np.array(picks[::step][:_N_RESIDUAL_PROBES])
+        rhos = [lambda_to_point(0.5 * (lams[k] + lams[k + 1]),
+                                "upper" if segs[k] == "upper_cut" else "lower").rho
+                for k in ks]
+        phi_mid = 0.5 * (sol.phi_nodes[ks] + sol.phi_nodes[ks + 1])
+        return matnorm(phi_mid - self.phi_at(sol, rhos))
+
 
 def solve_main_equation(weyl: WeylData, A, x: float,
                         cond_limit: float = 1e12) -> MainEquationSolution:
@@ -631,32 +671,11 @@ def nystrom_phi_at(weyl: WeylData, A, sol: MainEquationSolution,
     return _Assembler(weyl, A).phi_at(sol, [pt.rho])[0]
 
 
-# Cut-node midpoints at which main_equation_residual probes a slice.
-_N_RESIDUAL_PROBES = 8
-
-
-def main_equation_residual(weyl: WeylData, A, sol: MainEquationSolution,
-                           assembler=None) -> float:
-    """Off-node consistency residual of a solved x-slice.
-
-    phi is interpolated linearly between adjacent cut nodes and the main
-    equation is re-evaluated at the midpoints; returns the max norm excess.
-    """
-    asm = _Assembler(weyl, A) if assembler is None else assembler
-    lams = weyl.contour.lambdas
-    segs = weyl.contour.segments
-    K = len(weyl.contour)
-    picks = [k for k in range(K - 1)
-             if segs[k] == segs[k + 1] and segs[k] != "circle"]
-    if not picks:
-        return 0.0
-    step = max(1, len(picks) // _N_RESIDUAL_PROBES)
-    ks = np.array(picks[::step][:_N_RESIDUAL_PROBES])
-    rhos = [lambda_to_point(0.5 * (lams[k] + lams[k + 1]),
-                            "upper" if segs[k] == "upper_cut" else "lower").rho
-            for k in ks]
-    phi_mid = 0.5 * (sol.phi_nodes[ks] + sol.phi_nodes[ks + 1])
-    return matnorm(phi_mid - asm.phi_at(sol, rhos))
+def main_equation_residual(weyl: WeylData, A,
+                           sol: MainEquationSolution) -> float:
+    """Off-node consistency residual of a solved x-slice
+    (_Assembler.residual)."""
+    return _Assembler(weyl, A).residual(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +773,7 @@ def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid):
     of the fitted problem at them, followed by the fit's relative data
     misfit.
     """
-    rhos, w = _extension_nodes(weyl.contour, _TAIL_EXTENSION_FACTOR)
+    rhos, w = extension_nodes(weyl.contour, _TAIL_EXTENSION_FACTOR)
     Q_fit, h_fit, misfit = _fit_tail_model(weyl, A, Q_prior)
     A = np.asarray(A, dtype=complex)
     Ap = np.eye(A.shape[0]) - A
@@ -896,24 +915,6 @@ def _tv_irls(top, b, D1, n_data):
     return Z, float(np.linalg.norm(r) / np.linalg.norm(b[:n_data]))
 
 
-def _extension_nodes(contour: Contour, factor: float):
-    """Synthetic cut nodes continuing both sides from R out to factor^2 R.
-
-    Returns (rhos, weights) continuing the data cut's uniform-in-sqrt(s)
-    spacing, ordered like the contour (upper side inward first, then the
-    lower side outward), with endpoint-corrected trapezoid weights.
-    """
-    n_cut = contour.segments.count("upper_cut")
-    sig_R = np.sqrt(contour.R)
-    h_sig = (sig_R - np.sqrt(contour.r0)) / (n_cut - 1)
-    sig_max = factor * sig_R
-    m = max(8, int(np.ceil((sig_max - sig_R) / h_sig)) + 1)
-    sig = sig_R + h_sig * np.arange(m)
-    up, lo = _cut_sides(sig, h_sig, contour.delta)
-    return (np.array([pt.rho for pt, _ in up + lo]),
-            np.array([w for _, w in up + lo]))
-
-
 # ---------------------------------------------------------------------------
 # Potential and boundary extraction
 # ---------------------------------------------------------------------------
@@ -952,18 +953,16 @@ def _first_derivative_at0(values, dx):
 
 
 def recover_potential(solutions, weyl: WeylData, A, lambda_probes,
-                      phi_cond_limit: float = 1e8, edge_layer: float = 0.0,
-                      assembler=None):
+                      phi_cond_limit: float = 1e8, edge_layer: float = 0.0):
     """Extract (Q, h) from main-equation solutions on an x-grid.
 
-    Each solution is interpolated to the probe energies (_Assembler.phi_at,
-    through assembler when given, so that its tail extension applies) and
-    passed to _potential_from_probes, which states the formulas.
+    Each solution is interpolated to the probe energies (_Assembler.phi_at)
+    and passed to _potential_from_probes, which states the formulas.
     """
     solutions = sorted(solutions, key=lambda s: s.x)
     A = np.asarray(A, dtype=complex)
     probes = [lambda_to_point(l) for l in np.atleast_1d(lambda_probes)]
-    asm = assembler or _Assembler(weyl, A)
+    asm = _Assembler(weyl, A)
     PHI = np.array([asm.phi_at(sol, [pt.rho for pt in probes])
                     for sol in solutions])                  # (N, J, n, n)
     Q, h, _ = _potential_from_probes(
@@ -1081,8 +1080,7 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
         change /= Q_prev.l1_norm() or 1.0
     worst = int(np.argmin(rcond))
     diag = {
-        "main_equation_residual": main_equation_residual(weyl, A, mid,
-                                                         assembler=asm),
+        "main_equation_residual": asm.residual(mid),
         "phi0_deviation": matnorm(first.phi_nodes - first.phi_tilde_nodes),
         "min_rcond": float(rcond[worst]),
         "min_rcond_x": float(xs[worst]),
@@ -1110,58 +1108,12 @@ def generate_weyl_data(problem: Problem, contour: Contour,
 
 
 def coarsen_weyl_data(weyl: WeylData, mode: str) -> WeylData:
-    """Degrade measured data for self-convergence estimates.
-
-    mode "nodes" keeps every other node on each segment (double spacing,
-    same truncation radius); mode "radius" shortens the cut so the
-    truncation radius halves at unchanged spacing.
-    Weights are rebuilt for the retained parameter grid, so the result is
-    a valid data set, just a coarser one.
-    """
-    cont = weyl.contour
-    segs = cont.segments
-    idx = {s: [i for i, g in enumerate(segs) if g == s] for s in
-           ("upper_cut", "circle", "lower_cut")}
-    if mode == "nodes":
-        for s, ii in idx.items():
-            if (len(ii) - 1) % 2:
-                raise ValueError(f"{s} needs an odd node count to halve")
-        keep = {s: ii[::2] for s, ii in idx.items()}
-        new_R = cont.R
-    elif mode == "radius":
-        sig_lo = np.sqrt(np.abs([cont.nodes[i].point.lam
-                                 for i in idx["lower_cut"]]))
-        m = int(np.searchsorted(sig_lo, sig_lo[-1] / np.sqrt(2.0),
-                                side="right"))
-        keep = {
-            "upper_cut": idx["upper_cut"][len(idx["upper_cut"]) - m:],
-            "circle": idx["circle"],
-            "lower_cut": idx["lower_cut"][:m],
-        }
-        new_R = float(sig_lo[m - 1] ** 2)
-    else:
-        raise ValueError(f"unknown coarsening mode {mode!r}")
-
-    nodes = []
-    order = []
-    for seg in ("upper_cut", "circle", "lower_cut"):
-        ii = keep[seg]
-        pts = [cont.nodes[i].point for i in ii]
-        if seg == "circle":
-            theta = np.unwrap(np.angle([p.lam for p in pts]))
-            w = _param_weights(1j * np.array([p.lam for p in pts]),
-                               abs(theta[1] - theta[0]))
-        else:
-            sig = np.sqrt(np.abs([p.lam for p in pts]))
-            sgn = -2.0 if seg == "upper_cut" else 2.0
-            w = _param_weights(sgn * sig, abs(sig[1] - sig[0]))
-        nodes.extend(ContourNode(point=p, weight=wk, segment=seg)
-                     for p, wk in zip(pts, w))
-        order.extend(ii)
-
-    coarse = Contour(r0=cont.r0, R=new_R, delta=cont.delta,
-                     nodes=tuple(nodes))
-    return WeylData(contour=coarse, M_samples=weyl.M_samples[order],
+    """Degrade measured data for self-convergence estimates: the samples
+    at the nodes that coarsen_contour keeps, on its coarse contour (mode
+    "nodes" doubles the spacing, mode "radius" halves the truncation
+    radius), so the result is a valid data set, just a coarser one."""
+    coarse, keep = coarsen_contour(weyl.contour, mode)
+    return WeylData(contour=coarse, M_samples=weyl.M_samples[keep],
                     tail_samples=weyl.tail_samples)
 
 
@@ -1175,17 +1127,8 @@ def discretization_estimate(weyl: WeylData, config: InvertConfig,
     the base configuration moves Q by less than this coarsening did, so
     it bounds the discretization error of the reported Q from above.
     """
-    def rel_l1(res):
-        a = result.Q
-        b = res.Q
-        na = np.abs(a.values).sum(axis=-1).max(axis=-1)
-        db = np.abs(b.values - a.sample(b.x_nodes)).sum(axis=-1).max(axis=-1)
-        num = np.trapezoid(db, b.x_nodes)
-        den = np.trapezoid(na, a.x_nodes)
-        return float(num / den) if den > 0 else float(num)
-
     coarse_x = replace(config, x_nodes=(config.x_nodes - 1) // 2 + 1)
-    est = rel_l1(invert(weyl, coarse_x))
-    for mode in ("nodes", "radius"):
-        est = max(est, rel_l1(invert(coarsen_weyl_data(weyl, mode), config)))
-    return est
+    runs = [invert(weyl, coarse_x)] + [
+        invert(coarsen_weyl_data(weyl, mode), config)
+        for mode in ("nodes", "radius")]
+    return max(res.Q.relative_l1(result.Q) for res in runs)

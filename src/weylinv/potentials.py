@@ -2,7 +2,8 @@
 
 Every function returns a PotentialGrid sampled on a uniform grid over
 [0, x_max].  Matrix-valued potentials are a scalar profile times a fixed
-coupling matrix unless tabulated directly.
+coupling matrix unless tabulated directly.  The zero potential is
+forward.zero_potential.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .core import PotentialGrid
 
-__all__ = ["box", "gaussian", "from_table", "zero"]
+__all__ = ["box", "gaussian", "from_table"]
 
 
 def _profile_to_grid(profile, coupling, x_max, nodes):
@@ -19,11 +20,6 @@ def _profile_to_grid(profile, coupling, x_max, nodes):
     x = np.linspace(0.0, x_max, nodes)
     values = profile(x)[:, None, None] * coupling[None, :, :]
     return PotentialGrid(x_nodes=x, values=values)
-
-
-def zero(n: int, x_max: float, nodes: int = 201) -> PotentialGrid:
-    """The zero potential on [0, x_max]."""
-    return _profile_to_grid(np.zeros_like, np.zeros((n, n)), x_max, nodes)
 
 
 def box(coupling, x_cut: float, x_max: float, nodes: int = 201) -> PotentialGrid:

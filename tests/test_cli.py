@@ -298,7 +298,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("probes, code", [
         ([0.0, -4.0], EXIT_NUMERICAL), ([-4.0], EXIT_CONFIG),
-        ([float("nan"), -4.0], EXIT_CONFIG), ([-4.0, float("inf")], EXIT_CONFIG)])
+        ([float("nan"), -4.0], EXIT_CONFIG), ([-4.0, float("inf")], EXIT_CONFIG),
+        ([-4.0, -1e4], EXIT_CONFIG)])
     def test_lambda_probes(self, tmp_path, probes, code):
         weyl_csv, tail_csv = _forward_csvs(tmp_path)
         cfg = dict(SCALAR_BOX, lambda_probes=probes,
@@ -431,3 +432,48 @@ def test_mutated_job_exits_with_documented_code(tiny_samples, data):
         rc = main([mode, "--config", write_cfg(tmp / "c.json", cfg),
                    "--out", str(tmp / "out")])
     assert rc in (0, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
+
+
+def test_omitted_keys_take_the_library_defaults(tmp_path):
+    # a config without the contour and potential sizes, the zero-scan
+    # density and the probes runs with the library's values: the files
+    # match those of a config that spells the values out
+    lean = copy.deepcopy(TINY)
+    # a bound state, and a circle that encloses its energy
+    lean["problem"]["potential"]["coupling"] = [-6.0, 0.0]
+    lean["contour"]["r0"] = 8.0
+    for path in (("contour", "n_cut"), ("contour", "n_circle"),
+                 ("problem", "potential", "nodes"), ("zeros", "grid_density"),
+                 ("lambda_probes",)):
+        node = lean
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    spelled = copy.deepcopy(lean)
+    spelled["contour"].update(n_circle=64, n_cut=128)
+    spelled["problem"]["potential"]["nodes"] = 201
+    spelled["zeros"]["grid_density"] = 24
+    spelled["lambda_probes"] = [-2.0, -5.0]
+    files = {"forward": ["weyl.csv", "tail.csv"], "zeros": ["zeros.csv"],
+             "invert": ["q_recovered.csv", "boundary_recovered.json"]}
+    reports = {}
+    for name, cfg in (("lean", lean), ("spelled", spelled)):
+        out = tmp_path / name
+        cfg = dict(cfg, input={"weyl": str(out / "forward" / "weyl.csv"),
+                               "tail": str(out / "forward" / "tail.csv")})
+        path = write_cfg(tmp_path / f"{name}.json", cfg)
+        for mode in files:
+            assert main([mode, "--config", path, "--out", str(out / mode)]) == 0
+            reports[name, mode] = json.loads(
+                (out / mode / "report.json").read_text())
+    for mode, names in files.items():
+        for f in names:
+            assert ((tmp_path / "lean" / mode / f).read_bytes()
+                    == (tmp_path / "spelled" / mode / f).read_bytes()), f
+        assert (reports["lean", mode]["manifest"]
+                == reports["spelled", mode]["manifest"])
+    assert reports["lean", "forward"]["diagnostics"]["n_contour_nodes"] == 64 + 2 * 128
+    # every zero is written as two floats
+    rows = (tmp_path / "lean" / "zeros" / "zeros.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert all(np.isfinite(float(v)) for row in rows[1:] for v in row.split(","))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weylinv import (
+    Contour,
     ContourNode,
     SpectralPoint,
     build_contour,
@@ -12,6 +13,7 @@ from weylinv import (
     integrate,
     model_weyl,
 )
+from weylinv.contour import coarsen_contour
 from weylinv.inverse import WeylData
 
 
@@ -103,9 +105,9 @@ class TestQuadrature:
 
 
 class TestCoarsening:
-    def _weyl(self, n_cut=65, n_circle=65):
+    def _weyl(self, n_cut=65, n_circle=65, delta=0.0):
         c = build_contour(r0=2.0, R=100.0, n_cut=n_cut, n_circle=n_circle,
-                          delta=0.0)
+                          delta=delta)
         A = np.array([[1.0 + 0j]])
         M = np.array([model_weyl(A, nd.point) for nd in c.nodes])
         tail = tuple((SpectralPoint(1j * t), model_weyl(A, SpectralPoint(1j * t)))
@@ -139,3 +141,47 @@ class TestCoarsening:
         w = self._weyl()
         with pytest.raises(ValueError):
             coarsen_weyl_data(w, "finer")
+
+    @pytest.mark.parametrize("delta", [0.0, 2e-3])
+    @pytest.mark.parametrize("mode", ["nodes", "radius"])
+    def test_coarse_contour_is_build_contours(self, mode, delta):
+        # the coarse contour is build_contour's for the derived parameters,
+        # and its nodes are the kept fine nodes
+        w = self._weyl(delta=delta)
+        fine = w.contour
+        coarse, keep = coarsen_contour(fine, mode)
+        up, circle, lo = np.arange(65), np.arange(65, 130), np.arange(130, 195)
+        if mode == "nodes":
+            params = dict(R=100.0, n_circle=33, n_cut=33)
+            expect = np.concatenate([up[::2], circle[::2], lo[::2]])
+        else:
+            sig = np.linspace(np.sqrt(2.0), 10.0, 65)
+            m = int(np.sum(sig <= 10.0 / np.sqrt(2.0)))
+            params = dict(R=sig[m - 1] ** 2, n_circle=65, n_cut=m)
+            expect = np.concatenate([up[65 - m:], circle, lo[:m]])
+        ref = build_contour(r0=2.0, delta=delta, **params)
+        assert np.array_equal(keep, expect)
+        assert coarse.R == pytest.approx(ref.R, rel=1e-12)
+        assert coarse.segments == ref.segments
+        assert coarse.delta == ref.delta == fine.delta
+        for a, b in ((coarse.rhos, ref.rhos), (coarse.weights, ref.weights),
+                     (coarse.rhos, fine.rhos[keep])):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        cw = coarsen_weyl_data(w, mode)
+        assert cw.contour == coarse
+        assert np.array_equal(cw.M_samples, w.M_samples[keep])
+
+    @pytest.mark.parametrize("mode", ["nodes", "radius"])
+    def test_moved_node_rejected(self, mode):
+        # a contour build_contour did not lay out: one kept cut node moved
+        fine = build_contour(r0=2.0, R=100.0, n_cut=65, n_circle=65,
+                             delta=0.0)
+        nodes = list(fine.nodes)
+        nd = nodes[130]                    # the first lower-cut node
+        nodes[130] = ContourNode(point=SpectralPoint(nd.point.rho * (1 + 1e-9)),
+                                 weight=nd.weight, segment=nd.segment)
+        moved = Contour(r0=fine.r0, R=fine.R, delta=fine.delta,
+                        nodes=tuple(nodes))
+        coarsen_contour(fine, mode)
+        with pytest.raises(ValueError, match="build_contour"):
+            coarsen_contour(moved, mode)

@@ -26,6 +26,7 @@ from weylinv import (
     weyl_matrix,
     zero_potential,
 )
+from weylinv.contour import extension_nodes
 from weylinv.core import sin_over
 from weylinv.forward import omega
 from weylinv import inverse
@@ -35,7 +36,6 @@ from weylinv.inverse import (
     WeylData,
     _Assembler,
     _SeparableD,
-    _extension_nodes,
     _fit_tail_model,
     _model_D_coeffs,
     _node_factors,
@@ -158,7 +158,8 @@ class TestMainEquation:
         A = np.array([[1.0 + 0j]])
         asm = _Assembler(weyl, A)
         sol = asm.solve(0.5)
-        assert main_equation_residual(weyl, A, sol, assembler=asm) < 5e-3
+        assert asm.residual(sol) < 5e-3
+        assert main_equation_residual(weyl, A, sol) == asm.residual(sol)
 
 
 def _rel(a, b):
@@ -264,7 +265,7 @@ class TestSeparableKernel:
     def setup(self, request):
         n = request.param
         weyl, A = _box_weyl(n)
-        ext_rhos, ext_w = _extension_nodes(weyl.contour, 7.0)
+        ext_rhos, ext_w = extension_nodes(weyl.contour, 7.0)
         rng = np.random.default_rng(3)
         ext_Mhat = ((rng.normal(size=(ext_rhos.size, n, n))
                      + 1j * rng.normal(size=(ext_rhos.size, n, n)))
@@ -665,11 +666,14 @@ def test_slice_by_slice_path_matches_two_pass_invert(n):
     assert calls == [(asm.K * n, asm.K * n)] * (cfg.x_nodes + 2)
     Q1 = invert(weyl, replace(cfg, passes=1)).Q
     asm.extend(*inverse._tail_extension(weyl, A, Q1)[:3])
-    sols = [asm.solve(x) for x in np.linspace(0.0, cfg.x_max, cfg.x_nodes)]
-    Q, h = recover_potential(sols, weyl, A, cfg.lambda_probes,
-                             phi_cond_limit=cfg.phi_cond_limit,
-                             edge_layer=1.5 / (7.0 * np.sqrt(weyl.contour.R)),
-                             assembler=asm)
+    xs = np.linspace(0.0, cfg.x_max, cfg.x_nodes)
+    sols = [asm.solve(x) for x in xs]
+    # recover_potential's steps, through the extended assembler
+    probes = [lambda_to_point(l) for l in cfg.lambda_probes]
+    PHI = np.array([asm.phi_at(sol, [pt.rho for pt in probes]) for sol in sols])
+    Q, h, _ = inverse._potential_from_probes(
+        xs, PHI, A, np.array([pt.lam for pt in probes]), cfg.phi_cond_limit,
+        1.5 / (7.0 * np.sqrt(weyl.contour.R)))
     assert _rel(res.Q.values, Q.values) <= 1e-10
     assert np.abs(h - res.h).max() <= 1e-12
     assert res.diagnostics["phi0_deviation"] == matnorm(
@@ -719,6 +723,10 @@ class TestInvertConfig:
         {"phi_cond_limit": np.inf}, {"phi_cond_limit": 0.0},
         {"lambda_probes": (np.nan, -5.0)}, {"lambda_probes": (-2.0, np.inf)},
         {"lambda_probes": (-2.0, complex(-5.0, np.nan))},
+        # probes the x-grid does not resolve, |rho| dx = 5/6 and 50/3:
+        # invert returned a wrong h and Q without an error
+        {"lambda_probes": (-2.0, -25.0), "x_nodes": 13},
+        {"lambda_probes": (-2.0, -1e4), "x_nodes": 13},
     ], ids=str)
     def test_values_that_disable_checks_rejected(self, kwargs):
         cfg = dict(x_max=2.0, x_nodes=9) | kwargs
