@@ -80,17 +80,11 @@ def from_unitary(U) -> BoundaryCondition:
     Tmat, N = schur(U, output="complex")
     mus = np.diag(Tmat)
 
-    diag_a = np.zeros(n)
+    keep = np.abs(mus + 1.0) > _DIRICHLET_BAND
+    theta = ((np.pi - np.angle(mus[keep])) / 2.0) % np.pi
+    diag_a = keep.astype(float)
     diag_h = np.zeros(n)
-    for j, mu in enumerate(mus):
-        if abs(mu + 1.0) <= _DIRICHLET_BAND:
-            continue  # Dirichlet block
-        theta = (np.pi - np.angle(mu)) / 2.0
-        theta = theta % np.pi
-        if abs(-np.exp(-2j * theta) - mu) > 1e-12:
-            raise ValueError(f"theta extraction failed for eigenvalue {mu}")
-        diag_a[j] = 1.0
-        diag_h[j] = -1.0 / np.tan(theta)
+    diag_h[keep] = -1.0 / np.tan(theta)
 
     A = N @ np.diag(diag_a) @ N.conj().T
     h = N @ np.diag(diag_h) @ N.conj().T

@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -299,17 +300,16 @@ class _Report:
         self.data = {"inputs": cfg, "timings": {}, "diagnostics": {},
                      "error_norms": {}, "manifest": {}}
         self.out_dir = out_dir
-        self._t0 = None
-        self._stage = None
 
-    def start(self, stage):
-        self._stage = stage
-        self._t0 = time.perf_counter()
-        log.info("stage %s ...", stage)
-
-    def stop(self):
-        self.data["timings"][self._stage] = time.perf_counter() - self._t0
-        self._stage = None
+    @contextmanager
+    def stage(self, name):
+        """Time the enclosed block into timings[name]; a stage entered
+        more than once reports the sum of its times."""
+        log.info("stage %s ...", name)
+        t0 = time.perf_counter()
+        yield
+        timings = self.data["timings"]
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
     def emit(self, name, write, *args):
         """Write the file name under out_dir by write(path, *args) and
@@ -329,27 +329,24 @@ def _boundary_out(bc) -> dict:
 def _forward(cfg, rep, problem: Problem) -> WeylData:
     contour = build_contour(**_contour_params(cfg["contour"]))
     tail_ts = _json_object(cfg.get("tail", {}), "tail").get("ts")
-    rep.start("forward")
-    weyl = generate_weyl_data(problem, contour,
-                              tail_ts=None if tail_ts is None else np.asarray(tail_ts))
-    rep.stop()
-    rep.start("emit")
-    rep.emit("weyl.csv", write_weyl_csv, weyl)
-    rep.emit("tail.csv", write_tail_csv, weyl)
-    rep.stop()
+    with rep.stage("forward"):
+        weyl = generate_weyl_data(
+            problem, contour,
+            tail_ts=None if tail_ts is None else np.asarray(tail_ts))
+    with rep.stage("emit"):
+        rep.emit("weyl.csv", write_weyl_csv, weyl)
+        rep.emit("tail.csv", write_tail_csv, weyl)
     rep.data["diagnostics"]["n_contour_nodes"] = len(contour)
     return weyl
 
 
 def _invert(cfg, rep, weyl: WeylData):
     icfg = _invert_config(cfg)
-    rep.start("invert")
-    result = invert(weyl, icfg)
-    rep.stop()
-    rep.start("emit")
-    rep.emit("q_recovered.csv", write_potential_csv, result.Q)
-    rep.emit("boundary_recovered.json", _write_json, _boundary_out(result))
-    rep.stop()
+    with rep.stage("invert"):
+        result = invert(weyl, icfg)
+    with rep.stage("emit"):
+        rep.emit("q_recovered.csv", write_potential_csv, result.Q)
+        rep.emit("boundary_recovered.json", _write_json, _boundary_out(result))
     for k, v in result.diagnostics.items():
         rep.data["diagnostics"][k] = float(v)
     return result
@@ -367,38 +364,33 @@ def _mode_invert(cfg, rep, rng):
 def _mode_roundtrip(cfg, rep, rng):
     problem = _build_problem(cfg, rng)
     result = _invert(cfg, rep, _forward(cfg, rep, problem))
-    rep.start("compare")
-    rep.data["error_norms"]["q_l1_relative"] = result.Q.relative_l1(
-        problem.potential)
-    rep.data["error_norms"]["h_error"] = float(matnorm(result.h - problem.bc.h))
-    rep.data["error_norms"]["A_error"] = float(matnorm(result.A - problem.bc.A))
-    rep.stop()
+    with rep.stage("compare"):
+        rep.data["error_norms"]["q_l1_relative"] = result.Q.relative_l1(
+            problem.potential)
+        rep.data["error_norms"]["h_error"] = float(matnorm(result.h - problem.bc.h))
+        rep.data["error_norms"]["A_error"] = float(matnorm(result.A - problem.bc.A))
 
 
 def _mode_zeros(cfg, rep, rng):
     problem = _build_problem(cfg, rng)
     spec = _json_object(cfg.get("zeros", {}), "zeros")
     radius = float(spec.get("radius", 10.0))
-    rep.start("zeros")
-    zeros, r0 = scan_jost_zeros(problem, radius,
-                                **_given(spec, grid_density=int))
-    rep.stop()
-    rep.start("emit")
-    rep.emit("zeros.csv", _write_csv, ["re_lambda", "im_lambda"],
-             (((), (z,)) for z in zeros))
-    rep.stop()
+    with rep.stage("zeros"):
+        zeros, r0 = scan_jost_zeros(problem, radius,
+                                    **_given(spec, grid_density=int))
+    with rep.stage("emit"):
+        rep.emit("zeros.csv", _write_csv, ["re_lambda", "im_lambda"],
+                 (((), (z,)) for z in zeros))
     rep.data["diagnostics"]["n_zeros"] = len(zeros)
     rep.data["diagnostics"]["suggested_r0"] = float(r0)
 
 
 def _mode_validate_bc(cfg, rep, rng):
     spec = _json_object(cfg["problem"], "problem")
-    rep.start("validate")
-    bc = _build_boundary(spec["boundary"], int(spec["dim"]), rng)
-    rep.stop()
-    rep.start("emit")
-    rep.emit("boundary.json", _write_json, _boundary_out(bc))
-    rep.stop()
+    with rep.stage("validate"):
+        bc = _build_boundary(spec["boundary"], int(spec["dim"]), rng)
+    with rep.stage("emit"):
+        rep.emit("boundary.json", _write_json, _boundary_out(bc))
     for k, v in bc.residuals().items():
         rep.data["diagnostics"][k] = float(v)
 

@@ -228,12 +228,9 @@ def coarsen_contour(contour: Contour, mode: str):
     return coarse, keep
 
 
-def integrate(contour: Contour, samples, cauchy: bool = False):
-    """Sum of samples_k * weight_k over the contour.
-
-    samples is one scalar or matrix per node.  With cauchy=True the sum
-    is scaled by 1/(2 pi i).
-    """
+def integrate(contour: Contour, samples):
+    """Sum of samples_k * weight_k over the contour; samples is one scalar
+    or matrix per node."""
     samples = np.asarray(samples)
     if samples.shape[0] != len(contour):
         raise DimensionMismatchError(
@@ -241,10 +238,7 @@ def integrate(contour: Contour, samples, cauchy: bool = False):
         )
     w = contour.weights
     w = w.reshape((-1,) + (1,) * (samples.ndim - 1))
-    total = np.sum(samples * w, axis=0)
-    if cauchy:
-        total = total / (2j * np.pi)
-    return total
+    return np.sum(samples * w, axis=0)
 
 
 def cauchy_transform(contour: Contour, samples, lam: complex):
@@ -258,4 +252,4 @@ def cauchy_transform(contour: Contour, samples, lam: complex):
     samples = np.asarray(samples)
     kern = 1.0 / (lams - lam)
     kern = kern.reshape((-1,) + (1,) * (samples.ndim - 1))
-    return integrate(contour, samples * kern, cauchy=True)
+    return integrate(contour, samples * kern) / (2j * np.pi)

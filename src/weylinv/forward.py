@@ -587,31 +587,12 @@ def weyl_matrix(problem: Problem, pt: SpectralPoint) -> np.ndarray:
     return _weyl_many(problem, [pt.rho])[0]
 
 
-def weyl_solution(problem: Problem, pt: SpectralPoint,
-                  check_tol=None) -> MatrixWave:
-    """Weyl solution Phi(x, lambda) = e(x, rho) J(rho)^{-1}.
-
-    With check_tol set, asserts T(Phi) = I and the decomposition
-    Phi = S + phi M to that tolerance (both hold exactly in the continuum;
-    discretization noise grows with |rho| * dx, so the check is opt-in).
-    """
+def weyl_solution(problem: Problem, pt: SpectralPoint) -> MatrixWave:
+    """Weyl solution Phi(x, lambda) = e(x, rho) J(rho)^{-1}."""
     e = solve_jost(problem, pt)
-    J = apply_T(problem.bc, e.value[0], e.derivative[0])
-    Jinv = _checked_inv(J)
-    Phi = MatrixWave(grid=e.grid, value=e.value @ Jinv,
-                     derivative=e.derivative @ Jinv, at=pt)
-    if check_tol is not None:
-        tres = matnorm(apply_T(problem.bc, Phi.value[0], Phi.derivative[0])
-                       - np.eye(problem.dim))
-        M = (problem.bc.A @ e.value[0] + problem.bc.A_perp @ e.derivative[0]) @ Jinv
-        phi, S = solve_regular(problem, pt)
-        dres = matnorm(Phi.value - S.value - phi.value @ M)
-        if tres > check_tol or dres > check_tol:
-            raise PoleProximityError(
-                f"Weyl solution postcondition failed: |T(Phi)-I| = {tres:.3e}, "
-                f"|Phi - S - phi M| = {dres:.3e}"
-            )
-    return Phi
+    Jinv = _checked_inv(apply_T(problem.bc, e.value[0], e.derivative[0]))
+    return MatrixWave(grid=e.grid, value=e.value @ Jinv,
+                      derivative=e.derivative @ Jinv, at=pt)
 
 
 def adjoint_weyl_matrix(problem: Problem, pt: SpectralPoint) -> np.ndarray:

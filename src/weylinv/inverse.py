@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -59,8 +60,6 @@ __all__ = [
     "model_D",
     "problem_D",
     "solve_main_equation",
-    "nystrom_phi_at",
-    "main_equation_residual",
     "closure_residual",
     "recover_potential",
     "invert",
@@ -148,12 +147,12 @@ class InvertConfig:
     next pass as a Born-approximated source term.  This sharpens the band
     limit of the recovered Q without growing the linear system.
 
-    phi_cond_limit bounds the condition number of phi(x, lam) at which a
-    probe still enters the Q average (recover_potential), and
-    system_cond_limit that of the Nystrom system at each x-slice.
+    The fixed class constants phi_cond_limit and system_cond_limit bound
+    the condition number of phi(x, lam) at which a probe still enters the
+    Q average (recover_potential), and that of the Nystrom system at each
+    x-slice.
 
-    x_max must be finite and positive, both limits finite and >= 1 (a NaN
-    limit would switch its check off), every probe finite and resolved by
+    x_max must be finite and positive, every probe finite and resolved by
     the x-grid, |rho_j| x_max / (x_nodes - 1) <= _PROBE_STEP_LIMIT;
     anything else raises ValueError.
     """
@@ -161,19 +160,15 @@ class InvertConfig:
     x_max: float
     x_nodes: int
     lambda_probes: tuple = (-2.0, -5.0)
-    phi_cond_limit: float = 1e8
-    system_cond_limit: float = 1e12
     passes: int = 2
+    phi_cond_limit: ClassVar[float] = 1e8
+    system_cond_limit: ClassVar[float] = 1e12
 
     def __post_init__(self):
         if self.x_nodes < 3 or self.x_nodes % 2 == 0:
             raise ValueError("x_nodes must be odd and >= 3")
         if not (math.isfinite(self.x_max) and self.x_max > 0):
             raise ValueError("x_max must be finite and positive")
-        for name in ("phi_cond_limit", "system_cond_limit"):
-            limit = getattr(self, name)
-            if not (math.isfinite(limit) and limit >= 1):
-                raise ValueError(f"{name} must be finite and >= 1")
         if len(self.lambda_probes) < 2:
             raise ValueError("need at least two lambda probes")
         lams = np.asarray(self.lambda_probes, complex)
@@ -585,7 +580,9 @@ class _Assembler:
                     f"(cond ~ {1.0 / max(rcond, 1e-300):.2e}); refine the contour")
             yield (lu, piv), float(rcond), S[Kn:]
 
-    def solve(self, x: float, cond_limit: float = 1e12) -> MainEquationSolution:
+    def solve(self, x: float,
+              cond_limit: float = InvertConfig.system_cond_limit
+              ) -> MainEquationSolution:
         """Solve the main equation at x: the block routine on one slice."""
         xs = np.array([float(x)])
         rows, cols = _node_factors(self._nodes, xs)
@@ -596,7 +593,9 @@ class _Assembler:
         return MainEquationSolution(x=x, phi_nodes=psi @ self.Winv,
                                     phi_tilde_nodes=F0[0, :self.K], rcond=rcond)
 
-    def read_probes(self, xs, cond_limit: float = 1e12, gains=None):
+    def read_probes(self, xs,
+                    cond_limit: float = InvertConfig.system_cond_limit,
+                    gains=None):
         """phi(x, lambda_j) at the probes for every x of xs, (X, J, n, n):
         F - G rhs, with the current extension in the source F and the
         right-hand side.  Without gains, each slice is factored first
@@ -660,22 +659,10 @@ class _Assembler:
 
 
 def solve_main_equation(weyl: WeylData, A, x: float,
-                        cond_limit: float = 1e12) -> MainEquationSolution:
+                        cond_limit: float = InvertConfig.system_cond_limit
+                        ) -> MainEquationSolution:
     """Solve the main equation at a single x by Nystrom collocation."""
     return _Assembler(weyl, A).solve(x, cond_limit=cond_limit)
-
-
-def nystrom_phi_at(weyl: WeylData, A, sol: MainEquationSolution,
-                   pt: SpectralPoint) -> np.ndarray:
-    """Evaluate the recovered phi(x, lambda) off the quadrature nodes."""
-    return _Assembler(weyl, A).phi_at(sol, [pt.rho])[0]
-
-
-def main_equation_residual(weyl: WeylData, A,
-                           sol: MainEquationSolution) -> float:
-    """Off-node consistency residual of a solved x-slice
-    (_Assembler.residual)."""
-    return _Assembler(weyl, A).residual(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -929,31 +916,25 @@ def _fd_weights(offsets, order):
     return np.linalg.solve(V, rhs)
 
 
-def _second_derivative(values, dx):
-    """4th-order second x-derivative of an (N, ...) sample array."""
-    N = values.shape[0]
-    out = np.empty_like(values)
-    c_int = _fd_weights(np.arange(-2, 3), 2) / dx**2
-    for i in range(N):
-        if 2 <= i <= N - 3:
-            sten = values[i - 2:i + 3]
-            out[i] = np.tensordot(c_int, sten, axes=(0, 0))
-        else:
-            base = 0 if i < 2 else N - 6
-            offs = (np.arange(base, base + 6) - i).astype(float)
-            c = _fd_weights(offs, 2) / dx**2
-            out[i] = np.tensordot(c, values[base:base + 6], axes=(0, 0))
-    return out
-
-
-def _first_derivative_at0(values, dx):
-    """4th-order one-sided first derivative at the first node."""
-    c = _fd_weights(np.arange(0, 5), 1) / dx
-    return np.tensordot(c, values[:5], axes=(0, 0))
+def _fd_operators(N, dx):
+    """4th-order finite differences on N uniform nodes of step dx: the
+    second derivative at every node, (N, N), with the 5-point central
+    stencil inside and 6-point one-sided stencils at the two nodes at
+    each end, and the first derivative at the first node, (N,), from the
+    5-point one-sided stencil."""
+    D2 = np.zeros((N, N))
+    i = np.arange(2, N - 2)[:, None]
+    D2[i, i + np.arange(-2, 3)] = _fd_weights(np.arange(-2, 3), 2)
+    for i, base in ((0, 0), (1, 0), (N - 2, N - 6), (N - 1, N - 6)):
+        D2[i, base:base + 6] = _fd_weights(np.arange(base, base + 6) - i, 2)
+    d1 = np.zeros(N)
+    d1[:5] = _fd_weights(np.arange(5), 1)
+    return D2 / dx**2, d1 / dx
 
 
 def recover_potential(solutions, weyl: WeylData, A, lambda_probes,
-                      phi_cond_limit: float = 1e8, edge_layer: float = 0.0):
+                      phi_cond_limit: float = InvertConfig.phi_cond_limit,
+                      edge_layer: float = 0.0):
     """Extract (Q, h) from main-equation solutions on an x-grid.
 
     Each solution is interpolated to the probe energies (_Assembler.phi_at)
@@ -995,7 +976,8 @@ def _potential_from_probes(xs, PHI, A, lams, phi_cond_limit, edge_layer):
     n = A.shape[0]
     Ap = np.eye(n) - A
 
-    d2 = _second_derivative(PHI, dx)
+    D2, d1 = _fd_operators(xs.size, dx)
+    d2 = np.tensordot(D2, PHI, axes=(1, 0))
     ok = ~(np.linalg.cond(PHI) > phi_cond_limit)                   # (N, J)
     # phi(0) = A is singular when A != I, so only accepted entries are inverted
     inv = np.linalg.inv(np.where(ok[..., None, None], PHI, np.eye(n)))
@@ -1003,16 +985,14 @@ def _potential_from_probes(xs, PHI, A, lams, phi_cond_limit, edge_layer):
     Q_acc = np.where(ok[..., None, None], Q_j, 0.0).sum(axis=1)
     count = ok.sum(axis=1)
 
-    Q = np.zeros_like(Q_acc)
-    valid = count > 0
-    if not np.any(valid):
+    good = np.flatnonzero(count)
+    if not good.size:
         raise ReconstructionError("phi singular at every probe and node")
-    Q[valid] = Q_acc[valid] / count[valid, None, None]
-    # fill skipped nodes (typically x = 0 where phi(0) = A is singular)
-    bad = np.flatnonzero(~valid)
-    good = np.flatnonzero(valid)
-    for i in bad:
-        Q[i] = Q[good[np.argmin(np.abs(good - i))]]
+    # each node reads the nearest valid node, itself if valid and the left
+    # one on a tie: this fills the skipped nodes (typically x = 0, where
+    # phi(0) = A is singular)
+    near = good[np.abs(np.arange(xs.size)[:, None] - good).argmin(axis=1)]
+    Q = Q_acc[near] / count[near, None, None]
     Q[-2:] = 0.0
 
     if edge_layer > 0:
@@ -1024,9 +1004,9 @@ def _potential_from_probes(xs, PHI, A, lams, phi_cond_limit, edge_layer):
             fill = np.polynomial.polynomial.polyval(xs[:i0], coef).T
             Q[:i0] = fill.reshape(i0, n, n)
 
-    h = np.mean(_first_derivative_at0(PHI, dx) - Ap, axis=0)
+    h = np.mean(np.tensordot(d1, PHI, axes=(0, 0)) - Ap, axis=0)
     h = A @ h @ A
-    return PotentialGrid(x_nodes=xs, values=Q), h, int(bad.size)
+    return PotentialGrid(x_nodes=xs, values=Q), h, xs.size - good.size
 
 
 # ---------------------------------------------------------------------------

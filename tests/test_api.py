@@ -1,7 +1,9 @@
 """Public API surface and the demo scripts."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,24 @@ def test_every_exported_name_resolves(name):
     mod = importlib.import_module(name)
     missing = [a for a in mod.__all__ if not hasattr(mod, a)]
     assert missing == []
+
+
+def test_imports_are_stdlib_or_declared():
+    # every module that src/weylinv/ imports, at any depth, is the standard
+    # library, the package itself or a dependency pyproject.toml declares
+    text = (ROOT / "pyproject.toml").read_text()
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S)
+    declared = {re.match(r"[\w.-]+", d).group(0).lower().replace("-", "_")
+                for d in re.findall(r'"([^"]+)"', deps.group(1))}
+    assert declared
+    imported = set()
+    for path in (ROOT / "src" / "weylinv").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"weylinv"} <= declared
 
 
 @pytest.mark.parametrize("script, args", [

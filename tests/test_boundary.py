@@ -55,6 +55,19 @@ class TestFromUnitary:
         with pytest.raises(ValueError):
             from_unitary(np.diag([1.0, 2.0]))
 
+    def test_scaled_unitary_within_tolerance(self, rng):
+        # a unitary U scaled by 1 + eps, with ||U^dag U - I|| ~ 2 eps inside
+        # the unitarity tolerance 1e-10, gives the condition of U itself
+        V = random_unitary(3, rng)
+        D = np.diag([np.exp(0.3j), 1.0])
+        for U, scaled in ((V, V * (1 + 2e-11)),
+                          (D, np.diag([np.exp(0.3j) * (1 + 3e-11), 1.0]))):
+            want, got = from_unitary(U), from_unitary(scaled)
+            assert matnorm(got.A - want.A) < 1e-13
+            assert matnorm(got.h - want.h) < 1e-13
+        with pytest.raises(ValueError, match="not unitary"):
+            from_unitary(V * (1 + 1e-10))
+
     def test_null_space_equivalence(self, rng):
         # boundary data annihilated by the coefficient pair must be
         # annihilated by the projector form, and conversely

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from weylinv.cli import (
     EXIT_NUMERICAL,
     _CONFIG_ERRORS,
     _NUMERICAL_ERRORS,
+    _Report,
     main,
     read_weyl_csv,
 )
@@ -356,6 +358,17 @@ def test_roundtrip_scores_the_problem_it_sampled(tmp_path):
                      "--seed", "11"]) == 0
     assert ((tmp_path / "forward" / "weyl.csv").read_bytes()
             == (tmp_path / "roundtrip" / "weyl.csv").read_bytes())
+
+
+def test_stage_entered_twice_reports_the_sum(tmp_path, monkeypatch):
+    # roundtrip enters "emit" after forward and again after invert
+    ticks = iter([1.0, 3.0, 10.0, 15.0])
+    monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+    rep = _Report({}, str(tmp_path))
+    for _ in range(2):
+        with rep.stage("emit"):
+            pass
+    assert rep.data["timings"] == {"emit": 7.0}
 
 
 # ---------------------------------------------------------------------------

@@ -559,11 +559,16 @@ class TestWeylMatrix:
             assert matnorm(weyl_matrix(prob, pt) - model_weyl(A, pt)) < 1e-10
 
     def test_weyl_solution_decomposition(self):
-        # Phi = S + phi M, checked by the opt-in postcondition
+        # T(Phi) = I and Phi = S + phi M; discretization noise grows with
+        # |rho| dx
         prob = scalar_box_problem(nodes=801)
         pt = SpectralPoint(1.5 + 0.8j)
-        Phi = weyl_solution(prob, pt, check_tol=2e-6)
-        assert np.all(np.isfinite(Phi.value))
+        Phi = weyl_solution(prob, pt)
+        assert matnorm(apply_T(prob.bc, Phi.value[0], Phi.derivative[0])
+                       - np.eye(prob.dim)) <= 2e-6
+        phi, S = solve_regular(prob, pt)
+        M = weyl_matrix(prob, pt)
+        assert matnorm(Phi.value - S.value - phi.value @ M) <= 2e-6
 
     def test_m_equals_mstar(self, rng):
         prob = smooth_matrix_problem(2, rng, nodes=1501)
