@@ -70,7 +70,8 @@ def from_unitary(U) -> BoundaryCondition:
     n = U.shape[0]
     if U.shape != (n, n):
         raise DimensionMismatchError(f"U must be square, got {U.shape}")
-    if matnorm(U.conj().T @ U - np.eye(n)) > _UNITARY_TOL:
+    # written so that a NaN residual fails too
+    if not (matnorm(U.conj().T @ U - np.eye(n)) <= _UNITARY_TOL):
         raise ValueError("U is not unitary within tolerance")
 
     # U is normal, so an orthonormal eigenbasis exists; eigh on the

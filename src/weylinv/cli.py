@@ -67,8 +67,7 @@ _NUMERICAL_ERRORS = (
 # Malformed input: a missing key, a value of the wrong type or range, a
 # short or garbled CSV file.  ValueError covers ConfigError and
 # json.JSONDecodeError.  OverflowError is a number out of float range:
-# JSON 1e400 parses as inf, which int() rejects, and float() rejects a
-# 400-digit integer.
+# float() rejects a 400-digit integer.
 _CONFIG_ERRORS = (
     KeyError,
     TypeError,
@@ -87,6 +86,17 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # JSON value parsing
 # ---------------------------------------------------------------------------
+
+def _as_float(v) -> float:
+    """A config number as a finite float: NaN, an infinity, a string or a
+    bool is a ConfigError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"expected a number, got {v!r}")
+    x = float(v)
+    if not math.isfinite(x):
+        raise ConfigError(f"expected a finite number, got {v!r}")
+    return x
+
 
 def _as_complex(v):
     if isinstance(v, (int, float)):
@@ -122,8 +132,15 @@ def _matrix_out(M):
 
 
 def load_config(path: str) -> dict:
+    """The config object of the JSON file at path.  NaN, Infinity and a
+    float literal out of range (1e400) are ConfigErrors, wherever they
+    stand."""
+    def finite(text):
+        return _as_float(float(text))
+
     with open(path) as f:
-        return _json_object(json.load(f), "config root")
+        return _json_object(json.load(f, parse_float=finite,
+                                      parse_constant=finite), "config root")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +155,7 @@ def _build_boundary(spec, n: int, rng) -> BoundaryCondition:
     if form == "unitary":
         return bnd.from_unitary(_as_matrix(spec["U"]))
     if form == "delta":
-        return bnd.delta_condition(n, float(spec["coupling"]))
+        return bnd.delta_condition(n, _as_float(spec["coupling"]))
     if form == "dirichlet":
         return bnd.dirichlet(n)
     if form == "neumann":
@@ -153,19 +170,19 @@ def _build_boundary(spec, n: int, rng) -> BoundaryCondition:
 def _build_potential(spec, n: int) -> PotentialGrid:
     spec = _json_object(spec, "problem.potential")
     kind = spec.get("kind")
-    grid = _given(spec, x_max=float, nodes=int)
+    grid = _given(spec, x_max=_as_float, nodes=int)
     if kind == "zero":
         return zero_potential(n, **grid)
     if kind == "box":
         coupling = _as_matrix(spec["coupling"]) if n > 1 else _as_complex(spec["coupling"])
-        return potentials.box(coupling, float(spec["x_cut"]), **grid)
+        return potentials.box(coupling, _as_float(spec["x_cut"]), **grid)
     if kind == "gaussian":
         coupling = _as_matrix(spec["coupling"]) if n > 1 else _as_complex(spec["coupling"])
-        return potentials.gaussian(coupling, float(spec["center"]),
-                                   float(spec["width"]), **grid)
+        return potentials.gaussian(coupling, _as_float(spec["center"]),
+                                   _as_float(spec["width"]), **grid)
     if kind == "table":
         return potentials.from_table(
-            np.asarray(spec["x"], dtype=float),
+            np.array([_as_float(x) for x in spec["x"]]),
             np.array([_as_matrix(v) if n > 1 else _as_complex(v)
                       for v in spec["values"]]),
         )
@@ -183,16 +200,16 @@ def _contour_params(spec) -> dict:
     """build_contour's arguments from the config's contour object; a null
     delta, like an absent one, takes the default."""
     c = _json_object(spec, "contour")
-    return dict(r0=float(c["r0"]), R=float(c["R"]),
-                **_given(c, delta=lambda d: None if d is None else float(d),
+    return dict(r0=_as_float(c["r0"]), R=_as_float(c["R"]),
+                **_given(c, delta=lambda d: None if d is None else _as_float(d),
                          n_circle=int, n_cut=int))
 
 
 def _invert_config(cfg: dict) -> InvertConfig:
     g = cfg["x_grid"]
-    return InvertConfig(x_max=float(g["x_max"]), x_nodes=int(g["nodes"]),
+    return InvertConfig(x_max=_as_float(g["x_max"]), x_nodes=int(g["nodes"]),
                         **_given(cfg, lambda_probes=lambda ps: tuple(
-                            float(p) for p in ps)))
+                            map(_as_float, ps))))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +391,7 @@ def _mode_roundtrip(cfg, rep, rng):
 def _mode_zeros(cfg, rep, rng):
     problem = _build_problem(cfg, rng)
     spec = _json_object(cfg.get("zeros", {}), "zeros")
-    radius = float(spec.get("radius", 10.0))
+    radius = _as_float(spec.get("radius", 10.0))
     with rep.stage("zeros"):
         zeros, r0 = scan_jost_zeros(problem, radius,
                                     **_given(spec, grid_density=int))

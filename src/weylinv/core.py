@@ -161,8 +161,10 @@ class BoundaryCondition:
         h = _as_square(self.h, A.shape[0])
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "h", h)
-        rep = self.residuals()
-        bad = [k for k, v in rep.items() if v > ALGEBRAIC_TOL]
+        # a non-finite A or h gives NaN residuals, which fail the check
+        with np.errstate(invalid="ignore", over="ignore"):
+            rep = self.residuals()
+        bad = [k for k, v in rep.items() if not (v <= ALGEBRAIC_TOL)]
         if bad:
             raise ValueError(f"boundary condition invariants violated: {rep}")
 

@@ -55,9 +55,7 @@ __all__ = [
     "ReconstructionResult",
     "InvertConfig",
     "model_weyl",
-    "model_phi",
     "extract_A",
-    "model_D",
     "problem_D",
     "solve_main_equation",
     "closure_residual",
@@ -137,7 +135,8 @@ _PROBE_STEP_LIMIT = 0.6
 class InvertConfig:
     """Knobs of the inversion pipeline.
 
-    Q is recovered on x_nodes (odd) uniform slices of [0, x_max].
+    Q is recovered on x_nodes (odd, at least 7, the span of the read-out's
+    finite-difference stencils) uniform slices of [0, x_max].
     lambda_probes are the energies at which Q is read off the recovered
     solution; they should avoid the positive real axis.
 
@@ -165,8 +164,8 @@ class InvertConfig:
     system_cond_limit: ClassVar[float] = 1e12
 
     def __post_init__(self):
-        if self.x_nodes < 3 or self.x_nodes % 2 == 0:
-            raise ValueError("x_nodes must be odd and >= 3")
+        if self.x_nodes < 7 or self.x_nodes % 2 == 0:
+            raise ValueError("x_nodes must be odd and >= 7")
         if not (math.isfinite(self.x_max) and self.x_max > 0):
             raise ValueError("x_max must be finite and positive")
         if len(self.lambda_probes) < 2:
@@ -197,36 +196,6 @@ def _model_weyl(A, rhos) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     r = np.asarray(rhos, dtype=complex)[:, None, None]
     return A / (1j * r) - 1j * r * (np.eye(A.shape[0]) - A)
-
-
-def model_phi(A, x, pt: SpectralPoint):
-    """Zero-model regular solution phi~ and its x-derivative.
-
-    phi~(x) = A cos(rho x) + A_perp sin(rho x)/rho.
-    """
-    A = np.asarray(A, dtype=complex)
-    Ap = np.eye(A.shape[0]) - A
-    rho = pt.rho
-    x = np.asarray(x)
-    if x.ndim:
-        cos = np.cos(rho * x)[:, None, None]
-        sin = np.sin(rho * x)[:, None, None]
-        sov = np.asarray(sin_over(rho, x))[:, None, None]
-    else:
-        cos, sin, sov = np.cos(rho * x), np.sin(rho * x), sin_over(rho, x)
-    val = A * cos + Ap * sov
-    der = -A * rho * sin + Ap * cos
-    return val, der
-
-
-def model_D(A, x: float, lam: SpectralPoint, mu: SpectralPoint) -> np.ndarray:
-    """Zero-model kernel D~(x, lambda, mu) = cA A + cP A_perp in closed
-    form (see _model_D_coeffs)."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    A = np.asarray(A, dtype=complex)
-    cA, cP = _model_D_coeffs(x, lam.rho, mu.rho)
-    return cA * A + cP * (np.eye(A.shape[0]) - A)
 
 
 def _model_D_coeffs(x: float, rhos, taus):
@@ -371,16 +340,13 @@ def extract_A(tail_samples) -> np.ndarray:
     """
     if len(tail_samples) < 4:
         raise DataQualityError("need at least 4 tail samples")
-    pts = [t[0] for t in tail_samples]
-    mats = np.array([np.asarray(t[1], dtype=complex) for t in tail_samples])
+    rhos = np.array([pt.rho for pt, _ in tail_samples])
+    mats = np.array([np.asarray(M, dtype=complex) for _, M in tail_samples])
     n = mats.shape[1]
-    inv_r = np.array([1.0 / abs(p.rho) for p in pts])
-    vals = np.empty_like(mats)
-    for j, (p, M) in enumerate(zip(pts, mats)):
-        vals[j] = np.eye(n) - M / (-1j * p.rho)
+    vals = np.eye(n) - mats / (-1j * rhos)[:, None, None]
 
-    V = np.vander(inv_r, 4, increasing=True)      # [1, 1/r, 1/r^2, 1/r^3]
-    coef, *_ = np.linalg.lstsq(V, vals.reshape(len(pts), -1), rcond=None)
+    V = np.vander(1.0 / np.abs(rhos), 4, increasing=True)  # [1, 1/r, 1/r^2, 1/r^3]
+    coef, *_ = np.linalg.lstsq(V, vals.reshape(rhos.size, -1), rcond=None)
     fit = (V @ coef).reshape(vals.shape)
     misfit = matnorm(vals - fit)
     A_raw = coef[0].reshape(n, n)
@@ -694,15 +660,17 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
     pairs = list(probe_pairs)
     if not pairs:
         return 0.0
-    A = problem.bc.A
-    asm = _Assembler(weyl, A)
-    K = asm.K
+    A, Ap = problem.bc.A, problem.bc.A_perp
+    rhos = weyl.contour.rhos
+    K = rhos.size
     pot = problem.potential
     i = pot.index_of(x)
     dx = pot.dx
     w = weyl.contour.weights / (2j * np.pi)
     nodes = weyl.contour.lambdas
     mu_rhos = [mu.rho for _, mu in pairs]
+    Mhat_nodes = weyl.M_samples - _model_weyl(A, rhos)
+    MhatA, MhatP = np.split(Mhat_nodes @ np.hstack([A, Ap]), 2, axis=-1)
 
     phi = _phi_values(problem, np.concatenate([nodes, [lam.lam for lam, _ in pairs]]))
     phis = _phi_values(problem, np.concatenate([nodes, [mu.lam for _, mu in pairs]]),
@@ -715,10 +683,11 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
         Mhat_mu = Mhat[p]
         phi_lam, phis_mu = phi[:, K + p], phis[:, K + p]
 
-        cA, cP = _model_D_coeffs(x, lam.rho, asm.rhos)
-        rt_lam = (cA[:, None, None] * asm.MhatA
-                  + cP[:, None, None] * asm.MhatP)            # (K, n, n)
-        rt_mu = Mhat_mu @ model_D(A, x, lam, mu)
+        cA, cP = _model_D_coeffs(x, lam.rho, rhos)
+        rt_lam = (cA[:, None, None] * MhatA
+                  + cP[:, None, None] * MhatP)                # (K, n, n)
+        cA, cP = _model_D_coeffs(x, lam.rho, mu.rho)
+        rt_mu = Mhat_mu @ (cA * A + cP * Ap)
 
         # D(x, xi_k, mu) and r(x, xi_k, mu)
         integ = prefix_integrals(phis_mu[:, None] @ phi_nodes, dx)[i]
@@ -730,10 +699,10 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
 
         # D(x, lam, xi_k) and r(x, lam, xi_k)
         integ2 = prefix_integrals(phis_nodes @ phi_lam[:, None], dx)[i]
-        r_lam_nodes = asm.Mhat @ integ2                       # (K, n, n)
-        cA, cP = _model_D_coeffs(x, asm.rhos, mu.rho)
+        r_lam_nodes = Mhat_nodes @ integ2                     # (K, n, n)
+        cA, cP = _model_D_coeffs(x, rhos, mu.rho)
         rt_nodes_mu = Mhat_mu @ (cA[:, None, None] * A
-                                 + cP[:, None, None] * asm.Ap)
+                                 + cP[:, None, None] * Ap)
         res2 = rt_mu - r_mu - np.sum(w[:, None, None] * (rt_nodes_mu @ r_lam_nodes),
                                      axis=0)
         worst = max(worst, matnorm(res1), matnorm(res2))
@@ -1022,14 +991,12 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     probe gain ((J n) x (K n) per slice, about 16 MB at the criterion-6
     matrix size).  Every pass reads the probe values off the gains and its
     own right-hand side, which alone carries the tail extension.
-    Diagnostics:
-    main_equation_residual and phi0_deviation (of the middle and first
-    slices, solved after the last pass), min_rcond and min_rcond_x (the
-    worst-conditioned Nystrom system), phi_filled_nodes (x-nodes where
-    phi was rejected at every probe and filled in, last pass),
-    q_pass_change (relative L1 change of Q over the last pass, 0 for one
-    pass) and, with passes > 1, tail_fit_residual (relative data misfit
-    of the last tail fit).
+    Diagnostics: main_equation_residual (of the middle slice, solved
+    after the last pass), min_rcond and min_rcond_x (the worst-conditioned
+    Nystrom system), phi_filled_nodes (x-nodes where phi was rejected at
+    every probe and filled in, last pass), q_pass_change (relative L1
+    change of Q over the last pass, 0 for one pass) and, with passes > 1,
+    tail_fit_residual (relative data misfit of the last tail fit).
     """
     A = extract_A(weyl.tail_samples)
     xs = np.linspace(0.0, config.x_max, config.x_nodes)
@@ -1050,8 +1017,7 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
         Q_prev = Q
         Q, h, filled = _potential_from_probes(
             xs, PHI, A, lams, config.phi_cond_limit, 1.5 / rho_band)
-    first, mid = (asm.solve(xs[i], config.system_cond_limit)
-                  for i in (0, xs.size // 2))
+    mid = asm.solve(xs[xs.size // 2], config.system_cond_limit)
 
     change = 0.0
     if Q_prev is not None:
@@ -1061,7 +1027,6 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     worst = int(np.argmin(rcond))
     diag = {
         "main_equation_residual": asm.residual(mid),
-        "phi0_deviation": matnorm(first.phi_nodes - first.phi_tilde_nodes),
         "min_rcond": float(rcond[worst]),
         "min_rcond_x": float(xs[worst]),
         "phi_filled_nodes": filled,
@@ -1106,8 +1071,11 @@ def discretization_estimate(weyl: WeylData, config: InvertConfig,
     returns the largest relative L1 change of Q.  Refining any knob from
     the base configuration moves Q by less than this coarsening did, so
     it bounds the discretization error of the reported Q from above.
+    The half-density grid needs x_nodes >= 13 (InvertConfig's minimum of
+    7 slices); below that it raises ValueError.
     """
-    coarse_x = replace(config, x_nodes=(config.x_nodes - 1) // 2 + 1)
+    # the largest odd count <= (N + 1) / 2: N = 201 gives 101, N = 63 gives 31
+    coarse_x = replace(config, x_nodes=(config.x_nodes - 1) // 4 * 2 + 1)
     runs = [invert(weyl, coarse_x)] + [
         invert(coarsen_weyl_data(weyl, mode), config)
         for mode in ("nodes", "radius")]

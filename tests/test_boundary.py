@@ -55,6 +55,10 @@ class TestFromUnitary:
         with pytest.raises(ValueError):
             from_unitary(np.diag([1.0, 2.0]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            from_unitary(np.diag([np.nan, 1.0]))
+
     def test_scaled_unitary_within_tolerance(self, rng):
         # a unitary U scaled by 1 + eps, with ||U^dag U - I|| ~ 2 eps inside
         # the unitarity tolerance 1e-10, gives the condition of U itself
@@ -111,3 +115,14 @@ class TestProjectorValidation:
         h = np.array([[0.0, 0.4], [0.4, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
             BoundaryCondition(A=A, h=h)
+
+    @pytest.mark.parametrize("A, h", [
+        ([[np.nan]], [[0.0]]),
+        ([[1.0]], [[np.inf]]),
+        (np.diag([1.0, 0.0]), np.diag([np.inf, 0.0])),
+    ], ids=["NaN A", "infinite h", "infinite h, n = 2"])
+    def test_non_finite_rejected(self, A, h):
+        # a NaN residual used to pass the "> tol" check
+        with pytest.raises(ValueError, match="invariants violated"):
+            BoundaryCondition(A=A, h=h)
+

@@ -268,16 +268,27 @@ class TestExitCodes:
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
 
-    @pytest.mark.parametrize("old, new", [
-        ('"nodes": 9', '"nodes": 1e400'),
-        ('"x_max": 1.5', '"x_max": 1' + "0" * 400),
-        ('"radius": 3.0', '"radius": NaN'),
-    ], ids=["nodes 1e400", "x_max 10^400", "radius NaN"])
-    def test_number_out_of_range_is_config_error(self, tmp_path, old, new):
+    @pytest.mark.parametrize("old, new, mode", [
+        ('"nodes": 9', '"nodes": 1e400', "zeros"),
+        ('"x_max": 1.5', '"x_max": 1' + "0" * 400, "zeros"),
+        ('"radius": 3.0', '"radius": NaN', "zeros"),
+        ('"R": 50.0', '"R": 1e400', "forward"),
+        ('"radius": 3.0', '"radius": 1e400', "zeros"),
+        ('"coupling": [0.3, 0.0]', '"coupling": [1e400, 0.0]', "zeros"),
+        ('"kind": "box", "coupling": [0.3, 0.0], "x_cut": 0.7',
+         '"kind": "gaussian", "coupling": [0.3, 0.0], "center": 0.7, '
+         '"width": "nan"', "zeros"),
+        ('"form": "projector", "A": [[[1.0, 0.0]]], "h": [[[0.0, 0.0]]]',
+         '"form": "delta", "coupling": 1e400', "validate-bc"),
+    ], ids=["nodes 1e400", "x_max 10^400", "radius NaN", "contour R 1e400",
+            "radius 1e400", "box coupling 1e400", "gaussian width 'nan'",
+            "delta coupling 1e400"])
+    def test_number_out_of_range_is_config_error(self, tmp_path, old, new,
+                                                 mode):
         text = json.dumps(TINY)
         assert old in text
         (tmp_path / "c.json").write_text(text.replace(old, new))
-        rc = main(["zeros", "--config", str(tmp_path / "c.json"),
+        rc = main([mode, "--config", str(tmp_path / "c.json"),
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
 
@@ -309,6 +320,18 @@ class TestExitCodes:
         rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
                    "--out", str(tmp_path / "inv")])
         assert rc == code
+
+    @pytest.mark.parametrize("nodes", [3, 5])
+    def test_x_grid_below_stencil_span_is_config_error(self, tmp_path, nodes):
+        # the read-out needs 7 slices: the config is rejected before any
+        # slice is factored
+        weyl_csv, tail_csv = _forward_csvs(tmp_path)
+        cfg = _with(SCALAR_BOX, ("x_grid", "nodes"), nodes)
+        cfg = dict(cfg, lambda_probes=[-0.1, -0.2],
+                   input={"weyl": str(weyl_csv), "tail": str(tail_csv)})
+        rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
+                   "--out", str(tmp_path / "inv")])
+        assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("x_max", [float("nan"), float("inf"), 0.0])
     def test_x_grid_x_max_not_finite_positive(self, tmp_path, x_max):
