@@ -98,6 +98,15 @@ def _as_float(v) -> float:
     return x
 
 
+def _as_int(v) -> int:
+    """A config count as an int: a bool, a string or a number with a
+    fractional part (6.9, where int() would run 6) is a ConfigError."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or not float(v).is_integer()):
+        raise ConfigError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _as_complex(v):
     if isinstance(v, (int, float)):
         return complex(v)
@@ -170,7 +179,7 @@ def _build_boundary(spec, n: int, rng) -> BoundaryCondition:
 def _build_potential(spec, n: int) -> PotentialGrid:
     spec = _json_object(spec, "problem.potential")
     kind = spec.get("kind")
-    grid = _given(spec, x_max=_as_float, nodes=int)
+    grid = _given(spec, x_max=_as_float, nodes=_as_int)
     if kind == "zero":
         return zero_potential(n, **grid)
     if kind == "box":
@@ -191,7 +200,7 @@ def _build_potential(spec, n: int) -> PotentialGrid:
 
 def _build_problem(cfg: dict, rng) -> Problem:
     spec = _json_object(cfg["problem"], "problem")
-    n = int(spec["dim"])
+    n = _as_int(spec["dim"])
     bc = _build_boundary(spec["boundary"], n, rng)
     return Problem(potential=_build_potential(spec["potential"], n), bc=bc)
 
@@ -202,12 +211,13 @@ def _contour_params(spec) -> dict:
     c = _json_object(spec, "contour")
     return dict(r0=_as_float(c["r0"]), R=_as_float(c["R"]),
                 **_given(c, delta=lambda d: None if d is None else _as_float(d),
-                         n_circle=int, n_cut=int))
+                         n_circle=_as_int, n_cut=_as_int))
 
 
 def _invert_config(cfg: dict) -> InvertConfig:
     g = cfg["x_grid"]
-    return InvertConfig(x_max=_as_float(g["x_max"]), x_nodes=int(g["nodes"]),
+    return InvertConfig(x_max=_as_float(g["x_max"]),
+                        x_nodes=_as_int(g["nodes"]),
                         **_given(cfg, lambda_probes=lambda ps: tuple(
                             map(_as_float, ps))))
 
@@ -365,7 +375,8 @@ def _invert(cfg, rep, weyl: WeylData):
         rep.emit("q_recovered.csv", write_potential_csv, result.Q)
         rep.emit("boundary_recovered.json", _write_json, _boundary_out(result))
     for k, v in result.diagnostics.items():
-        rep.data["diagnostics"][k] = float(v)
+        # blas_threads is None where no OpenBLAS can be read
+        rep.data["diagnostics"][k] = None if v is None else float(v)
     return result
 
 
@@ -394,7 +405,7 @@ def _mode_zeros(cfg, rep, rng):
     radius = _as_float(spec.get("radius", 10.0))
     with rep.stage("zeros"):
         zeros, r0 = scan_jost_zeros(problem, radius,
-                                    **_given(spec, grid_density=int))
+                                    **_given(spec, grid_density=_as_int))
     with rep.stage("emit"):
         rep.emit("zeros.csv", _write_csv, ["re_lambda", "im_lambda"],
                  (((), (z,)) for z in zeros))
@@ -405,7 +416,7 @@ def _mode_zeros(cfg, rep, rng):
 def _mode_validate_bc(cfg, rep, rng):
     spec = _json_object(cfg["problem"], "problem")
     with rep.stage("validate"):
-        bc = _build_boundary(spec["boundary"], int(spec["dim"]), rng)
+        bc = _build_boundary(spec["boundary"], _as_int(spec["dim"]), rng)
     with rep.stage("emit"):
         rep.emit("boundary.json", _write_json, _boundary_out(bc))
     for k, v in bc.residuals().items():

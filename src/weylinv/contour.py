@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatchError, SpectralPoint, lambda_to_point
+from .core import (DimensionMismatchError, DomainError, SpectralPoint,
+                   lambda_to_point)
 
 __all__ = ["ContourNode", "Contour", "build_contour", "coarsen_contour",
            "extension_nodes", "integrate", "cauchy_transform"]
@@ -56,7 +57,9 @@ def _delta(r0, delta):
 @dataclass(frozen=True)
 class Contour:
     """Ordered quadrature nodes realizing the truncated contour; a delta
-    of None takes build_contour's default."""
+    of None takes build_contour's default.  Every node lies in the disk
+    the cut spans, |lambda| <= |R + i delta|; a node outside it raises
+    DomainError."""
 
     r0: float
     R: float
@@ -71,6 +74,15 @@ class Contour:
             raise ValueError("delta must be >= 0")
         if len(self.nodes) < 64:
             raise ValueError("need at least 64 nodes")
+        # the cut ends at R +- i delta, the farthest point of the contour
+        bound = abs(complex(self.R, self.delta))
+        lams = self.lambdas
+        with np.errstate(over="ignore"):
+            far = np.flatnonzero(np.abs(lams) > bound * (1 + 1e-9))
+        if far.size:
+            raise DomainError(f"contour node {far[0]} at lambda = "
+                              f"{lams[far[0]]:.6g} lies outside |lambda| <= "
+                              f"|R + i delta| = {bound:.6g}")
 
     def __len__(self):
         return len(self.nodes)

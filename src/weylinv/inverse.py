@@ -26,7 +26,13 @@ keeps the system well scaled along the unbounded cut.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
+import ctypes
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -240,19 +246,21 @@ def _node_factors(r, xs):
     is elementwise: a slice of a block has the bits of its x alone."""
     x = np.asarray(xs, dtype=float)[:, None]
     z = r * x
-    s, c = np.sin(z), np.cos(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the sines of a node far off the real axis overflow; the finiteness
+    # check of _Assembler._factor reports the slice
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s, c = np.sin(z), np.cos(z)
         v = s / r
-    a = v - x
-    small = np.abs(z) < 1.0
-    zs, x_s = z[small], np.broadcast_to(x, z.shape)[small]
-    a[small] = x_s * zs ** 2 * np.polynomial.polynomial.polyval(
-        zs ** 2, _SIN_SERIES)
-    v[small] = x_s + a[small]
-    b = -2.0 * np.sin(z / 2.0) ** 2
-    one = np.ones_like(z)
-    return (np.stack([r * s, -c, a, -one, v, -b], axis=1),
-            np.stack([c, r * s, one, a, b, v], axis=1))
+        a = v - x
+        small = np.abs(z) < 1.0
+        zs, x_s = z[small], np.broadcast_to(x, z.shape)[small]
+        a[small] = x_s * zs ** 2 * np.polynomial.polynomial.polyval(
+            zs ** 2, _SIN_SERIES)
+        v[small] = x_s + a[small]
+        b = -2.0 * np.sin(z / 2.0) ** 2
+        one = np.ones_like(z)
+        return (np.stack([r * s, -c, a, -one, v, -b], axis=1),
+                np.stack([c, r * s, one, a, b, v], axis=1))
 
 
 class _SeparableD:
@@ -336,19 +344,25 @@ def extract_A(tail_samples) -> np.ndarray:
     the constant term, then projects onto the nearest orthogonal
     projector (symmetrize, eigendecompose, round eigenvalues to {0, 1}).
     Eigenvalues in the ambiguous band [0.25, 0.75] and extrapolation
-    misfits above _A_RESIDUAL_TOL raise DataQualityError.
+    misfits above _A_RESIDUAL_TOL raise DataQualityError, and so do
+    samples that overflow the fit (a non-finite misfit).
     """
     if len(tail_samples) < 4:
         raise DataQualityError("need at least 4 tail samples")
     rhos = np.array([pt.rho for pt, _ in tail_samples])
     mats = np.array([np.asarray(M, dtype=complex) for _, M in tail_samples])
     n = mats.shape[1]
-    vals = np.eye(n) - mats / (-1j * rhos)[:, None, None]
-
-    V = np.vander(1.0 / np.abs(rhos), 4, increasing=True)  # [1, 1/r, 1/r^2, 1/r^3]
-    coef, *_ = np.linalg.lstsq(V, vals.reshape(rhos.size, -1), rcond=None)
-    fit = (V @ coef).reshape(vals.shape)
-    misfit = matnorm(vals - fit)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = np.eye(n) - mats / (-1j * rhos)[:, None, None]
+        V = np.vander(1.0 / np.abs(rhos), 4, increasing=True)  # [1, 1/r, 1/r^2, 1/r^3]
+        if not (np.isfinite(vals).all() and np.isfinite(V).all()):
+            raise DataQualityError("tail samples overflow the extrapolation fit")
+        coef, *_ = np.linalg.lstsq(V, vals.reshape(rhos.size, -1), rcond=None)
+        misfit = matnorm(vals - (V @ coef).reshape(vals.shape))
+    # written so that a NaN misfit fails too
+    if not misfit <= _A_RESIDUAL_TOL:
+        raise DataQualityError(
+            f"tail extrapolation residual {misfit:.3e} exceeds {_A_RESIDUAL_TOL}")
     A_raw = coef[0].reshape(n, n)
 
     A_sym = (A_raw + A_raw.conj().T) / 2.0
@@ -361,7 +375,7 @@ def extract_A(tail_samples) -> np.ndarray:
     A_proj = (evecs * rounded) @ evecs.conj().T
     A_proj = (A_proj + A_proj.conj().T) / 2.0
 
-    residual = max(misfit, matnorm(A_raw - A_proj))
+    residual = matnorm(A_raw - A_proj)
     if residual > _A_RESIDUAL_TOL:
         raise DataQualityError(
             f"tail extrapolation residual {residual:.3e} exceeds {_A_RESIDUAL_TOL}"
@@ -385,6 +399,98 @@ _BLOCK_BYTES = 1280 * 1024
 # Cut-node midpoints at which _Assembler.residual probes a slice.
 _N_RESIDUAL_PROBES = 8
 
+# Thread-count getters an OpenBLAS build may export (numpy and scipy each
+# bundle their own, with prefixed symbols).
+_OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+@functools.cache
+def _openblas_getters() -> tuple:
+    """The thread-count getter of every OpenBLAS mapped into this process,
+    found once; empty where the process map cannot be read."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({ln.split()[-1] for ln in f
+                            if "openblas" in ln.lower()})
+    except OSError:
+        return ()
+    getters = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in _OPENBLAS_GETTERS:
+            if hasattr(lib, sym):
+                fn = getattr(lib, sym)
+                fn.argtypes, fn.restype = (), ctypes.c_int
+                getters.append(fn)
+                break
+    return tuple(getters)
+
+
+def _blas_threads():
+    """The largest thread count any loaded OpenBLAS reports now, or None
+    when none can be read."""
+    return max((fn() for fn in _openblas_getters()), default=None)
+
+
+def _slice_workers(n_blocks: int) -> int:
+    """Threads for n_blocks blocks of x-slices: the usable CPUs divided by
+    the BLAS thread count, at most one per block, so that the LUs of the
+    blocks and their own BLAS threads do not contend for cores (with
+    OpenBLAS at 2 threads on a 2-core host, 2 workers made invert about
+    twice as slow as 1; three or more workers are unmeasured).  1 where
+    no OpenBLAS can be read."""
+    blas = _blas_threads()
+    if blas is None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus // blas, n_blocks))
+
+
+def _map_blocks(work, blocks, workers: int) -> list:
+    """[work(b) for b in blocks], on the caller's thread and workers - 1
+    pool threads, each taking the next block in order.  The caller works
+    too: that saves a thread and the malloc arena it would fill (on a
+    2-core host, two workers raised the peak memory of perfbench's
+    roundtrip-matrix by 3.4 MB this way and by 5.8 MB with two pool
+    threads).  Pool threads run in a copy of the caller's context, so
+    its np.errstate holds there.  After a block fails no further block is
+    taken; every earlier one was taken already, so the first failure in
+    block order is the one raised.  No thread outlives the call."""
+    lock = threading.Lock()
+    todo = iter(range(len(blocks)))
+    results, errors = [None] * len(blocks), {}
+
+    def run():
+        while True:
+            with lock:
+                i = None if errors else next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = work(blocks[i])
+            except BaseException as exc:
+                with lock:
+                    errors[i] = exc
+
+    # the pool starts a thread per submit only, so one worker starts none
+    with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run)
+                   for _ in range(workers - 1)]
+        run()
+        for f in futures:
+            f.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
 
 class _Assembler:
     """Precomputed node data shared by all x-slices of one inversion.
@@ -402,10 +508,12 @@ class _Assembler:
     batched product, the Born source is one product with a Cauchy matrix,
     and read_probes() reads the probes off the gains G = L B^-1 with one
     batched product.  The LU, its condition check and the gain stay per
-    slice, in x order.  solve() runs the same routine on one slice;
-    phi_at() interpolates a solution through the same _SeparableD.apply,
-    on grids built for the call, and residual() checks a solution with it
-    at cut midpoints.
+    slice.  The blocks run concurrently (_map_blocks on _slice_workers
+    threads); slices are independent, so the results do not depend on
+    the thread count, and errors are reported in x order.  solve() runs
+    the same routine on one slice; phi_at() interpolates a solution
+    through the same _SeparableD.apply, on grids built for the call, and
+    residual() checks a solution with it at cut midpoints.
 
     extend() adds synthetic cut nodes beyond the data truncation.  Their
     unknowns are replaced by the model solution (a Born approximation,
@@ -447,6 +555,8 @@ class _Assembler:
         self._FP = np.swapaxes(wt * (self.Winv @ self.MhatP), 1, 2)
         self._block = max(1, _BLOCK_BYTES // (16 * self._nodes.size * n
                                               * self.K * n))
+        # threads of the last read_probes
+        self.slice_workers = 1
         self.ext_rhos = None
 
     def extend(self, ext_rhos, ext_w, ext_Mhat):
@@ -507,30 +617,33 @@ class _Assembler:
         column factors (X, 6, K) times FA (i < 2) or FP (i >= 2), in one
         batched product, times C; the coincident pairs from the direct
         closed form, then the identity on B.  Then, slice by slice in x
-        order, check that B and L are finite, LU-factor B and check its
-        reciprocal 1-norm condition number against cond_limit.  Yields
-        the LU factors, rcond and L of each slice."""
+        order within the block, check that B and L are finite, LU-factor B
+        and check its reciprocal 1-norm condition number against
+        cond_limit.  Yields the LU factors, rcond and L of each slice."""
         K, n = self.K, self.n
         X, _, J = rows.shape
-        R = np.swapaxes(rows, 1, 2).copy()
-        R[:, :K, 2:] *= (1j * self.rhos)[:, None]
-        T = np.empty((X, 6, n, K, n), dtype=complex)
-        T[:, :2] = cols[:, :2, None, :K, None] * np.swapaxes(self._FA, 0, 1)
-        T[:, 2:] = cols[:, 2:, None, :K, None] * np.swapaxes(self._FP, 0, 1)
-        BL = (R @ T.reshape(X, 6, -1)).reshape(X, J, n, K, n)
-        BL *= self._D_nodes.C[:, None, :, None]
-        j, k = self._D_nodes.near
-        cA, cP = _model_D_coeffs(xs[:, None], self._nodes[j], self.rhos[k])
-        cP = np.where(j < K, 1j * self._nodes[j], 1.0) * cP
-        # indexing at [:, j, :, k] puts the pairs first
-        BL[:, j, :, k] = (
-            cA.T[..., None, None] * self._FA[k, None]
-            + cP.T[..., None, None] * self._FP[k, None])
         Kn = K * n
-        BL = BL.reshape(X, J * n, Kn)
-        BL[:, np.arange(Kn), np.arange(Kn)] += 1.0
-        # the 1-norm of each B: NaN or inf if B is not finite
-        norms = np.abs(BL[:, :Kn]).sum(axis=1).max(axis=1)
+        # non-finite node factors or data overflow the fill; the check
+        # below reports the slice
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = np.swapaxes(rows, 1, 2).copy()
+            R[:, :K, 2:] *= (1j * self.rhos)[:, None]
+            T = np.empty((X, 6, n, K, n), dtype=complex)
+            T[:, :2] = cols[:, :2, None, :K, None] * np.swapaxes(self._FA, 0, 1)
+            T[:, 2:] = cols[:, 2:, None, :K, None] * np.swapaxes(self._FP, 0, 1)
+            BL = (R @ T.reshape(X, 6, -1)).reshape(X, J, n, K, n)
+            BL *= self._D_nodes.C[:, None, :, None]
+            j, k = self._D_nodes.near
+            cA, cP = _model_D_coeffs(xs[:, None], self._nodes[j], self.rhos[k])
+            cP = np.where(j < K, 1j * self._nodes[j], 1.0) * cP
+            # indexing at [:, j, :, k] puts the pairs first
+            BL[:, j, :, k] = (
+                cA.T[..., None, None] * self._FA[k, None]
+                + cP.T[..., None, None] * self._FP[k, None])
+            BL = BL.reshape(X, J * n, Kn)
+            BL[:, np.arange(Kn), np.arange(Kn)] += 1.0
+            # the 1-norm of each B: NaN or inf if B is not finite
+            norms = np.abs(BL[:, :Kn]).sum(axis=1).max(axis=1)
         finite = np.isfinite(norms) & np.isfinite(BL[:, Kn:]).all(axis=(1, 2))
         gecon = scipy.linalg.get_lapack_funcs("gecon", (BL,))
         for x, ok, norm, S in zip(xs, finite, norms, BL):
@@ -566,8 +679,10 @@ class _Assembler:
         F - G rhs, with the current extension in the source F and the
         right-hand side.  Without gains, each slice is factored first
         (_factor) and its gain G = L B^-1 kept, from one transposed solve
-        with J n right-hand sides.  Returns the values, the gains
-        (X, J n, K n) and the rconds (None when the gains were given)."""
+        with J n right-hand sides.  The blocks run concurrently on
+        _slice_workers threads, recorded in slice_workers; errors are
+        reported in x order.  Returns the values, the gains (X, J n, K n)
+        and the rconds (None when the gains were given)."""
         xs = np.asarray(xs, dtype=float)
         rcond = None
         if gains is None:
@@ -575,8 +690,9 @@ class _Assembler:
             gains = np.empty((xs.size, self._nodes.size * self.n - Kn, Kn),
                              dtype=complex)
             rcond = np.empty(xs.size)
-        out = []
-        for s in range(0, xs.size, self._block):
+
+        def read(s):
+            # each block writes the gains and rconds of its own slices
             blk = slice(s, s + self._block)
             rows, cols = _node_factors(self._nodes, xs[blk])
             if rcond is not None:
@@ -586,8 +702,11 @@ class _Assembler:
                     gains[s + i] = scipy.linalg.lu_solve(
                         fac, L.T, trans=1, check_finite=False).T
             _, F, rhs = self._source(xs[blk], rows, cols)
-            out.append(F - np.swapaxes((gains[blk] @ rhs).reshape(F.shape),
-                                       -1, -2))
+            return F - np.swapaxes((gains[blk] @ rhs).reshape(F.shape), -1, -2)
+
+        starts = range(0, xs.size, self._block)
+        self.slice_workers = _slice_workers(len(starts))
+        out = _map_blocks(read, starts, self.slice_workers)
         return np.concatenate(out), gains, rcond
 
     def phi_at(self, sol: MainEquationSolution, rhos) -> np.ndarray:
@@ -770,7 +889,8 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
     beyond the data band.  The result seeds the synthetic kernel tail past
     the truncation radius; it is a coarse estimate of Q only, never the
     reconstruction itself.  Returns (Q, h) and the relative misfit of the
-    (row-weighted) data rows.
+    (row-weighted) data rows; data rows that are not finite raise
+    DataQualityError.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
@@ -783,33 +903,39 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
     keep = ((np.array(cont.segments) != "circle")
             & (np.abs(cont.rhos) >= rho_fit_min))
     tail = weyl.tail_samples
-    rhos = np.concatenate([cont.rhos[keep], [pt.rho for pt, _ in tail]])
-    Ys = np.concatenate([weyl.M_samples[keep],
-                         np.reshape([M for _, M in tail], (-1, n, n))]
-                        ) - _model_weyl(A, rhos)
-    Linv = A[None] + Ap[None] / (1j * rhos)[:, None, None]
-    Rinv = (1j * rhos)[:, None, None] * A[None] - Ap[None]
-    Ys = (1j * rhos)[:, None, None] * (Linv @ Ys @ Rinv)
+    # samples near 0 or far out overflow the data rows; the check below
+    # rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhos = np.concatenate([cont.rhos[keep], [pt.rho for pt, _ in tail]])
+        Ys = np.concatenate([weyl.M_samples[keep],
+                             np.reshape([M for _, M in tail], (-1, n, n))]
+                            ) - _model_weyl(A, rhos)
+        Linv = A[None] + Ap[None] / (1j * rhos)[:, None, None]
+        Rinv = (1j * rhos)[:, None, None] * A[None] - Ap[None]
+        Ys = (1j * rhos)[:, None, None] * (Linv @ Ys @ Rinv)
 
-    x_max = Q_prior.x_max
-    n_coarse = _FIT_NODES
-    t = np.linspace(0.0, x_max, n_coarse)
-    dt = t[1] - t[0]
-    # Y = h + c/rho + basis . (S Q); basis integrates the piecewise-linear
-    # hat at each node against -exp(2 i rho t) in closed form (Filon), so
-    # the design stays exact however fast the kernel oscillates.  The
-    # 1/rho nuisance column absorbs the next-order model bias, which is
-    # otherwise degenerate with the endpoint value Q(0).
-    a = 2j * rhos[:, None]
-    basis = np.exp(a * t[None, :]) * dt * sinc(rhos[:, None] * dt) ** 2
-    basis[:, 0] = -1.0 / a[:, 0] + (np.exp(a[:, 0] * dt) - 1.0) / (a[:, 0] ** 2 * dt)
-    basis[:, -1] = np.exp(a[:, 0] * x_max) * (
-        1.0 / a[:, 0] + (np.exp(-a[:, 0] * dt) - 1.0) / (a[:, 0] ** 2 * dt))
-    basis = -basis
-    row_w = np.abs(rhos) / rho_R
-    design = row_w[:, None] * np.hstack(
-        [np.ones((len(rhos), 1)), 1.0 / (1j * rhos)[:, None], basis])
-    rhs_data = row_w[:, None] * Ys.reshape(len(rhos), n * n)
+        x_max = Q_prior.x_max
+        n_coarse = _FIT_NODES
+        t = np.linspace(0.0, x_max, n_coarse)
+        dt = t[1] - t[0]
+        # Y = h + c/rho + basis . (S Q); basis integrates the piecewise-linear
+        # hat at each node against -exp(2 i rho t) in closed form (Filon), so
+        # the design stays exact however fast the kernel oscillates.  The
+        # 1/rho nuisance column absorbs the next-order model bias, which is
+        # otherwise degenerate with the endpoint value Q(0).
+        a = 2j * rhos[:, None]
+        basis = np.exp(a * t[None, :]) * dt * sinc(rhos[:, None] * dt) ** 2
+        basis[:, 0] = (-1.0 / a[:, 0]
+                       + (np.exp(a[:, 0] * dt) - 1.0) / (a[:, 0] ** 2 * dt))
+        basis[:, -1] = np.exp(a[:, 0] * x_max) * (
+            1.0 / a[:, 0] + (np.exp(-a[:, 0] * dt) - 1.0) / (a[:, 0] ** 2 * dt))
+        basis = -basis
+        row_w = np.abs(rhos) / rho_R
+        design = row_w[:, None] * np.hstack(
+            [np.ones((len(rhos), 1)), 1.0 / (1j * rhos)[:, None], basis])
+        rhs_data = row_w[:, None] * Ys.reshape(len(rhos), n * n)
+    if not (np.isfinite(design).all() and np.isfinite(rhs_data).all()):
+        raise DataQualityError("the tail fit's data rows are not finite")
 
     # anchor: the band-limited component of Q must match the prior
     sigma = 2.0 / rho_R
@@ -987,15 +1113,20 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
 
     The x-grid is worked through in blocks of slices
     (_Assembler.read_probes, under a private 1.25 MB budget).  Pass 1 fills,
-    LU-factors and checks every slice once, in x order, and keeps only its
-    probe gain ((J n) x (K n) per slice, about 16 MB at the criterion-6
-    matrix size).  Every pass reads the probe values off the gains and its
-    own right-hand side, which alone carries the tail extension.
+    LU-factors and checks every slice once and keeps only its probe gain
+    ((J n) x (K n) per slice, about 16 MB at the criterion-6 matrix size).
+    Every pass reads the probe values off the gains and its own
+    right-hand side, which alone carries the tail extension.  The blocks
+    run concurrently; errors are reported in x order, and every result is
+    the same for any thread count.
     Diagnostics: main_equation_residual (of the middle slice, solved
     after the last pass), min_rcond and min_rcond_x (the worst-conditioned
     Nystrom system), phi_filled_nodes (x-nodes where phi was rejected at
     every probe and filled in, last pass), q_pass_change (relative L1
-    change of Q over the last pass, 0 for one pass) and, with passes > 1,
+    change of Q over the last pass, 0 for one pass), slice_workers (the
+    threads the blocks ran on: usable CPUs over BLAS threads, at most one
+    per block), blas_threads (the largest thread count a loaded OpenBLAS
+    reports, None when none can be read) and, with passes > 1,
     tail_fit_residual (relative data misfit of the last tail fit).
     """
     A = extract_A(weyl.tail_samples)
@@ -1031,6 +1162,8 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
         "min_rcond_x": float(xs[worst]),
         "phi_filled_nodes": filled,
         "q_pass_change": change,
+        "slice_workers": asm.slice_workers,
+        "blas_threads": _blas_threads(),
         **fit,
     }
     return ReconstructionResult(A=A, h=h, Q=Q, diagnostics=diag)

@@ -153,6 +153,9 @@ class TestRoundtrip:
         assert diag["phi_filled_nodes"] == 0
         assert 0.0 < diag["q_pass_change"] < 1.0
         assert 0.0 < diag["tail_fit_residual"] < 1.0
+        # null where no OpenBLAS can be read
+        assert diag["slice_workers"] >= 1
+        assert diag["blas_threads"] is None or diag["blas_threads"] >= 1
         assert (tmp_path / "out" / "q_recovered.csv").exists()
 
 
@@ -300,6 +303,30 @@ class TestExitCodes:
         rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
                    "--out", str(tmp_path / "inv")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", [6.9, True, "9"], ids=["6.9", "true", "'9'"])
+    @pytest.mark.parametrize("mode, path", [
+        ("zeros", ("zeros", "grid_density")),
+        ("roundtrip", ("x_grid", "nodes")),
+        ("zeros", ("problem", "potential", "nodes")),
+        ("forward", ("contour", "n_cut")),
+        ("forward", ("contour", "n_circle")),
+        ("forward", ("problem", "dim")),
+        ("validate-bc", ("problem", "dim")),
+    ], ids=lambda v: v if isinstance(v, str) else ".".join(v))
+    def test_count_that_is_not_an_integer_is_config_error(self, tmp_path, mode,
+                                                          path, value):
+        # int() would have run grid_density 6.9 as 6, and dim "9" as 9
+        cfg = _with(TINY, path, value)
+        rc = main([mode, "--config", write_cfg(tmp_path / "c.json", cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        cfg = _with(TINY, ("zeros", "grid_density"), 6.0)
+        rc = main(["zeros", "--config", write_cfg(tmp_path / "c.json", cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
 
     def test_negative_im_rho_in_weyl_csv_is_numerical_failure(self, tmp_path):
         weyl_csv, tail_csv = _forward_csvs(tmp_path)
@@ -468,6 +495,32 @@ def test_mutated_job_exits_with_documented_code(tiny_samples, data):
         rc = main([mode, "--config", write_cfg(tmp / "c.json", cfg),
                    "--out", str(tmp / "out")])
     assert rc in (0, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
+
+
+@pytest.mark.parametrize("target, row, column, cell", [
+    # a contour node at Im rho = 542 (its sines overflow the Nystrom fill)
+    # or at Re rho = 1e103, far outside |lambda| <= R
+    ("weyl", 1, 2, "542.0"), ("weyl", 1, 1, "1e103"),
+    # an M entry that overflows the fill
+    ("weyl", 20, 5, "1.7e308"),
+    # tail points that overflow the tail fit's rows or extract_A's fit
+    ("tail", 1, 1, "1e154"), ("tail", 1, 2, "1e103"), ("tail", 1, 2, "5e-324"),
+    ("tail", 1, 2, "1e-200"), ("tail", 1, 5, "1.7e308"),
+], ids=lambda v: str(v))
+def test_overflowing_sample_is_numerical_failure(tiny_samples, tmp_path, target,
+                                                  row, column, cell):
+    # each used to end in a RuntimeWarning traceback (pytest turns the
+    # warning into an error), seen by test_mutated_job_exits_with_documented_code
+    samples = copy.deepcopy(tiny_samples)
+    samples[target][row][column] = cell
+    for name, rows in samples.items():
+        with (tmp_path / f"{name}.csv").open("w", newline="") as f:
+            csv.writer(f).writerows(rows)
+    cfg = dict(TINY, input={"weyl": str(tmp_path / "weyl.csv"),
+                            "tail": str(tmp_path / "tail.csv")})
+    rc = main(["invert", "--config", write_cfg(tmp_path / "c.json", cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == EXIT_NUMERICAL
 
 
 def test_omitted_keys_take_the_library_defaults(tmp_path):

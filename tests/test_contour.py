@@ -6,6 +6,7 @@ import pytest
 from weylinv import (
     Contour,
     ContourNode,
+    DomainError,
     SpectralPoint,
     build_contour,
     cauchy_transform,
@@ -55,6 +56,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ContourNode(point=SpectralPoint(1.0), weight=0.0,
                         segment="circle")
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_rejects_node_outside_the_cut_disk(self, delta):
+        # the cut's outer ends R +- i delta are the farthest nodes; one
+        # just beyond |R + i delta| is a DomainError (a ValueError)
+        c = build_contour(r0=2.0, R=100.0, n_cut=32, n_circle=32, delta=delta)
+        lams = c.lambdas
+        assert np.abs(lams).max() == pytest.approx(abs(100.0 + 1j * delta))
+        for k, rho in ((0, c.rhos[0] * (1 + 1e-6)), (40, 30j)):
+            nodes = list(c.nodes)
+            nodes[k] = ContourNode(point=SpectralPoint(rho), weight=1.0,
+                                   segment=nodes[k].segment)
+            with pytest.raises(DomainError, match=f"contour node {k} "):
+                Contour(r0=c.r0, R=c.R, delta=c.delta, nodes=tuple(nodes))
 
     def test_default_delta_positive(self):
         c = build_contour(r0=2.0, R=50.0)

@@ -1,5 +1,8 @@
 """Main integral equation, data extraction and the reconstruction loop."""
 
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -713,6 +716,155 @@ def test_system_cond_limit_stops_pass_one(n):
         mp.setattr(InvertConfig, "system_cond_limit", 1.01 / rcond)
         ok = invert(weyl, replace(cfg, passes=2))
     assert ok.diagnostics["min_rcond"] == rcond
+
+
+def _one_slice_blocks(mp, workers):
+    """Every x-slice in a block of its own, read on `workers` threads (at
+    most one per block)."""
+    mp.setattr(inverse, "_BLOCK_BYTES", 1)
+    mp.setattr(inverse, "_slice_workers", lambda n_blocks: min(workers, n_blocks))
+
+
+class TestSlicePool:
+    """The blocks of read_probes on a thread pool, one slice per block."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_results_do_not_depend_on_worker_count(self, n):
+        # the probe reads (values, gains, rconds) of an extended assembler
+        # and a two-pass invert are bitwise equal on 1 and 3 threads; the
+        # pooled invert still factors its N slices plus the middle one, and
+        # no thread outlives either call
+        weyl, A = _box_weyl(n)
+        cfg = InvertConfig(x_max=X_MAX, x_nodes=13)
+        xs = np.linspace(0.0, X_MAX, 7)
+        ext_rhos, ext_w = extension_nodes(weyl.contour, 7.0)
+        ext_Mhat = 1e-2 / ext_rhos[:, None, None] * np.eye(n)
+        real = scipy.linalg.lu_factor
+        runs = {}
+        for workers in (1, 3):
+            calls = []
+
+            def spy(*args, **kwargs):
+                calls.append(args[0].shape)
+                return real(*args, **kwargs)
+
+            threads = threading.active_count()
+            with pytest.MonkeyPatch.context() as mp:
+                _one_slice_blocks(mp, workers)
+                asm = _Assembler(weyl, A, [1j * np.sqrt(2.0), 1j * np.sqrt(5.0)])
+                asm.extend(ext_rhos, ext_w, ext_Mhat)
+                reads = asm.read_probes(xs)
+                assert asm.slice_workers == workers
+                mp.setattr(scipy.linalg, "lu_factor", spy)
+                res = invert(weyl, cfg)
+            assert threading.active_count() == threads
+            assert calls == [(asm.K * n, asm.K * n)] * (cfg.x_nodes + 1)
+            runs[workers] = reads, res
+        (reads1, res1), (reads3, res3) = runs[1], runs[3]
+        for a, b in zip(reads1, reads3):
+            assert np.array_equal(a, b)
+        assert np.array_equal(res1.Q.values, res3.Q.values)
+        assert np.array_equal(res1.h, res3.h) and np.array_equal(res1.A, res3.A)
+        d1, d3 = dict(res1.diagnostics), dict(res3.diagnostics)
+        assert d1.pop("slice_workers") == 1 and d3.pop("slice_workers") == 3
+        assert d1 == d3
+
+    def test_first_failing_slice_in_x_order_is_reported(self):
+        # the sines of a probe at 1000i overflow from x ~ 0.71 on, so the
+        # slices at x = 1 and 2 are not finite; the one at x = 1 is held
+        # back, so x = 2 fails first in time.  No errstate here: the
+        # overflow is silenced on the workers themselves.
+        weyl, A = _box_weyl(1)
+        real = inverse._node_factors
+
+        def slow_at_one(r, xs):
+            if 1.0 in np.asarray(xs):
+                time.sleep(0.2)
+            return real(r, xs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            _one_slice_blocks(mp, 3)
+            mp.setattr(inverse, "_node_factors", slow_at_one)
+            huge = _Assembler(weyl, A, [1j * np.sqrt(2.0), 1000j])
+            with pytest.raises(ReconstructionError, match="not finite at x = 1"):
+                huge.read_probes([0.0, 0.5, 1.0, X_MAX])
+
+    def test_no_block_is_taken_after_a_failure(self):
+        # the block at x = 0 fails at once while the two taken with it are
+        # held back; none of the other 10 is started
+        weyl, A = _box_weyl(1)
+        taken = []
+
+        def fail_at_zero(r, xs):
+            taken.append(xs[0])
+            if xs[0] == 0.0:
+                raise ReconstructionError("block at x = 0")
+            time.sleep(0.2)
+            return real(r, xs)
+
+        real = inverse._node_factors
+        with pytest.MonkeyPatch.context() as mp:
+            _one_slice_blocks(mp, 3)
+            mp.setattr(inverse, "_node_factors", fail_at_zero)
+            asm = _Assembler(weyl, A, [1j * np.sqrt(2.0)])
+            with pytest.raises(ReconstructionError, match="block at x = 0"):
+                asm.read_probes(np.linspace(0.0, X_MAX, 13))
+        assert 1 <= len(taken) <= 3
+
+    def test_caller_errstate_holds_on_the_workers(self):
+        # the caller takes blocks too; each block is held back a little so
+        # that the pool threads take some
+        weyl, A = _box_weyl(1)
+        real, seen = inverse._node_factors, []
+
+        def spy(r, xs):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         np.geterr()))
+            time.sleep(0.01)
+            return real(r, xs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            _one_slice_blocks(mp, 3)
+            mp.setattr(inverse, "_node_factors", spy)
+            asm = _Assembler(weyl, A, [1j * np.sqrt(2.0)])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                caller = np.geterr()
+                asm.read_probes(np.linspace(0.0, X_MAX, 7))
+        assert caller != np.geterr()
+        assert len(seen) == 7 and not all(main for main, _ in seen)
+        assert all(err == caller for _, err in seen)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cond_limit_stops_pooled_pass_one(self, n):
+        # as test_system_cond_limit_stops_pass_one, on 3 threads: the
+        # ill-conditioned slice raises before any tail fit
+        weyl, _ = _box_weyl(n)
+        cfg = InvertConfig(x_max=X_MAX, x_nodes=13)
+        fits = []
+        with pytest.MonkeyPatch.context() as mp:
+            _one_slice_blocks(mp, 3)
+            rcond = invert(weyl, replace(cfg, passes=1)).diagnostics["min_rcond"]
+            mp.setattr(inverse, "_tv_irls", lambda *a: fits.append(a))
+            mp.setattr(InvertConfig, "system_cond_limit", 0.99 / rcond)
+            with pytest.raises(ReconstructionError, match="ill-conditioned"):
+                invert(weyl, cfg)
+        assert fits == []
+
+    def test_one_worker_when_blas_threads_fill_the_cpus(self):
+        weyl, _ = _box_weyl(1)
+        cfg = InvertConfig(x_max=X_MAX, x_nodes=13)
+        cpus = os.cpu_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inverse, "_blas_threads", lambda: cpus)
+            diag = invert(weyl, cfg).diagnostics
+        assert diag["slice_workers"] == 1 and diag["blas_threads"] == cpus
+        # no OpenBLAS to read: one worker, and blas_threads is None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inverse, "_openblas_getters", lambda: ())
+            diag = invert(weyl, cfg).diagnostics
+        assert diag["slice_workers"] == 1 and diag["blas_threads"] is None
+        blas = inverse._blas_threads()
+        assert blas is None or blas >= 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
