@@ -163,7 +163,13 @@ def build_contour(r0: float, R: float, delta: float = None,
     """Build the truncated contour with trapezoid weights per segment.
 
     delta defaults to 1e-3 * r0.  The total node count is
-    n_circle + 2 * n_cut.
+    n_circle + 2 * n_cut.  The contour is its own mirror image under
+    lambda -> conj lambda, bit for bit: node k from the end is the
+    conjugate of node k (rho -> -conj rho) and carries the weight
+    -conj w.  The cut sides mirror by construction; the circle's lower
+    half is laid out as the conjugate of its upper half, and for an odd
+    n_circle the theta = pi node is -r0 exactly.  For real Q the forward
+    solver then marches one point per mirror pair.
     """
     if not (0 < r0 < R):
         raise ValueError("need 0 < r0 < R")
@@ -180,7 +186,15 @@ def build_contour(r0: float, R: float, delta: float = None,
 
     theta0 = np.arcsin(min(delta / r0, 1.0)) if delta > 0 else 0.0
     theta = np.linspace(theta0, 2.0 * np.pi - theta0, n_circle)
-    lam_circ = r0 * np.exp(1j * theta)
+    # the lower half is the upper half's mirror image bit for bit, so every
+    # node's conjugate is a node (and its weight mirrors to -conj w);
+    # r0 exp(i theta) is mirrored only to rounding
+    half = n_circle // 2
+    lam_circ = np.empty(n_circle, dtype=complex)
+    lam_circ[:half] = r0 * np.exp(1j * theta[:half])
+    lam_circ[n_circle - half:] = lam_circ[half - 1::-1].conj()
+    if n_circle % 2:
+        lam_circ[half] = -r0
     w_circ = _param_weights(1j * lam_circ, theta[1] - theta[0])
     for k, (lam, w) in enumerate(zip(lam_circ, w_circ)):
         if lam.imag != 0:

@@ -28,7 +28,9 @@ a = exp(2 i rho dx), is a chunked scan of about 2 sqrt(N) small steps;
 the plain integral is a cumulative sum; and the 4th-order endpoint terms
 of the two integrals cancel at every interior node, so no gradient is
 taken (_sweep_increment).  B comes from a fixed memory budget, so the
-working set does not grow with the number of points.
+working set does not grow with the number of points.  For real Q,
+e(x, -conj rho) = conj e(x, rho), so the Jost data at x = 0 are marched
+once per mirror pair and per repeated point (_jost_at_zero).
 
 The regular solutions are marched for many energies at once, with Q
 frozen at each step midpoint.  Each step map exp(dx [[0, I], [B, 0]]) is
@@ -232,14 +234,16 @@ def _sweep_factors(rhos, shape, dx):
     return pw, (1.0 - pw[::-1]) * inv, inv
 
 
-def _jost_scaled(Q, rhos, dx):
+def _jost_scaled(Q, rhos, dx, names=None):
     """Scaled Jost solutions E = e * exp(-i rho x) for a block of points.
 
     Q is the (N, n, n) potential and rhos a (B,) array; returns E as an
     (N, n, n, B) array (points last) and the (B,) sweep count of each
     point.  A point leaves the sweep once its update norm is within
     JOST_TOL, so it stops after as many sweeps as it would alone.  A NaN
-    update never counts as converged.
+    update never counts as converged; the ConvergenceError names the
+    point's entry of names (the (B,) points the caller asked for, rhos
+    when None).
     """
     N, n = Q.shape[:2]
     eye = np.eye(n, dtype=complex)[..., None]
@@ -271,7 +275,8 @@ def _jost_scaled(Q, rhos, dx):
     last = float(upd[worst])
     raise ConvergenceError(
         f"Jost iteration did not reach {JOST_TOL} in {JOST_MAX_ITER} sweeps; "
-        f"largest last update {last:.3e} at rho = {complex(rhos[live[worst]])}",
+        f"largest last update {last:.3e} at rho = "
+        f"{complex((rhos if names is None else names)[live[worst]])}",
         residual=last,
     )
 
@@ -320,18 +325,28 @@ def _scaled_integral_at_start(g, rhos, dx):
 
 
 def _jost_at_zero(problem: Problem, rhos):
-    """e(0, rho) and e'(0, rho) for every rho of an array, each (K, n, n),
-    marched in blocks of the most points that fit _BLOCK_BYTES.  E' is
-    formed at x = 0 only: E'(0) = -J_0 of the scaled tail integral of Q E."""
+    """e(0, rho) and e'(0, rho) for every rho of a (K,) array, each
+    (K, n, n).
+
+    For real Q, conjugating the equation gives e(x, -conj rho) =
+    conj e(x, rho), so a point with Re rho < 0 is marched as its mirror
+    -conj rho and conjugated back; with exact repeats merged too, each
+    mirror pair and each repeat is marched once.  The distinct points go
+    in blocks of the most that fit _BLOCK_BYTES.  E' is formed at x = 0
+    only: E'(0) = -J_0 of the scaled tail integral of Q E.  A
+    ConvergenceError names the point as the caller passed it."""
     pot = problem.potential
     rhos = np.asarray(rhos, dtype=complex)
+    flip = (rhos.real < 0) & (not pot.values.imag.any())
+    march, first, where = np.unique(np.where(flip, -rhos.conj(), rhos),
+                                    return_index=True, return_inverse=True)
     N, n = pot.x_nodes.size, pot.dim
     B = max(1, _BLOCK_BYTES // (16 * N * n * n))
-    e0 = np.empty((rhos.size, n, n), dtype=complex)
+    e0 = np.empty((march.size, n, n), dtype=complex)
     e0p = np.empty_like(e0)
-    for s in range(0, rhos.size, B):
-        r = rhos[s:s + B]
-        E, _ = _jost_scaled(pot.values, r, pot.dx)
+    for s in range(0, march.size, B):
+        r = march[s:s + B]
+        E, _ = _jost_scaled(pot.values, r, pot.dx, rhos[first[s:s + B]])
         # i rho e(0) on (B, n, n) arrays: numpy's complex product rounds by
         # the loop it picks, and with the points last a block of one point
         # picks another loop than a block of many
@@ -339,6 +354,9 @@ def _jost_at_zero(problem: Problem, rhos):
         e0p[s:s + B] = 1j * r[:, None, None] * e0[s:s + B] - np.moveaxis(
             _scaled_integral_at_start(_node_product(pot.values, E), r, pot.dx),
             -1, 0)
+    e0, e0p = e0[where], e0p[where]
+    e0[flip] = e0[flip].conj()
+    e0p[flip] = e0p[flip].conj()
     return e0, e0p
 
 

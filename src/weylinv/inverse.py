@@ -1173,7 +1173,9 @@ def generate_weyl_data(problem: Problem, contour: Contour,
                        tail_ts=None) -> WeylData:
     """Forward-compute Weyl data for a known problem (round-trip mode).
 
-    Every contour node and tail point goes through one batched Jost solve.
+    Every contour node and tail point goes through one batched Jost solve,
+    which for real Q marches one point per mirror pair rho, -conj rho
+    (the contour is mirror-symmetric) and one per exact repeat.
     """
     if tail_ts is None:
         tail_ts = np.linspace(50.0, 400.0, 8)

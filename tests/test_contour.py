@@ -71,6 +71,36 @@ class TestConstruction:
             with pytest.raises(DomainError, match=f"contour node {k} "):
                 Contour(r0=c.r0, R=c.R, delta=c.delta, nodes=tuple(nodes))
 
+    @pytest.mark.parametrize("delta", [0.0, None])
+    @pytest.mark.parametrize("n_circle", [32, 33, 64, 65])
+    def test_reversed_contour_is_its_mirror_image(self, n_circle, delta):
+        # lambda -> conj lambda (rho -> -conj rho) maps every node onto the
+        # node at the mirrored position, bit for bit, and w onto -conj w
+        c = build_contour(r0=2.0, R=100.0, n_cut=32, n_circle=n_circle,
+                          delta=delta)
+        assert np.array_equal(c.lambdas[::-1], c.lambdas.conj())
+        assert np.array_equal(c.rhos[::-1], -c.rhos.conj())
+        assert np.array_equal(c.weights[::-1], -c.weights.conj())
+
+    @pytest.mark.parametrize("delta", [0.0, None])
+    @pytest.mark.parametrize("n_circle", [32, 33, 64, 65])
+    def test_circle_nodes_stay_on_their_angles(self, n_circle, delta):
+        # the lower half is the upper half's mirror and an odd middle node
+        # is -r0, so a node may move off r0 exp(i theta_k) by the amount
+        # theta_k + theta_(n-1-k) misses 2 pi, besides rounding
+        r0 = 2.0
+        c = build_contour(r0=r0, R=100.0, n_cut=32, n_circle=n_circle,
+                          delta=delta)
+        lam = c.lambdas[np.array(c.segments) == "circle"]
+        theta0 = np.arcsin(c.delta / r0)
+        theta = np.linspace(theta0, 2.0 * np.pi - theta0, n_circle)
+        # the larger angle of a pair is >= 2, so its difference with
+        # fl(2 pi) is exact, and sin(fl(2 pi)) = fl(2 pi) - 2 pi
+        miss = np.abs((np.maximum(theta, theta[::-1]) - 2.0 * np.pi)
+                      + np.minimum(theta, theta[::-1]) + np.sin(2.0 * np.pi))
+        dev = np.abs(lam - r0 * np.exp(1j * theta))
+        assert np.all(dev <= r0 * (4e-16 + miss))
+
     def test_default_delta_positive(self):
         c = build_contour(r0=2.0, R=50.0)
         assert c.delta == pytest.approx(2e-3)

@@ -32,6 +32,7 @@ import weylinv.forward as fw
 from weylinv.forward import (JOST_MAX_ITER, _BLOCK_BYTES, _STEP_NORM_MAX,
                              _jost_at_zero, _jost_scaled, _march_many,
                              _node_product, _prefix_apply, _propagators,
+                             _scaled_integral_at_start,
                              _scaled_tail_integrals, _sweep_factors,
                              _sweep_increment, _weyl_many, kappa, omega,
                              transpose_problem)
@@ -266,6 +267,99 @@ class TestBatchedJost:
             ref_der = np.concatenate([phi.derivative, S.derivative], axis=-1)
             assert matnorm(val[:, k] - ref) <= 1e-13 * matnorm(ref)
             assert matnorm(der[:, k] - ref_der) <= 1e-13 * matnorm(ref_der)
+
+
+def unpaired_jost_at_zero(problem, rho):
+    """e(0, rho), e'(0, rho) of _jost_at_zero's block step for one point,
+    marched at rho itself, never at its mirror."""
+    pot = problem.potential
+    r = np.array([rho])
+    E, _ = _jost_scaled(pot.values, r, pot.dx)
+    e0 = np.moveaxis(E[0], -1, 0)
+    e0p = 1j * r[:, None, None] * e0 - np.moveaxis(
+        _scaled_integral_at_start(_node_product(pot.values, E), r, pot.dx),
+        -1, 0)
+    return e0[0], e0p[0]
+
+
+class MarchSpy:
+    """Records the points every _jost_scaled call marches."""
+
+    def __init__(self, monkeypatch):
+        self.points = []
+        march = fw._jost_scaled
+
+        def spy(Q, rhos, dx, names=None):
+            self.points.extend(rhos)
+            return march(Q, rhos, dx, names)
+
+        monkeypatch.setattr(fw, "_jost_scaled", spy)
+
+
+class TestMirrorPairs:
+    """For real Q, _jost_at_zero marches one point per mirror pair
+    rho, -conj rho and per repeat; for complex Q it flips nothing."""
+
+    TAIL = np.linspace(50.0, 400.0, 8)
+
+    def points(self):
+        # mirrored cut and circle nodes at delta = 0 (where the cut/circle
+        # joints repeat) and at the default delta, a repeat, tail points
+        # on the imaginary axis and Re rho < 0 points without a mirror
+        c0 = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=33, delta=0.0)
+        c1 = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=32)
+        lone = [-1.3 + 0.4j, -7.1 + 0.02j, -0.5 + 3.0j]
+        return np.concatenate([c0.rhos, c1.rhos, c0.rhos[40:41], 1j * self.TAIL,
+                               lone])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_q_matches_unpaired_march_bitwise(self, rng, n):
+        prob = (scalar_box_problem(nodes=201) if n == 1
+                else smooth_matrix_problem(2, rng, nodes=301))
+        assert not prob.potential.values.imag.any()
+        rhos = self.points()
+        e0, e0p = _jost_at_zero(prob, rhos)
+        for k, rho in enumerate(rhos):
+            r0, r0p = unpaired_jost_at_zero(prob, rho)
+            assert np.array_equal(e0[k], r0) and np.array_equal(e0p[k], r0p)
+
+    def test_complex_q_flips_nothing(self, monkeypatch):
+        prob = nonsymmetric_problem(nodes=201)
+        assert prob.potential.values.imag.any()
+        c = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=32)
+        rhos = np.concatenate([c.rhos[::12], -c.rhos[::12].conj(),
+                               [-1.3 + 0.4j]])
+        spy = MarchSpy(monkeypatch)
+        M = _weyl_many(prob, rhos)
+        assert np.array_equal(spy.points, np.unique(rhos))
+        assert len(spy.points) == rhos.size
+        for rho, Mk in zip(rhos, M):
+            ref = reference_weyl(prob, rho)
+            assert matnorm(Mk - ref) <= 1e-13 * max(1.0, matnorm(ref))
+
+    def test_benchmark_contour_marches_55_points(self, monkeypatch):
+        # 2 x 32 cut nodes, 32 circle nodes and 8 tail points: 32 cut
+        # pairs, 15 circle pairs besides the two joints with the cut
+        # (delta = 0) and the 8 tail points
+        prob = scalar_box_problem(nodes=201)
+        c = build_contour(r0=2.0, R=200.0, n_cut=32, n_circle=32, delta=0.0)
+        spy = MarchSpy(monkeypatch)
+        generate_weyl_data(prob, c, tail_ts=self.TAIL)
+        assert len(c) + self.TAIL.size == 104
+        assert len(spy.points) == 55
+
+    def test_error_names_the_callers_point(self):
+        prob = scalar_box_problem(nodes=201)
+        vals = prob.potential.values.copy()
+        vals[50] = np.nan
+        bad = Problem(potential=PotentialGrid(prob.potential.x_nodes, vals),
+                      bc=prob.bc)
+        # marched as its mirror 1 + 1j, named as passed
+        with pytest.raises(ConvergenceError, match=r"at rho = \(-1\+1j\)"):
+            weyl_matrix(bad, SpectralPoint(-1.0 + 1.0j))
+        # a pair marched once is named by the first of its points passed
+        with pytest.raises(ConvergenceError, match=r"at rho = \(-2\+0\.5j\)"):
+            _jost_at_zero(bad, [-2.0 + 0.5j, 2.0 + 0.5j])
 
 
 def expm_step(Qm, lam, dx):
