@@ -375,8 +375,10 @@ def _invert(cfg, rep, weyl: WeylData):
         rep.emit("q_recovered.csv", write_potential_csv, result.Q)
         rep.emit("boundary_recovered.json", _write_json, _boundary_out(result))
     for k, v in result.diagnostics.items():
-        # blas_threads is None where no OpenBLAS can be read
-        rep.data["diagnostics"][k] = None if v is None else float(v)
+        # blas_threads is None where no OpenBLAS can be read; real_system
+        # is a bool
+        rep.data["diagnostics"][k] = (v if v is None or isinstance(v, bool)
+                                      else float(v))
     return result
 
 

@@ -22,11 +22,21 @@ The unknown multiplies the kernel from the left, so the discrete system
 acts on transposed blocks.  Unknowns are equilibrated with the weight
 A + i rho A_perp (bounded on the contour for the exact solution), which
 keeps the system well scaled along the unbounded cut.
+
+For a real problem, M(conj lam) = conj M(lam), and on build_contour's
+contour, its own mirror image under lam -> conj lam, the main equation
+maps to itself under the mirror with conjugation: phi(x, conj lam) =
+conj phi(x, lam).  When the data are mirror-symmetric bit for bit
+(_mirror_symmetric), each x-slice is solved as an equivalent real system
+of order K n, assembled from the rows of the first half of the nodes
+(_Assembler); its probe gain is real.  Other data keep the complex
+system of order K n over all nodes.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import contextvars
 import ctypes
 import functools
@@ -104,7 +114,8 @@ class WeylData:
 @dataclass(frozen=True)
 class MainEquationSolution:
     """Recovered phi(x, .) at the contour nodes for one x, with the
-    reciprocal 1-norm condition number of the Nystrom system solved."""
+    reciprocal 1-norm condition number of the Nystrom system solved (of
+    the real system, for mirror-symmetric data)."""
 
     x: float
     phi_nodes: np.ndarray         # (K, n, n)
@@ -388,35 +399,42 @@ def extract_A(tail_samples) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Memory budget of the B and L rows of one block of x-slices in
-# _Assembler; a block holds the most slices that fit it, at least one:
-# 8 on the scalar benchmark contour, 2 on the matrix one.  In-process
-# invert on roundtrip-matrix (seed 7, one BLAS thread, median of 12):
-# 0.33 s at 1 slice per block, 0.29 s at 2, no higher peak memory; on
-# roundtrip-scalar 13 slices per block added 2.7 MB of peak memory and
-# 27 slices 8 MB.
-_BLOCK_BYTES = 1280 * 1024
+# _Assembler, with the real form of the real system, and the most slices
+# a block holds; a block holds the most slices that fit both, at least
+# one: 8 on the scalar benchmark contour, 4 on the matrix one.  Benchmark
+# runs (perfbench, 2 cores, 2 workers, real system, 4 seeds): on
+# roundtrip-matrix 4 slices per block took invert_or_certify_s from
+# 0.150 to 0.130 against 2, at 1.2 MB more peak memory; on
+# roundtrip-scalar 16 slices per block took it from 0.050 to 0.058 and
+# peak memory from 69.9 to 73.5 MB against 8.  With the complex system,
+# 13 slices per block added 2.7 MB of peak memory on roundtrip-scalar
+# and 27 slices 8 MB.
+_BLOCK_BYTES = 2560 * 1024
+_BLOCK_SLICES = 8
 
 # Cut-node midpoints at which _Assembler.residual probes a slice.
 _N_RESIDUAL_PROBES = 8
 
 # Thread-count getters an OpenBLAS build may export (numpy and scipy each
-# bundle their own, with prefixed symbols).
+# bundle their own, with prefixed symbols); each has a setter of the same
+# name with "set" for "get".
 _OPENBLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
                      "scipy_openblas_get_num_threads",
                      "openblas_get_num_threads64_", "openblas_get_num_threads")
 
 
 @functools.cache
-def _openblas_getters() -> tuple:
-    """The thread-count getter of every OpenBLAS mapped into this process,
-    found once; empty where the process map cannot be read."""
+def _openblas() -> tuple:
+    """The thread-count getter and setter (None where the library lacks
+    it) of every OpenBLAS mapped into this process, found once; empty
+    where the process map cannot be read."""
     try:
         with open("/proc/self/maps") as f:
             paths = sorted({ln.split()[-1] for ln in f
                             if "openblas" in ln.lower()})
     except OSError:
         return ()
-    getters = []
+    found = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -424,17 +442,42 @@ def _openblas_getters() -> tuple:
             continue
         for sym in _OPENBLAS_GETTERS:
             if hasattr(lib, sym):
-                fn = getattr(lib, sym)
-                fn.argtypes, fn.restype = (), ctypes.c_int
-                getters.append(fn)
+                get = getattr(lib, sym)
+                get.argtypes, get.restype = (), ctypes.c_int
+                put = getattr(lib, sym.replace("_get_", "_set_"), None)
+                if put is not None:
+                    put.argtypes, put.restype = (ctypes.c_int,), None
+                found.append((get, put))
                 break
-    return tuple(getters)
+    return tuple(found)
 
 
 def _blas_threads():
     """The largest thread count any loaded OpenBLAS reports now, or None
     when none can be read."""
-    return max((fn() for fn in _openblas_getters()), default=None)
+    return max((get() for get, _ in _openblas()), default=None)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set every loaded OpenBLAS that runs more than one thread to one
+    for the duration, and back to its own count after, also on error.
+    The LUs of the slices gain nothing from a second BLAS thread: on a
+    2-core host, invert ran 4 to 5 times slower with two BLAS threads than
+    with one, where its blocks take both cores.  OpenBLAS's count is
+    global to the process: of two calls that overlap, the first to
+    finish sets it back."""
+    pinned = []
+    try:
+        for get, put in _openblas():
+            count = get()
+            if count > 1 and put is not None:
+                put(1)
+                pinned.append((put, count))
+        yield
+    finally:
+        for put, count in pinned:
+            put(count)
 
 
 def _slice_workers(n_blocks: int) -> int:
@@ -492,28 +535,60 @@ def _map_blocks(work, blocks, workers: int) -> list:
     return results
 
 
+def _mirror_symmetric(rhos, weights, M, A, probes) -> bool:
+    """Whether the data are their own mirror image under lambda ->
+    conj lambda, bit for bit: node K-1-k is the mirror -conj rho of node
+    k, with the weight -conj w and the sample conj M, A is real, and
+    every probe is its own mirror (Re rho = 0, lambda < 0).  Then the
+    main equation maps to itself under the mirror with conjugation, and
+    so does its solution: phi(x, conj lambda) = conj phi(x, lambda)."""
+    return bool(np.array_equal(rhos[::-1], -rhos.conj())
+                and np.array_equal(weights[::-1], -weights.conj())
+                and np.array_equal(M[::-1], M.conj())
+                and not A.imag.any() and not probes.real.any())
+
+
 class _Assembler:
     """Precomputed node data shared by all x-slices of one inversion.
 
     Every D~ contraction goes through _SeparableD.  The Cauchy matrices of
-    the fixed grids are built once: contour and probes stacked x contour
-    (the Nystrom matrix B and the interpolation rows L at the lambda
-    probes) and, once extend() is called, contour and probes stacked x
+    the fixed grids are built once: the row nodes (contour rows and
+    probes) x contour (the Nystrom matrix B and the interpolation rows L
+    at the lambda probes) and, once extend() is called, the row nodes x
     extension (the Born tail source at both).
 
+    For mirror-symmetric data (_mirror_symmetric, recorded in
+    real_system), node K-1-k is the mirror of node k and its unknown the
+    conjugate of node k's.  Only the first ceil(K/2) nodes are then row
+    nodes, and each slice is solved as the equivalent real system of
+    order K n: with H the first K/2 nodes, B1 = B[H, H] and
+    B2 = B[H, mirror(H)], over the unknowns (Re psi_H, Im psi_H),
+
+        [[Re(B1 + B2), -Im(B1 - B2)],     [Re rhs_H]
+         [Im(B1 + B2),  Re(B1 - B2)]]  =  [Im rhs_H],
+
+    and a probe row is [Re(L1 + L2), -Im(L1 - L2)]: its imaginary half
+    vanishes for a probe on its own mirror.  A self-mirror node (the
+    theta = pi node of an odd circle) has one real unknown, Re psi, and
+    one real equation.  The node factors, the fill, the sources and the
+    LU are halved or real, and the gain G = L B^-1 is real.  Other data
+    take the complex system of order K n over all K nodes.
+
     The x-grid is worked through in blocks of as many slices as fit their
-    B and L rows into _BLOCK_BYTES (8 on the scalar benchmark contour, 2
-    on the matrix one), each array with a leading block axis.  Per block,
+    B and L rows into _BLOCK_BYTES, at most _BLOCK_SLICES (8 on the scalar
+    benchmark contour, 4 on the matrix one), each array with a leading
+    block axis.  Per block,
     the node factors are evaluated once, _factor() fills B and L with one
     batched product, the Born source is one product with a Cauchy matrix,
-    and read_probes() reads the probes off the gains G = L B^-1 with one
-    batched product.  The LU, its condition check and the gain stay per
-    slice.  The blocks run concurrently (_map_blocks on _slice_workers
-    threads); slices are independent, so the results do not depend on
-    the thread count, and errors are reported in x order.  solve() runs
-    the same routine on one slice; phi_at() interpolates a solution
-    through the same _SeparableD.apply, on grids built for the call, and
-    residual() checks a solution with it at cut midpoints.
+    and read_probes() reads the probes off the gains with one batched
+    product.  The LU, its condition check and the gain stay per slice.
+    The blocks run concurrently (_map_blocks on _slice_workers threads);
+    slices are independent, so the results do not depend on the thread
+    count, and errors are reported in x order.  solve() runs the same
+    routine on one slice and returns phi at all K nodes; phi_at()
+    interpolates a solution through the same _SeparableD.apply, on grids
+    built for the call, and residual() checks a solution with it at cut
+    midpoints.
 
     extend() adds synthetic cut nodes beyond the data truncation.  Their
     unknowns are replaced by the model solution (a Born approximation,
@@ -531,6 +606,12 @@ class _Assembler:
         self.weights = weyl.contour.weights
         self.wt = self.weights / (2j * np.pi)
         self.K = len(weyl.contour)
+        probes = np.asarray(probes, complex)
+        self.real_system = _mirror_symmetric(self.rhos, self.weights,
+                                             weyl.M_samples, self.A, probes)
+        # the contour nodes whose rows are filled: ceil(K/2) for the real
+        # system, all K otherwise
+        self._nk = (self.K + 1) // 2 if self.real_system else self.K
         self.Mhat = weyl.M_samples - _model_weyl(self.A, self.rhos)
         # [Mhat A | Mhat A_perp], (K, n, 2n)
         self._MhatAP = self.Mhat @ np.hstack([self.A, self.Ap])
@@ -540,9 +621,16 @@ class _Assembler:
                   + (1j * self.rhos)[:, None, None] * self.Ap[None, :, :])
         self.Winv = (self.A[None, :, :]
                      + (1.0 / (1j * self.rhos))[:, None, None] * self.Ap[None, :, :])
-        # the probe rhos follow the contour nodes in every per-slice array
-        self._nodes = np.concatenate([self.rhos, np.asarray(probes, complex)])
-        self._D_nodes = _SeparableD(self._nodes, self.rhos)
+        # the row nodes: the probe rhos follow the contour rows in every
+        # per-slice array
+        self._nodes = np.concatenate([self.rhos[:self._nk], probes])
+        # the contour node of each column of the fill: for the real
+        # system, the mirrors K-1-k of the first K/2 nodes k follow the
+        # first ceil(K/2) nodes in the order of k
+        self._order = np.arange(self.K)
+        if self.real_system:
+            self._order[self._nk:] = self._order[:self._nk - 1:-1]
+        self._D_nodes = _SeparableD(self._nodes, self.rhos[self._order])
         # Block (j, k) of the Nystrom matrix is Winv_k (delta_jk I + R_jk) W_j.
         # As A A_perp = 0 and Winv_k W_k = I, it equals
         # delta_jk I + cA_jk FA_k + i rho_j cP_jk FP_k, where
@@ -551,10 +639,16 @@ class _Assembler:
         # system stores each block transposed.  A probe row j of L is
         # cA_jk FA_k + cP_jk FP_k: the kernel sum over the unknowns psi_k.
         wt = self.wt[:, None, None]
-        self._FA = np.swapaxes(wt * (self.Winv @ self.MhatA), 1, 2)
-        self._FP = np.swapaxes(wt * (self.Winv @ self.MhatP), 1, 2)
-        self._block = max(1, _BLOCK_BYTES // (16 * self._nodes.size * n
-                                              * self.K * n))
+        # (in the column order of the fill)
+        self._FA = np.swapaxes(wt * (self.Winv @ self.MhatA), 1, 2)[self._order]
+        self._FP = np.swapaxes(wt * (self.Winv @ self.MhatP), 1, 2)[self._order]
+        # bytes per slice and (n K n) of the fill of the row nodes and of
+        # its real form
+        width = 16 * self._nodes.size
+        if self.real_system:
+            width += 8 * (self.K + probes.size)
+        self._block = max(1, min(_BLOCK_SLICES,
+                                 _BLOCK_BYTES // (width * n * self.K * n)))
         # threads of the last read_probes
         self.slice_workers = 1
         self.ext_rhos = None
@@ -565,6 +659,17 @@ class _Assembler:
         ones)."""
         self.ext_rhos = np.asarray(ext_rhos)
         self.ext_wt = ext_w / (2j * np.pi)
+        if self.real_system:
+            # the source is read at the rows of the first half of the
+            # nodes only, so the extension must mirror as the contour
+            # does; of its samples, the mirror-symmetric part is taken
+            # (_tail_extension's of mirror-symmetric data mirror to
+            # rounding: 1e-15 relative on the benchmark round trips)
+            if not (np.array_equal(self.ext_rhos[::-1], -self.ext_rhos.conj())
+                    and np.array_equal(ext_w[::-1], -np.conj(ext_w))):
+                raise ValueError("the extension nodes of a mirror-symmetric "
+                                 "system must mirror too")
+            ext_Mhat = (ext_Mhat + ext_Mhat[::-1].conj()) / 2.0
         # phi~ = c A + v A_perp at these nodes, so w phi~ Mhat [A | A_perp]
         # is c and v times the two halves of _ext_UV, (2, n, 2n, E)
         MAP = (self.ext_wt[:, None, None] * ext_Mhat) @ np.hstack([self.A, self.Ap])
@@ -578,6 +683,16 @@ class _Assembler:
         xs), shape (X, J, n, n)."""
         return (cols[:, 0, :, None, None] * self.A
                 + cols[:, 5, :, None, None] * self.Ap)
+
+    def _contour_cols(self, cols):
+        """The column factors (X, 6, K) of the contour nodes in the column
+        order of the fill, from those of the row nodes: for the real
+        system, the mirrors are the conjugates of the first K/2 (every
+        factor of -conj rho is the conjugate of that of rho)."""
+        if not self.real_system:
+            return cols[:, :, :self.K]
+        return np.concatenate([cols[:, :, :self._nk],
+                               cols[:, :, :self.K // 2].conj()], axis=2)
 
     def _kernel_sum(self, D, xs, rows, cols, UV):
         """sum_k wt_k phi_k r~(x, ., mu_k) over the columns mu_k of the grid
@@ -600,48 +715,85 @@ class _Assembler:
         return self._kernel_sum(D, xs, rows, cols, UV)
 
     def _source(self, xs, rows, cols):
-        """phi~ at the contour nodes and the probes, the source
-        F = phi~ - Born tail source at the probes, and the Nystrom
-        right-hand side (X, K n, n) of F at the contour nodes."""
-        K = self.K
-        F0 = F = self.phi_tilde(cols)
+        """The source F = phi~ - Born tail source at the probes, and the
+        Nystrom right-hand side (X, K n, n) of F at the contour rows
+        (rows and cols: the factors of the row nodes at xs).  For the
+        real system, the right-hand side is real, in the row order of
+        _real_form: the imaginary parts of the rows of the mirror pairs,
+        then the real parts of all contour rows."""
+        nk = self._nk
+        F = self.phi_tilde(cols)
         if self.ext_rhos is not None:
-            F = F0 - self._ext_source(xs, self._D_ext, rows)
-        rhs = np.swapaxes(F[:, :K] @ self.W, -1, -2).reshape(xs.size, -1,
-                                                            self.n)
-        return F0, F[:, K:], rhs
+            F = F - self._ext_source(xs, self._D_ext, rows)
+        rhs = np.swapaxes(F[:, :nk] @ self.W[:nk], -1, -2).reshape(xs.size, -1,
+                                                                  self.n)
+        if self.real_system:
+            rhs = np.concatenate(
+                [rhs[:, :self.K // 2 * self.n].imag, rhs.real], axis=1)
+        return F[:, nk:], rhs
+
+    def _real_form(self, BL):
+        """The real system of the row-node fill BL (X, J n, K n), as
+        _Assembler states it: the imaginary rows of the mirror pairs, then
+        the real rows of the contour rows and of the probe rows, shape
+        (X, (K + P) n, K n) for P probes, over the unknowns Re psi of the
+        first ceil(K/2) nodes, then Im psi of the first K/2."""
+        X, K, n, nk = BL.shape[0], self.K, self.n, self._nk
+        h = K // 2
+        S = BL.reshape(X, -1, K, n)
+        re, im = S.real, S.imag
+        # B2: the columns of the mirrors, the last h of the fill
+        re2, im2 = re[:, :, nk:], im[:, :, nk:]
+        out = np.empty((X, h * n + S.shape[1], K, n))
+        top, bot = out[:, :h * n], out[:, h * n:]
+        np.add(im[:, :h * n, :h], im2[:, :h * n], out=top[:, :, :h])
+        np.subtract(re[:, :h * n, :h], re2[:, :h * n], out=top[:, :, nk:])
+        np.add(re[:, :, :h], re2, out=bot[:, :, :h])
+        np.subtract(im2, im[:, :, :h], out=bot[:, :, nk:])
+        if nk > h:
+            # the self-mirror node: one real unknown, its column of B
+            top[:, :, h] = im[:, :h * n, h]
+            bot[:, :, h] = re[:, :, h]
+        return out.reshape(X, -1, K * n)
 
     def _factor(self, xs, rows, cols, cond_limit):
         """Fill B over L for every x of xs, (X, J n, K n): the row factors
-        R (X, J, 6), with i rho_j on the cP terms of B's rows, times the
-        column factors (X, 6, K) times FA (i < 2) or FP (i >= 2), in one
+        R (X, J, 6) of the row nodes, with i rho_j on the cP terms of B's
+        rows, times the contour column factors cols (X, 6, K, in the
+        column order of the fill) times FA (i < 2) or FP (i >= 2), in one
         batched product, times C; the coincident pairs from the direct
-        closed form, then the identity on B.  Then, slice by slice in x
-        order within the block, check that B and L are finite, LU-factor B
-        and check its reciprocal 1-norm condition number against
+        closed form, then the identity on B; for the real system, its
+        real form (_real_form).  Then,
+        slice by slice in x order within the block, check that B and L
+        are finite, LU-factor B and check its reciprocal 1-norm condition
+        number (of the real form, for the real system) against
         cond_limit.  Yields the LU factors, rcond and L of each slice."""
-        K, n = self.K, self.n
+        K, n, nk = self.K, self.n, self._nk
         X, _, J = rows.shape
         Kn = K * n
         # non-finite node factors or data overflow the fill; the check
         # below reports the slice
         with np.errstate(over="ignore", invalid="ignore"):
             R = np.swapaxes(rows, 1, 2).copy()
-            R[:, :K, 2:] *= (1j * self.rhos)[:, None]
+            R[:, :nk, 2:] *= (1j * self._nodes[:nk])[:, None]
             T = np.empty((X, 6, n, K, n), dtype=complex)
-            T[:, :2] = cols[:, :2, None, :K, None] * np.swapaxes(self._FA, 0, 1)
-            T[:, 2:] = cols[:, 2:, None, :K, None] * np.swapaxes(self._FP, 0, 1)
+            T[:, :2] = cols[:, :2, None, :, None] * np.swapaxes(self._FA, 0, 1)
+            T[:, 2:] = cols[:, 2:, None, :, None] * np.swapaxes(self._FP, 0, 1)
             BL = (R @ T.reshape(X, 6, -1)).reshape(X, J, n, K, n)
             BL *= self._D_nodes.C[:, None, :, None]
             j, k = self._D_nodes.near
-            cA, cP = _model_D_coeffs(xs[:, None], self._nodes[j], self.rhos[k])
-            cP = np.where(j < K, 1j * self._nodes[j], 1.0) * cP
+            cA, cP = _model_D_coeffs(xs[:, None], self._nodes[j],
+                                     self._D_nodes.taus[k])
+            cP = np.where(j < nk, 1j * self._nodes[j], 1.0) * cP
             # indexing at [:, j, :, k] puts the pairs first
             BL[:, j, :, k] = (
                 cA.T[..., None, None] * self._FA[k, None]
                 + cP.T[..., None, None] * self._FP[k, None])
             BL = BL.reshape(X, J * n, Kn)
-            BL[:, np.arange(Kn), np.arange(Kn)] += 1.0
+            diag = np.arange(nk * n)
+            BL[:, diag, diag] += 1.0
+            if self.real_system:
+                BL = self._real_form(BL)
             # the 1-norm of each B: NaN or inf if B is not finite
             norms = np.abs(BL[:, :Kn]).sum(axis=1).max(axis=1)
         finite = np.isfinite(norms) & np.isfinite(BL[:, Kn:]).all(axis=(1, 2))
@@ -662,15 +814,29 @@ class _Assembler:
     def solve(self, x: float,
               cond_limit: float = InvertConfig.system_cond_limit
               ) -> MainEquationSolution:
-        """Solve the main equation at x: the block routine on one slice."""
+        """Solve the main equation at x: the block routine on one slice,
+        also at one BLAS thread.  For the real system, the unknowns of the
+        mirrors are the conjugates of those of the first K/2 nodes."""
+        K, n, nk = self.K, self.n, self._nk
         xs = np.array([float(x)])
         rows, cols = _node_factors(self._nodes, xs)
-        (fac, rcond, _), = self._factor(xs, rows, cols, cond_limit)
-        F0, _, rhs = self._source(xs, rows, cols)
-        X = scipy.linalg.lu_solve(fac, rhs[0], check_finite=False)
-        psi = np.swapaxes(X.reshape(self.K, self.n, self.n), 1, 2)
+        node_cols = self._contour_cols(cols)
+        with _one_blas_thread():
+            (fac, rcond, _), = self._factor(xs, rows, node_cols, cond_limit)
+            _, rhs = self._source(xs, rows, cols)
+            X = scipy.linalg.lu_solve(fac, rhs[0], check_finite=False)
+        if self.real_system:
+            h = K // 2
+            X, V = X[:nk * n] + 0j, X[nk * n:]
+            X[:h * n] += 1j * V
+            X = np.concatenate([X, X[:h * n].conj()])
+        # from the column order of the fill to the contour's
+        psi = np.empty((K, n, n), dtype=complex)
+        psi[self._order] = np.swapaxes(X.reshape(K, n, n), 1, 2)
+        F0 = np.empty_like(psi)
+        F0[self._order] = self.phi_tilde(node_cols)[0]
         return MainEquationSolution(x=x, phi_nodes=psi @ self.Winv,
-                                    phi_tilde_nodes=F0[0, :self.K], rcond=rcond)
+                                    phi_tilde_nodes=F0, rcond=rcond)
 
     def read_probes(self, xs,
                     cond_limit: float = InvertConfig.system_cond_limit,
@@ -679,16 +845,18 @@ class _Assembler:
         F - G rhs, with the current extension in the source F and the
         right-hand side.  Without gains, each slice is factored first
         (_factor) and its gain G = L B^-1 kept, from one transposed solve
-        with J n right-hand sides.  The blocks run concurrently on
-        _slice_workers threads, recorded in slice_workers; errors are
-        reported in x order.  Returns the values, the gains (X, J n, K n)
-        and the rconds (None when the gains were given)."""
+        with J n right-hand sides; G is real for the real system.  The
+        blocks run concurrently on _slice_workers threads, recorded in
+        slice_workers, with every loaded OpenBLAS at one thread
+        (_one_blas_thread); errors are reported in x order.  Returns the
+        values, the gains (X, J n, K n) and the rconds (None when the
+        gains were given)."""
         xs = np.asarray(xs, dtype=float)
         rcond = None
         if gains is None:
             Kn = self.K * self.n
-            gains = np.empty((xs.size, self._nodes.size * self.n - Kn, Kn),
-                             dtype=complex)
+            gains = np.empty((xs.size, (self._nodes.size - self._nk) * self.n,
+                              Kn), dtype=float if self.real_system else complex)
             rcond = np.empty(xs.size)
 
         def read(s):
@@ -696,17 +864,18 @@ class _Assembler:
             blk = slice(s, s + self._block)
             rows, cols = _node_factors(self._nodes, xs[blk])
             if rcond is not None:
-                for i, (fac, rc, L) in enumerate(
-                        self._factor(xs[blk], rows, cols, cond_limit)):
+                for i, (fac, rc, L) in enumerate(self._factor(
+                        xs[blk], rows, self._contour_cols(cols), cond_limit)):
                     rcond[s + i] = rc
                     gains[s + i] = scipy.linalg.lu_solve(
                         fac, L.T, trans=1, check_finite=False).T
-            _, F, rhs = self._source(xs[blk], rows, cols)
+            F, rhs = self._source(xs[blk], rows, cols)
             return F - np.swapaxes((gains[blk] @ rhs).reshape(F.shape), -1, -2)
 
         starts = range(0, xs.size, self._block)
-        self.slice_workers = _slice_workers(len(starts))
-        out = _map_blocks(read, starts, self.slice_workers)
+        with _one_blas_thread():
+            self.slice_workers = _slice_workers(len(starts))
+            out = _map_blocks(read, starts, self.slice_workers)
         return np.concatenate(out), gains, rcond
 
     def phi_at(self, sol: MainEquationSolution, rhos) -> np.ndarray:
@@ -1112,43 +1281,58 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     """Run the reconstruction pipeline on measured Weyl data.
 
     The x-grid is worked through in blocks of slices
-    (_Assembler.read_probes, under a private 1.25 MB budget).  Pass 1 fills,
+    (_Assembler.read_probes, under a private 2.5 MB budget).  Pass 1 fills,
     LU-factors and checks every slice once and keeps only its probe gain
-    ((J n) x (K n) per slice, about 16 MB at the criterion-6 matrix size).
-    Every pass reads the probe values off the gains and its own
-    right-hand side, which alone carries the tail extension.  The blocks
-    run concurrently; errors are reported in x order, and every result is
-    the same for any thread count.
+    ((J n) x (K n) per slice, about 8 MB at the criterion-6 matrix size).
+    For mirror-symmetric data (real potential and boundary data sampled on
+    build_contour's mirror-symmetric contour, probes with lambda < 0) each
+    slice is solved as an equivalent real system of order K n on the rows
+    of half the contour nodes, and the gain is real; other data take the
+    complex system over all nodes.  Every pass reads the probe values off
+    the gains and its own right-hand side, which alone carries the tail
+    extension.  The blocks run concurrently; errors are reported in x
+    order.  Every loaded OpenBLAS runs at one thread for the duration
+    (_one_blas_thread), so every result is the same for any thread count,
+    of the blocks or of BLAS.
     Diagnostics: main_equation_residual (of the middle slice, solved
     after the last pass), min_rcond and min_rcond_x (the worst-conditioned
-    Nystrom system), phi_filled_nodes (x-nodes where phi was rejected at
-    every probe and filled in, last pass), q_pass_change (relative L1
-    change of Q over the last pass, 0 for one pass), slice_workers (the
-    threads the blocks ran on: usable CPUs over BLAS threads, at most one
-    per block), blas_threads (the largest thread count a loaded OpenBLAS
-    reports, None when none can be read) and, with passes > 1,
-    tail_fit_residual (relative data misfit of the last tail fit).
+    Nystrom system; for the real system, the reciprocal 1-norm condition
+    number of the real system: a unitary change of basis of the complex
+    one, up to scale, so of the same 2-norm condition number and a 1-norm
+    one at most 2 times the complex system's, 4 times with a self-mirror
+    node), phi_filled_nodes (x-nodes
+    where phi was rejected at every probe and filled in, last pass),
+    q_pass_change (relative L1 change of Q over the last pass, 0 for one
+    pass), slice_workers (the threads the blocks ran on: usable CPUs over
+    BLAS threads, at most one per block), blas_threads (the largest thread
+    count a loaded OpenBLAS reports outside invert, None when none can be
+    read), real_system (whether the slices were solved as the real half
+    system) and, with passes > 1, tail_fit_residual (relative data misfit
+    of the last tail fit).
     """
-    A = extract_A(weyl.tail_samples)
-    xs = np.linspace(0.0, config.x_max, config.x_nodes)
-    probes = [lambda_to_point(l) for l in config.lambda_probes]
-    lams = np.array([pt.lam for pt in probes])
-    rho_band = np.sqrt(weyl.contour.R)
+    blas = _blas_threads()
+    with _one_blas_thread():
+        A = extract_A(weyl.tail_samples)
+        xs = np.linspace(0.0, config.x_max, config.x_nodes)
+        probes = [lambda_to_point(l) for l in config.lambda_probes]
+        lams = np.array([pt.lam for pt in probes])
+        rho_band = np.sqrt(weyl.contour.R)
 
-    asm = _Assembler(weyl, A, [pt.rho for pt in probes])
-    PHI, gains, rcond = asm.read_probes(xs, config.system_cond_limit)
-    fit = {}
-    Q = Q_prev = None
-    for p in range(config.passes):
-        if p > 0:
-            *ext, fit["tail_fit_residual"] = _tail_extension(weyl, A, Q)
-            asm.extend(*ext)
-            rho_band = _TAIL_EXTENSION_FACTOR * np.sqrt(weyl.contour.R)
-            PHI = asm.read_probes(xs, gains=gains)[0]
-        Q_prev = Q
-        Q, h, filled = _potential_from_probes(
-            xs, PHI, A, lams, config.phi_cond_limit, 1.5 / rho_band)
-    mid = asm.solve(xs[xs.size // 2], config.system_cond_limit)
+        asm = _Assembler(weyl, A, [pt.rho for pt in probes])
+        PHI, gains, rcond = asm.read_probes(xs, config.system_cond_limit)
+        fit = {}
+        Q = Q_prev = None
+        for p in range(config.passes):
+            if p > 0:
+                *ext, fit["tail_fit_residual"] = _tail_extension(weyl, A, Q)
+                asm.extend(*ext)
+                rho_band = _TAIL_EXTENSION_FACTOR * np.sqrt(weyl.contour.R)
+                PHI = asm.read_probes(xs, gains=gains)[0]
+            Q_prev = Q
+            Q, h, filled = _potential_from_probes(
+                xs, PHI, A, lams, config.phi_cond_limit, 1.5 / rho_band)
+        residual = asm.residual(asm.solve(xs[xs.size // 2],
+                                          config.system_cond_limit))
 
     change = 0.0
     if Q_prev is not None:
@@ -1157,13 +1341,14 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
         change /= Q_prev.l1_norm() or 1.0
     worst = int(np.argmin(rcond))
     diag = {
-        "main_equation_residual": asm.residual(mid),
+        "main_equation_residual": residual,
         "min_rcond": float(rcond[worst]),
         "min_rcond_x": float(xs[worst]),
         "phi_filled_nodes": filled,
         "q_pass_change": change,
         "slice_workers": asm.slice_workers,
-        "blas_threads": _blas_threads(),
+        "blas_threads": blas,
+        "real_system": asm.real_system,
         **fit,
     }
     return ReconstructionResult(A=A, h=h, Q=Q, diagnostics=diag)

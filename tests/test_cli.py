@@ -156,6 +156,8 @@ class TestRoundtrip:
         # null where no OpenBLAS can be read
         assert diag["slice_workers"] >= 1
         assert diag["blas_threads"] is None or diag["blas_threads"] >= 1
+        # generate_weyl_data's samples of a real problem mirror bit for bit
+        assert diag["real_system"] is True
         assert (tmp_path / "out" / "q_recovered.csv").exists()
 
 

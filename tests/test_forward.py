@@ -152,11 +152,7 @@ def nonsymmetric_problem(nodes=801):
 def reference_grid_minima(problem, radius, density):
     """Local minima of |det J| on the polar grid of scan_jost_zeros, found by
     comparing each grid point with its in-grid neighbours one at a time."""
-    radii = np.linspace(radius / density, radius, density)
-    angles = np.linspace(0.0, np.pi, density + 1)
-    rr, aa = np.meshgrid(radii, angles, indexing="ij")
-    grid = rr * np.exp(1j * aa)
-    grid = np.where(grid.imag < 0, grid.real + 0j, grid)
+    grid = fw._scan_grid(radius, density)
     J = apply_T(problem.bc, *_jost_at_zero(problem, grid.ravel()))
     vals = np.abs(np.linalg.det(J)).reshape(grid.shape)
     ni, nj = grid.shape
@@ -799,6 +795,43 @@ class TestDiagnostics:
                             lambda problem, rho0, step: seen.append(rho0))
         assert scan_jost_zeros(prob, 3.0, grid_density=density)[0] == []
         assert seen == reference_grid_minima(prob, 3.0, density)
+
+    @pytest.mark.parametrize("density", [1, 7, 24])
+    def test_scan_grid_is_its_own_mirror(self, density):
+        # theta and pi - theta mirror bit for bit, theta = pi/2 lies on the
+        # imaginary axis, and the grid stays within 4 eps radius of
+        # r exp(i theta)
+        grid = fw._scan_grid(3.0, density)
+        assert grid.shape == (density, density + 1)
+        assert np.array_equal(grid[:, ::-1], -grid.conj())
+        if density % 2 == 0:
+            assert not grid[:, density // 2].real.any()
+        assert grid.imag.min() >= 0.0
+        radii = np.linspace(3.0 / density, 3.0, density)
+        polar = radii[:, None] * np.exp(1j * np.linspace(0.0, np.pi, density + 1))
+        assert np.abs(grid - polar).max() <= 4 * np.finfo(float).eps * 3.0
+
+    def test_scan_marches_each_mirror_pair_once(self, monkeypatch):
+        # real Q: 24 radii times the 13 angles in [0, pi/2] of the 25
+        spy = MarchSpy(monkeypatch)
+        monkeypatch.setattr(fw, "_refine_zero", lambda problem, rho0, step: None)
+        scan_jost_zeros(neumann_well(1.5), 3.0)
+        assert len(spy.points) == len(set(spy.points)) == 24 * 13
+
+    @pytest.mark.parametrize("depth", [1.5, 9.0])
+    def test_scan_zeros_match_the_polar_grid(self, monkeypatch, depth):
+        # the zeros refined from the mirrored grid are those refined from
+        # r exp(i theta) at every angle (mirrored only to rounding)
+        prob = neumann_well(depth)
+        zeros, r0 = scan_jost_zeros(prob, 3.0)
+        assert zeros
+        monkeypatch.setattr(fw, "_scan_grid", lambda radius, density: (
+            np.linspace(radius / density, radius, density)[:, None]
+            * np.exp(1j * np.linspace(0.0, np.pi, density + 1))))
+        polar, polar_r0 = scan_jost_zeros(prob, 3.0)
+        assert len(zeros) == len(polar)
+        assert np.abs(np.sort_complex(zeros) - np.sort_complex(polar)).max() <= 1e-10
+        assert abs(r0 - polar_r0) <= 1e-10 * r0
 
     def test_scan_finds_bound_state(self):
         # Q = -1.5 on [0,1] with Neumann data has a negative eigenvalue,

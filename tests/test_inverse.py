@@ -170,11 +170,13 @@ def _rel(a, b):
     return np.abs(a - b).max() / scale if scale else np.abs(a).max()
 
 
-def _box_weyl(n):
-    """Box-potential Weyl data on the benchmark contour, for n = 1 or 2."""
+def _box_weyl(n, contour=BENCH_CONTOUR, coupling=0.3):
+    """Box-potential Weyl data on the benchmark contour (or the one of the
+    build_contour arguments given), for n = 1 (of the given coupling) or
+    2."""
     x = np.linspace(0.0, 2.0, 241)
     if n == 1:
-        vals = (0.3 * (x <= 1.0)).astype(complex)[:, None, None]
+        vals = (coupling * (x <= 1.0)).astype(complex)[:, None, None]
         A = np.eye(1, dtype=complex)
     else:
         c, s = np.cos(0.5), np.sin(0.5)
@@ -186,7 +188,7 @@ def _box_weyl(n):
         A = np.diag([1.0, 0.0]).astype(complex)
     prob = Problem(potential=PotentialGrid(x_nodes=x, values=vals),
                    bc=BoundaryCondition(A=A, h=np.zeros((n, n), complex)))
-    return generate_weyl_data(prob, build_contour(**BENCH_CONTOUR)), A
+    return generate_weyl_data(prob, build_contour(**contour)), A
 
 
 def _direct_ext_source(asm, x, ext_rhos, ext_w, ext_Mhat, rows=None):
@@ -269,11 +271,15 @@ class TestSeparableKernel:
         weyl, A = _box_weyl(n)
         ext_rhos, ext_w = extension_nodes(weyl.contour, 7.0)
         rng = np.random.default_rng(3)
-        ext_Mhat = ((rng.normal(size=(ext_rhos.size, n, n))
-                     + 1j * rng.normal(size=(ext_rhos.size, n, n)))
-                    / ext_rhos[:, None, None])
+        E = ext_rhos.size // 2
+        ext_Mhat = ((rng.normal(size=(E, n, n)) + 1j * rng.normal(size=(E, n, n)))
+                    / ext_rhos[:E, None, None])
+        # mirror-symmetric, as the extension of mirror-symmetric data is:
+        # the assembler of these data solves the real half system
+        ext_Mhat = np.concatenate([ext_Mhat, ext_Mhat[::-1].conj()])
         ext = (ext_rhos, ext_w, ext_Mhat)
         asm = _Assembler(weyl, A)
+        assert asm.real_system
         asm.extend(*ext)
         return asm, ext
 
@@ -286,8 +292,14 @@ class TestSeparableKernel:
         # the mirrored cut nodes
         assert same.sum() == len(r) + 4
         assert mirrored.sum() == 70
-        assert (set(zip(*asm._D_nodes.near))
-                == set(zip(*np.nonzero(same | mirrored))))
+        # the real half system fills the rows of the first ceil(K/2)
+        # nodes, its columns in the order _order
+        nk = asm._nodes.size
+        j, c = asm._D_nodes.near
+        assert np.array_equal(asm._D_nodes.rhos, r[:nk])
+        assert np.array_equal(asm._D_nodes.taus, r[asm._order])
+        assert (set(zip(j, asm._order[c]))
+                == set(zip(*np.nonzero((same | mirrored)[:nk]))))
         # contour and extension meet at the cut endpoint sqrt(R), once on
         # each side of the cut and once mirrored
         same_e = np.abs(r[:, None] - ext_rhos[None, :]) < 1e-12
@@ -296,22 +308,22 @@ class TestSeparableKernel:
         j, _ = np.nonzero(same_e | mirrored_e)
         assert np.allclose(np.abs(r[j]), np.sqrt(asm.weyl.contour.R))
         assert (set(zip(*asm._D_ext.near))
-                == set(zip(*np.nonzero(same_e | mirrored_e))))
+                == set(zip(*np.nonzero((same_e | mirrored_e)[:nk]))))
 
     @pytest.mark.parametrize("x", [0.0, X_STEP, X_MAX])
     def test_grids_match_direct(self, setup, x):
         asm, (ext_rhos, _, _) = setup
-        for grid, taus in ((asm._D_nodes, asm.rhos), (asm._D_ext, ext_rhos)):
-            direct = _model_D_coeffs(x, asm.rhos[:, None], taus[None, :])
+        for grid in (asm._D_nodes, asm._D_ext):
+            direct = _model_D_coeffs(x, grid.rhos[:, None], grid.taus[None, :])
             for fast, ref in zip(_grid_coeffs(grid, x), direct):
                 assert _rel(fast, ref) < 1e-12
 
     @pytest.mark.parametrize("x", [0.0, X_STEP, X_MAX])
     def test_ext_source_matches_einsum(self, setup, x):
         asm, ext = setup
-        rows, _ = _node_factors(asm.rhos, [x])
+        rows, _ = _node_factors(asm._nodes, [x])
         assert _rel(asm._ext_source(np.array([x]), asm._D_ext, rows)[0],
-                    _direct_ext_source(asm, x, *ext)) < 1e-12
+                    _direct_ext_source(asm, x, *ext, rows=asm._nodes)) < 1e-12
 
     @pytest.mark.parametrize("x", [X_STEP, 1.0, X_MAX])
     def test_solve_matches_direct_assembly(self, setup, x):
@@ -860,11 +872,159 @@ class TestSlicePool:
         assert diag["slice_workers"] == 1 and diag["blas_threads"] == cpus
         # no OpenBLAS to read: one worker, and blas_threads is None
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(inverse, "_openblas_getters", lambda: ())
+            mp.setattr(inverse, "_openblas", lambda: ())
             diag = invert(weyl, cfg).diagnostics
         assert diag["slice_workers"] == 1 and diag["blas_threads"] is None
         blas = inverse._blas_threads()
         assert blas is None or blas >= 1
+
+
+def test_blas_runs_one_thread_while_inverting():
+    # with every OpenBLAS at 2 threads, invert runs at one (also in the
+    # blocks) and gives the bits of a run at one thread; the count is 2
+    # again afterwards, also when invert raises
+    ctl = inverse._openblas()
+    if not ctl or any(put is None for _, put in ctl):
+        pytest.skip("no OpenBLAS thread count to set")
+    weyl, _ = _box_weyl(2)
+    cfg = InvertConfig(x_max=X_MAX, x_nodes=13)
+    before = [get() for get, _ in ctl]
+    real, seen = inverse._node_factors, []
+
+    def spy(r, xs):
+        seen.append(inverse._blas_threads())
+        return real(r, xs)
+
+    try:
+        for _, put in ctl:
+            put(1)
+        one = invert(weyl, cfg)
+        for _, put in ctl:
+            put(2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inverse, "_node_factors", spy)
+            two = invert(weyl, cfg)
+        assert [get() for get, _ in ctl] == [2] * len(ctl)
+        assert seen and set(seen) == {1}
+        assert np.array_equal(one.Q.values, two.Q.values)
+        assert np.array_equal(one.h, two.h) and np.array_equal(one.A, two.A)
+        d1, d2 = dict(one.diagnostics), dict(two.diagnostics)
+        assert d1.pop("blas_threads") == 1 and d2.pop("blas_threads") == 2
+        assert d1 == d2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(InvertConfig, "system_cond_limit", 1.0)
+            with pytest.raises(ReconstructionError, match="ill-conditioned"):
+                invert(weyl, cfg)
+        assert [get() for get, _ in ctl] == [2] * len(ctl)
+    finally:
+        for (_, put), count in zip(ctl, before):
+            put(count)
+
+
+# An odd circle: its theta = pi node, lambda = -r0, is its own mirror.
+ODD_CONTOUR = dict(BENCH_CONTOUR, n_circle=33)
+PROBES = [1j * np.sqrt(2.0), 1j * np.sqrt(5.0)]
+
+
+def _dtypes_factored(mp):
+    """The dtypes of the matrices scipy.linalg.lu_factor receives."""
+    real, seen = scipy.linalg.lu_factor, []
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return real(a, *args, **kwargs)
+
+    mp.setattr(scipy.linalg, "lu_factor", spy)
+    return seen
+
+
+class TestRealSystem:
+    """The real half system of mirror-symmetric data against the complex
+    system over all nodes, which the same data take when the symmetry
+    check is patched to fail."""
+
+    XS = np.array([X_STEP, 1.0, X_MAX])
+
+    @staticmethod
+    def _reads(asm, xs, ext):
+        """Probe values, the gains applied to the right-hand side, and
+        phi at the nodes, plain and then with the extension."""
+        out = []
+        values, G, _ = asm.read_probes(xs)
+        for e in (None, ext):
+            if e is not None:
+                asm.extend(*e)
+                values = asm.read_probes(xs, gains=G)[0]
+            rows, cols = _node_factors(asm._nodes, xs)
+            gained = G @ asm._source(xs, rows, cols)[1]
+            out.append((values, gained, [asm.solve(x).phi_nodes for x in xs]))
+        return out, G.dtype
+
+    @pytest.mark.parametrize("contour", [BENCH_CONTOUR, ODD_CONTOUR],
+                             ids=["bench", "odd"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_complex_system(self, n, contour):
+        weyl, A = _box_weyl(n, contour)
+        assert len(weyl.contour) % 2 == (contour is ODD_CONTOUR)
+        ext = inverse._tail_extension(
+            weyl, A, invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=13,
+                                               passes=1)).Q)[:3]
+        runs = {}
+        for real in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not real:
+                    mp.setattr(inverse, "_mirror_symmetric", lambda *a: False)
+                asm = _Assembler(weyl, A, PROBES)
+                assert asm.real_system is real
+                runs[real] = self._reads(asm, self.XS, ext)
+        (fast, dtype), (ref, ref_dtype) = runs[True], runs[False]
+        assert dtype == np.float64 and ref_dtype == np.complex128
+        for (v, g, phis), (v0, g0, phis0) in zip(fast, ref):
+            assert _rel(v, v0) < 1e-12
+            assert _rel(g, g0) < 1e-12
+            for phi, phi0 in zip(phis, phis0):
+                assert _rel(phi, phi0) < 1e-12
+
+    def test_invert_reports_real_system(self):
+        weyl, _ = _box_weyl(1)
+        cfg = InvertConfig(x_max=X_MAX, x_nodes=9, passes=1)
+        assert invert(weyl, cfg).diagnostics["real_system"] is True
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inverse, "_mirror_symmetric", lambda *a: False)
+            assert invert(weyl, cfg).diagnostics["real_system"] is False
+
+    def test_other_data_keep_the_complex_system(self):
+        weyl, A = _box_weyl(1)
+        M = weyl.M_samples.copy()
+        M[3, 0, 0] = complex(np.nextafter(M[3, 0, 0].real, np.inf),
+                             M[3, 0, 0].imag)
+        ulp = WeylData(contour=weyl.contour, M_samples=M,
+                       tail_samples=weyl.tail_samples)
+        complex_q, _ = _box_weyl(1, coupling=0.3 + 0.05j)
+        weyl2, _ = _box_weyl(2)
+        v = np.array([1.0, 1j]) / np.sqrt(2.0)
+        complex_A = np.outer(v, v.conj())
+        cases = [(weyl, A, PROBES, np.float64),
+                 (ulp, A, PROBES, np.complex128),
+                 (complex_q, A, PROBES, np.complex128),
+                 (weyl2, complex_A, PROBES, np.complex128),
+                 (weyl, A, [1j * np.sqrt(2.0), 1.0 + 1.0j], np.complex128)]
+        for data, AA, probes, dtype in cases:
+            with pytest.MonkeyPatch.context() as mp:
+                seen = _dtypes_factored(mp)
+                asm = _Assembler(data, AA, probes)
+                asm.read_probes([1.0])
+                asm.solve(1.0)
+            assert asm.real_system is (dtype == np.float64)
+            assert seen == [dtype, dtype]
+
+    def test_asymmetric_extension_nodes_rejected(self):
+        weyl, A = _box_weyl(1)
+        asm = _Assembler(weyl, A, PROBES)
+        ext_rhos, ext_w = extension_nodes(weyl.contour, 7.0)
+        ext_Mhat = 1e-2j / ext_rhos[:, None, None] * np.ones((1, 1))
+        with pytest.raises(ValueError, match="must mirror"):
+            asm.extend(ext_rhos[1:], ext_w[1:], ext_Mhat[1:])
 
 
 @pytest.mark.parametrize("n", [1, 2])
