@@ -659,16 +659,17 @@ class _Assembler:
         ones)."""
         self.ext_rhos = np.asarray(ext_rhos)
         self.ext_wt = ext_w / (2j * np.pi)
+        # node E-1-e must be the mirror of node e, as extension_nodes lays
+        # them out: _ext_source takes the column factors of the mirrors as
+        # conjugates
+        if not (np.array_equal(self.ext_rhos[::-1], -self.ext_rhos.conj())
+                and np.array_equal(ext_w[::-1], -np.conj(ext_w))):
+            raise ValueError("the extension nodes must mirror")
         if self.real_system:
             # the source is read at the rows of the first half of the
-            # nodes only, so the extension must mirror as the contour
-            # does; of its samples, the mirror-symmetric part is taken
-            # (_tail_extension's of mirror-symmetric data mirror to
-            # rounding: 1e-15 relative on the benchmark round trips)
-            if not (np.array_equal(self.ext_rhos[::-1], -self.ext_rhos.conj())
-                    and np.array_equal(ext_w[::-1], -np.conj(ext_w))):
-                raise ValueError("the extension nodes of a mirror-symmetric "
-                                 "system must mirror too")
+            # nodes only; of the samples, the mirror-symmetric part is
+            # taken (_tail_extension's of mirror-symmetric data mirror bit
+            # for bit, and for them this is a no-op)
             ext_Mhat = (ext_Mhat + ext_Mhat[::-1].conj()) / 2.0
         # phi~ = c A + v A_perp at these nodes, so w phi~ Mhat [A | A_perp]
         # is c and v times the two halves of _ext_UV, (2, n, 2n, E)
@@ -708,8 +709,13 @@ class _Assembler:
     def _ext_source(self, xs, D, rows):
         """Born tail term (1/2 pi i) sum_e w_e phi~(x, mu_e) r~(x, ., mu_e)
         at the rows of D (row factors rows at xs), a grid whose columns
-        are the extension nodes, for every x of xs."""
-        _, cols = _node_factors(self.ext_rhos, xs)
+        are the extension nodes, for every x of xs.  The column factors
+        are evaluated at the first half of the nodes and conjugated onto
+        their mirrors, as _contour_cols does."""
+        E = self.ext_rhos.size
+        _, cols = _node_factors(self.ext_rhos[:(E + 1) // 2], xs)
+        cols = np.concatenate([cols, cols[:, :, :E // 2][:, :, ::-1].conj()],
+                              axis=2)
         UV = (cols[:, 0, None, None] * self._ext_UV[0]
               + cols[:, 5, None, None] * self._ext_UV[1])
         return self._kernel_sum(D, xs, rows, cols, UV)
@@ -1015,20 +1021,32 @@ def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid):
         M - M~ = (A + i rho A_perp) (h - 2 kappa(rho)) (A/(i rho) - A_perp) / (i rho),
 
     of the fitted problem at them, followed by the fit's relative data
-    misfit.
+    misfit.  For a real fit (_fit_tail_model's of a problem that is its
+    own conjugate) and real A, kappa and the deviation are evaluated at
+    the first ceil(E/2) nodes and conjugated onto the mirrors (node E-1-e
+    is -conj rho_e, as extension_nodes lays them out and
+    _Assembler.extend requires), so the samples mirror bit for bit.
     """
     rhos, w = extension_nodes(weyl.contour, _TAIL_EXTENSION_FACTOR)
     Q_fit, h_fit, misfit = _fit_tail_model(weyl, A, Q_prior)
     A = np.asarray(A, dtype=complex)
     Ap = np.eye(A.shape[0]) - A
+    E = rhos.size
+    # for a real fit and A, kappa(-conj rho) = conj kappa(rho), and the
+    # deviation at -conj rho is the conjugate of that at rho
+    half = not (Q_fit.values.imag.any() or h_fit.imag.any() or A.imag.any())
+    r = rhos[:(E + 1) // 2] if half else rhos
     # kappa depends on Q and A only
     kap = kappa(Problem(potential=Q_fit,
-                        bc=BoundaryCondition(A=A, h=np.zeros_like(A))), rhos)
-    r = rhos[:, None, None]
+                        bc=BoundaryCondition(A=A, h=np.zeros_like(A))), r)
+    r = r[:, None, None]
     left = A[None] + 1j * r * Ap[None]
     right = A[None] / (1j * r) - Ap[None]
     mid = (h_fit[None] - 2.0 * kap) / (1j * r)
-    return rhos, w, left @ mid @ right, misfit
+    Mhat = left @ mid @ right
+    if half:
+        Mhat = np.concatenate([Mhat, Mhat[:E // 2][::-1].conj()])
+    return rhos, w, Mhat, misfit
 
 
 # Settings of _fit_tail_model: the coarse node count of the fitted Q (odd),
@@ -1057,9 +1075,20 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
     least squares, _tv_irls) supplies the compact-support extrapolation
     beyond the data band.  The result seeds the synthetic kernel tail past
     the truncation radius; it is a coarse estimate of Q only, never the
-    reconstruction itself.  Returns (Q, h) and the relative misfit of the
-    (row-weighted) data rows; data rows that are not finite raise
-    DataQualityError.
+    reconstruction itself.
+
+    When the problem is its own conjugate (mirror-symmetric contour data
+    by _mirror_symmetric, with the tail rhos as its probes, real tail
+    samples and a real prior), the rows of rho and -conj rho are
+    conjugates and the anchor rows real, so the unique minimizer is real:
+    the fit is then solved over real unknowns, with each data row split
+    into its real and imaginary parts (the same misfit for real z) and
+    real arithmetic throughout.  Other data keep the complex rows.
+
+    Returns (Q, h) and the relative misfit of the (row-weighted) data
+    rows.  Data rows that are not finite raise DataQualityError; anchor
+    rows, a solution or a misfit that are not finite (a prior far out of
+    scale) raise ReconstructionError.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
@@ -1072,13 +1101,17 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
     keep = ((np.array(cont.segments) != "circle")
             & (np.abs(cont.rhos) >= rho_fit_min))
     tail = weyl.tail_samples
-    # samples near 0 or far out overflow the data rows; the check below
-    # rejects them
+    tail_rhos = np.array([pt.rho for pt, _ in tail], dtype=complex)
+    tail_M = np.reshape([M for _, M in tail], (-1, n, n))
+    real = (_mirror_symmetric(cont.rhos, cont.weights, weyl.M_samples, A,
+                              tail_rhos)
+            and not tail_M.imag.any() and not Q_prior.values.imag.any())
+    # samples near 0 or far out overflow the data rows, and a prior far
+    # out of scale the anchor rows or the fit; the checks reject them
     with np.errstate(over="ignore", invalid="ignore"):
-        rhos = np.concatenate([cont.rhos[keep], [pt.rho for pt, _ in tail]])
-        Ys = np.concatenate([weyl.M_samples[keep],
-                             np.reshape([M for _, M in tail], (-1, n, n))]
-                            ) - _model_weyl(A, rhos)
+        rhos = np.concatenate([cont.rhos[keep], tail_rhos])
+        Ys = (np.concatenate([weyl.M_samples[keep], tail_M])
+              - _model_weyl(A, rhos))
         Linv = A[None] + Ap[None] / (1j * rhos)[:, None, None]
         Rinv = (1j * rhos)[:, None, None] * A[None] - Ap[None]
         Ys = (1j * rhos)[:, None, None] * (Linv @ Ys @ Rinv)
@@ -1103,28 +1136,42 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
         design = row_w[:, None] * np.hstack(
             [np.ones((len(rhos), 1)), 1.0 / (1j * rhos)[:, None], basis])
         rhs_data = row_w[:, None] * Ys.reshape(len(rhos), n * n)
-    if not (np.isfinite(design).all() and np.isfinite(rhs_data).all()):
-        raise DataQualityError("the tail fit's data rows are not finite")
+        if not (np.isfinite(design).all() and np.isfinite(rhs_data).all()):
+            raise DataQualityError("the tail fit's data rows are not finite")
+        if real:
+            # for real z, |d z - y|^2 = (Re d z - Re y)^2 + (Im d z - Im y)^2
+            design = np.vstack([design.real, design.imag])
+            rhs_data = np.vstack([rhs_data.real, rhs_data.imag])
 
-    # anchor: the band-limited component of Q must match the prior
-    sigma = 2.0 / rho_R
-    prior = Q_prior.sample(t)
-    kern = np.exp(-0.5 * ((t[:, None] - t[None, :]) / sigma) ** 2)
-    kern /= kern.sum(axis=1, keepdims=True)
-    # the prior carries a spurious boundary layer at x = 0, so ramp the
-    # anchor in from zero there and let the data set the endpoint
-    layer = 3.0 / rho_R
-    ramp = np.clip(t / layer - 1.0, 0.0, 1.0)
-    kern = ramp[:, None] * kern
-    anchor = np.hstack([np.zeros((n_coarse, 2)), kern]) * _FIT_ANCHOR_WEIGHT
-    SQ_prior = np.einsum("ab,tbc->tac", S, prior)
-    rhs_anchor = _FIT_ANCHOR_WEIGHT * (kern @ SQ_prior.reshape(n_coarse, n * n))
+        # anchor: the band-limited component of Q must match the prior
+        sigma = 2.0 / rho_R
+        prior = Q_prior.sample(t)
+        kern = np.exp(-0.5 * ((t[:, None] - t[None, :]) / sigma) ** 2)
+        kern /= kern.sum(axis=1, keepdims=True)
+        # the prior carries a spurious boundary layer at x = 0, so ramp the
+        # anchor in from zero there and let the data set the endpoint
+        layer = 3.0 / rho_R
+        ramp = np.clip(t / layer - 1.0, 0.0, 1.0)
+        kern = ramp[:, None] * kern
+        anchor = (np.hstack([np.zeros((n_coarse, 2)), kern])
+                  * _FIT_ANCHOR_WEIGHT)
+        SQ_prior = np.einsum("ab,tbc->tac", S, prior)
+        rhs_anchor = _FIT_ANCHOR_WEIGHT * (kern @ SQ_prior.reshape(n_coarse,
+                                                                   n * n))
+        if real:
+            rhs_anchor = rhs_anchor.real
+        if not np.isfinite(rhs_anchor).all():
+            raise ReconstructionError("the tail fit's anchor rows are not "
+                                      "finite")
 
-    # first differences of the Q columns (the two leading columns are h, c)
-    D1 = (np.eye(n_coarse - 1, n_coarse + 2, k=3)
-          - np.eye(n_coarse - 1, n_coarse + 2, k=2))
-    Z, misfit = _tv_irls(np.vstack([design, anchor]),
-                         np.vstack([rhs_data, rhs_anchor]), D1, len(rhos))
+        # first differences of the Q columns (the two leading columns are h, c)
+        D1 = (np.eye(n_coarse - 1, n_coarse + 2, k=3)
+              - np.eye(n_coarse - 1, n_coarse + 2, k=2))
+        Z, misfit = _tv_irls(np.vstack([design, anchor]),
+                             np.vstack([rhs_data, rhs_anchor]), D1,
+                             len(design))
+    if not (np.isfinite(Z).all() and np.isfinite(misfit)):
+        raise ReconstructionError("the tail fit is not finite")
 
     h_fit = A @ Z[0].reshape(n, n) @ A
     Q_fit = np.einsum("ab,tbc->tac", S, Z[2:].reshape(n_coarse, n, n))
@@ -1142,26 +1189,32 @@ def _tv_irls(top, b, D1, n_data):
     T_c = _FIT_TV_WEIGHT diag(w_c) D1, reweighted _FIT_IRLS_ITERS times
     with w_c = (|D1 z_c| + 1e-3)^(-1/2) from the previous solution (w = 1
     at first).  top = Q0 R0 is factored once, since ||top z - b_c|| and
-    ||R0 z - Q0^H b_c|| differ by a constant; each iteration takes one
-    stacked QR, R factor only, of [R0 Q0^H b_c; T_c 0] for all columns,
+    ||R0 z - Q0^H b_c|| differ by a constant.  Each iteration takes, per
+    column, one QR of the triangle [R0 Q0^H b_c; 0 0] stacked over the TV
+    rows [T_c 0] (LAPACK ?tpqrt, which keeps the triangle's structure),
     and z_c is one triangular solve with the leading block of its R.
-    Returns Z (columns z_c) and the relative misfit ||b - top Z|| / ||b||
-    of the first n_data rows.
+    Real or complex: the arithmetic is that of top and b, which must share
+    a dtype.  Returns Z (columns z_c) and the relative misfit
+    ||b - top Z|| / ||b|| of the first n_data rows.
     """
     P = top.shape[1]
     Q0, R0 = np.linalg.qr(top)
-    Ab = np.zeros((b.shape[1], P + D1.shape[0], P + 1), dtype=complex)
-    Ab[:, :P, :P] = R0
-    Ab[:, :P, P] = (Q0.conj().T @ b).T
+    tri = np.zeros((b.shape[1], P + 1, P + 1), dtype=top.dtype)
+    tri[:, :P, :P] = R0
+    tri[:, :P, P] = (Q0.conj().T @ b).T
+    TV = np.zeros((D1.shape[0], P + 1), dtype=top.dtype)
+    tpqrt = scipy.linalg.get_lapack_funcs("tpqrt", (top,))
     w = np.ones((D1.shape[0], b.shape[1]))
-    Z = None
-    for _ in range(_FIT_IRLS_ITERS):
-        if Z is not None:
+    Z = np.empty((P, b.shape[1]), dtype=top.dtype)
+    for it in range(_FIT_IRLS_ITERS):
+        if it:
             w = 1.0 / np.sqrt(np.abs(D1 @ Z) + 1e-3)
-        Ab[:, P:, :P] = _FIT_TV_WEIGHT * w.T[:, :, None] * D1
-        R = np.linalg.qr(Ab, mode="r")
-        Z = np.stack([scipy.linalg.solve_triangular(Rc[:P, :P], Rc[:P, P])
-                      for Rc in R], axis=1)
+        for c in range(b.shape[1]):
+            TV[:, :P] = _FIT_TV_WEIGHT * w[:, c, None] * D1
+            # block size 16: 8 to 16 are fastest at P = 103
+            R = tpqrt(0, min(16, P + 1), tri[c], TV)[0]
+            Z[:, c] = scipy.linalg.solve_triangular(R[:P, :P], R[:P, P],
+                                                    check_finite=False)
     r = b[:n_data] - top[:n_data] @ Z
     return Z, float(np.linalg.norm(r) / np.linalg.norm(b[:n_data]))
 
@@ -1290,10 +1343,13 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     of half the contour nodes, and the gain is real; other data take the
     complex system over all nodes.  Every pass reads the probe values off
     the gains and its own right-hand side, which alone carries the tail
-    extension.  The blocks run concurrently; errors are reported in x
-    order.  Every loaded OpenBLAS runs at one thread for the duration
-    (_one_blas_thread), so every result is the same for any thread count,
-    of the blocks or of BLAS.
+    extension.  Between the passes, the tail extension is fitted to the
+    previous pass's Q (_tail_extension); for the same mirror-symmetric
+    data, with real tail samples, that fit is solved over real unknowns
+    and the extension is evaluated at half its nodes.  The blocks run
+    concurrently; errors are reported in x order.  Every loaded OpenBLAS
+    runs at one thread for the duration (_one_blas_thread), so every
+    result is the same for any thread count, of the blocks or of BLAS.
     Diagnostics: main_equation_residual (of the middle slice, solved
     after the last pass), min_rcond and min_rcond_x (the worst-conditioned
     Nystrom system; for the real system, the reciprocal 1-norm condition

@@ -31,7 +31,7 @@ from weylinv import (
 )
 from weylinv.contour import extension_nodes
 from weylinv.core import sin_over
-from weylinv.forward import omega
+from weylinv.forward import kappa, omega
 from weylinv import inverse
 from weylinv.inverse import (
     _FIT_IRLS_ITERS,
@@ -569,6 +569,140 @@ class TestTailModelFit:
         assert matnorm(h_fit) < 5e-2
 
 
+def _fits(mp):
+    """The (dtype, Z) of every stacked system inverse._tv_irls receives."""
+    real, seen = inverse._tv_irls, []
+
+    def spy(top, b, D1, n_data):
+        out = real(top, b, D1, n_data)
+        seen.append((top.dtype, out[0]))
+        return out
+
+    mp.setattr(inverse, "_tv_irls", spy)
+    return seen
+
+
+def _real_prior(n):
+    """A real prior on [0, X_MAX]: a box in every entry."""
+    x = np.linspace(0.0, X_MAX, 61)
+    vals = 0.3 * (x <= 1.0)[:, None, None] * np.ones((n, n))
+    return PotentialGrid(x_nodes=x, values=vals)
+
+
+class TestRealTailFit:
+    """The tail fit of a problem that is its own conjugate, solved over
+    real unknowns, against the complex fit of the same data, which they
+    take when the symmetry check is patched to fail."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_complex_fit(self, n):
+        weyl, A = _box_weyl(n)
+        prior = invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=13,
+                                          passes=1)).Q
+        assert not prior.values.imag.any()
+        runs = {}
+        for real in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not real:
+                    mp.setattr(inverse, "_mirror_symmetric", lambda *a: False)
+                seen = _fits(mp)
+                runs[real] = _fit_tail_model(weyl, A, prior), seen
+        (Q, h, misfit), [(dtype, Z)] = runs[True]
+        (Q0, h0, misfit0), [(dtype0, Z0)] = runs[False]
+        assert dtype == np.float64 and dtype0 == np.complex128
+        assert _rel(Z, Z0) < 1e-12
+        assert _rel(Q.values, Q0.values) < 1e-12
+        assert np.abs(h - h0).max() < 1e-12
+        assert misfit == pytest.approx(misfit0, rel=1e-12)
+
+    def test_other_data_keep_the_complex_fit(self):
+        weyl, A = _box_weyl(1)
+        complex_q, _ = _box_weyl(1, coupling=0.3 + 0.05j)
+        tail = list(weyl.tail_samples)
+        tail[0] = (tail[0][0], tail[0][1] + 1e-9j)
+        complex_tail = replace(weyl, tail_samples=tuple(tail))
+        M = weyl.M_samples.copy()
+        M[3, 0, 0] = complex(np.nextafter(M[3, 0, 0].real, np.inf),
+                             M[3, 0, 0].imag)
+        ulp = replace(weyl, M_samples=M)
+        prior = _real_prior(1)
+        complex_prior = replace(prior, values=prior.values * (1.0 + 0.1j))
+        weyl2, A2 = _box_weyl(2)
+        cases = [(weyl, A, prior, np.float64),
+                 (weyl2, A2, _real_prior(2), np.float64),
+                 (complex_q, A, prior, np.complex128),
+                 (complex_tail, A, prior, np.complex128),
+                 (ulp, A, prior, np.complex128),
+                 (weyl, A, complex_prior, np.complex128)]
+        for data, AA, Q_prior, dtype in cases:
+            with pytest.MonkeyPatch.context() as mp:
+                seen = _fits(mp)
+                _fit_tail_model(data, AA, Q_prior)
+            assert [d for d, _ in seen] == [dtype]
+
+    @pytest.mark.parametrize("scale", [1e308, 1e300])
+    def test_prior_out_of_scale_raises(self, scale):
+        # a prior that overflows the anchor rows (1e308) or the fit (1e300)
+        weyl, A = _box_weyl(1)
+        vals = np.zeros((61, 1, 1))
+        vals[30] = scale
+        prior = PotentialGrid(x_nodes=np.linspace(0.0, X_MAX, 61),
+                              values=vals)
+        with pytest.raises(ReconstructionError, match="tail fit"):
+            _fit_tail_model(weyl, A, prior)
+
+
+class TestHalvedExtension:
+    """The Born tail extension of mirror-symmetric data, evaluated at half
+    the extension nodes and conjugated onto the mirrors, against the
+    evaluation at every node."""
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["n1", "n2"])
+    def setup(self, request):
+        weyl, A = _box_weyl(request.param)
+        prior = invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=13,
+                                          passes=1)).Q
+        return weyl, A, prior
+
+    def test_tail_extension_mirrors(self, setup):
+        weyl, A, prior = setup
+        rhos, _, Mhat, _ = inverse._tail_extension(weyl, A, prior)
+        assert np.array_equal(Mhat[::-1], Mhat.conj())
+        # so the symmetrization of extend() changes no bit
+        assert np.array_equal((Mhat + Mhat[::-1].conj()) / 2.0, Mhat)
+        # M - M~ at every node, from the same fit
+        Q_fit, h_fit, _ = _fit_tail_model(weyl, A, prior)
+        Ap = np.eye(A.shape[0]) - A
+        kap = kappa(Problem(potential=Q_fit,
+                            bc=BoundaryCondition(A=A, h=np.zeros_like(A))),
+                    rhos)
+        r = rhos[:, None, None]
+        ref = ((A + 1j * r * Ap) @ ((h_fit - 2.0 * kap) / (1j * r))
+               @ (A / (1j * r) - Ap))
+        assert _rel(Mhat, ref) < 1e-13
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "plain"])
+    def test_ext_source_from_half_the_columns(self, setup, real):
+        weyl, A, prior = setup
+        ext = inverse._tail_extension(weyl, A, prior)[:3]
+        with pytest.MonkeyPatch.context() as mp:
+            if not real:
+                mp.setattr(inverse, "_mirror_symmetric", lambda *a: False)
+            asm = _Assembler(weyl, A, PROBES)
+        asm.extend(*ext)
+        assert asm.real_system is real
+        xs = np.array([X_STEP, 1.0, X_MAX])
+        rows, _ = _node_factors(asm._nodes, xs)
+        half = asm._ext_source(xs, asm._D_ext, rows)
+        # _ext_source's sum on the column factors of every node
+        _, cols = _node_factors(asm.ext_rhos, xs)
+        UV = (cols[:, 0, None, None] * asm._ext_UV[0]
+              + cols[:, 5, None, None] * asm._ext_UV[1])
+        full = asm._kernel_sum(asm._D_ext, xs, rows, cols, UV)
+        for i in range(xs.size):
+            assert _rel(half[i], full[i]) < 1e-13
+
+
 def _lstsq_irls(top, b, D1):
     """The TV-regularized IRLS fit one column at a time, each least-squares
     problem stacked in full and solved by lstsq (the reference for the
@@ -587,11 +721,18 @@ def _lstsq_irls(top, b, D1):
 class TestBatchedTailFit:
     """The tail fit of a two-pass invert on the benchmark contour: the
     stacked system _tv_irls received and what it returned, against the
-    per-entry lstsq fit, and the diagnostics invert reports."""
+    per-entry lstsq fit, and the diagnostics invert reports.  Real data
+    take the real fit (dtpqrt), the complex box the complex one
+    (ztpqrt)."""
 
-    @pytest.fixture(scope="class", params=[1, 2], ids=["n1", "n2"])
+    # n, the coupling of the scalar box and the dtype of the fit
+    CASES = {"n1": (1, 0.3, np.float64), "n2": (2, 0.3, np.float64),
+             "n1-complex": (1, 0.3 + 0.05j, np.complex128)}
+
+    @pytest.fixture(scope="class", params=list(CASES))
     def run(self, request):
-        weyl, _ = _box_weyl(request.param)
+        n, coupling, dtype = self.CASES[request.param]
+        weyl, _ = _box_weyl(n, coupling=coupling)
         real = inverse._tv_irls
         calls = []
 
@@ -603,6 +744,7 @@ class TestBatchedTailFit:
             mp.setattr(inverse, "_tv_irls", spy)
             result = invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=61))
         (args, out), = calls
+        assert args[0].dtype == args[1].dtype == out[0].dtype == dtype
         return weyl, args, out, result
 
     def test_matches_per_entry_lstsq(self, run):
@@ -1018,9 +1160,15 @@ class TestRealSystem:
             assert asm.real_system is (dtype == np.float64)
             assert seen == [dtype, dtype]
 
-    def test_asymmetric_extension_nodes_rejected(self):
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_asymmetric_extension_nodes_rejected(self, real):
+        # _ext_source takes the column factors of the mirrors as
+        # conjugates on either system
         weyl, A = _box_weyl(1)
-        asm = _Assembler(weyl, A, PROBES)
+        with pytest.MonkeyPatch.context() as mp:
+            if not real:
+                mp.setattr(inverse, "_mirror_symmetric", lambda *a: False)
+            asm = _Assembler(weyl, A, PROBES)
         ext_rhos, ext_w = extension_nodes(weyl.contour, 7.0)
         ext_Mhat = 1e-2j / ext_rhos[:, None, None] * np.ones((1, 1))
         with pytest.raises(ValueError, match="must mirror"):
