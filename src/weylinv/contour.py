@@ -127,17 +127,18 @@ def _param_weights(mu_prime, h):
 
 
 def _cut_sides(sig, h, delta):
-    """(point, weight) pairs of both cut sides on the grid sig = sqrt(Re lambda)
-    of step h: the upper side inward (lambda + i delta) and the lower side
-    outward (lambda - i delta), with endpoint-corrected trapezoid weights.
-    The sheet tags only matter at delta = 0.
-    """
-    sides = []
-    for sheet, sg, shift, dlam in (("upper", sig[::-1], 1j * delta, -2.0),
-                                   ("lower", sig, -1j * delta, 2.0)):
-        pts = [lambda_to_point(lam, sheet) for lam in sg ** 2 + shift]
-        sides.append(list(zip(pts, _param_weights(dlam * sg, h))))
-    return sides
+    """The rhos and weights (2m,) of both cut sides on the grid
+    sig = sqrt(Re lambda) of step h (m nodes): the upper side inward
+    (lambda + i delta), with endpoint-corrected trapezoid weights, then
+    the lower side outward (lambda - i delta), laid out as the mirror of
+    the upper side, -conj rho and -conj w in reverse order, so the two
+    sides mirror bit for bit.  Im rho >= 0 on the upper side, which at
+    delta = 0 is the upper sheet rho = +sqrt(lambda)."""
+    sg = sig[::-1]
+    rho = np.sqrt(sg ** 2 + 1j * delta)
+    w = _param_weights(-2.0 * sg, h)
+    return (np.concatenate([rho, -rho[::-1].conj()]),
+            np.concatenate([w, -w[::-1].conj()]))
 
 
 def extension_nodes(contour: Contour, factor: float):
@@ -145,7 +146,8 @@ def extension_nodes(contour: Contour, factor: float):
 
     Returns (rhos, weights) continuing the data cut's uniform-in-sqrt(s)
     spacing, ordered like the contour (upper side inward first, then the
-    lower side outward), with endpoint-corrected trapezoid weights.
+    lower side outward), with endpoint-corrected trapezoid weights; node
+    E-1-e is the mirror of node e (_cut_sides).
     """
     n_cut = contour.segments.count("upper_cut")
     sig_R = np.sqrt(contour.R)
@@ -153,9 +155,7 @@ def extension_nodes(contour: Contour, factor: float):
     sig_max = factor * sig_R
     m = max(8, int(np.ceil((sig_max - sig_R) / h_sig)) + 1)
     sig = sig_R + h_sig * np.arange(m)
-    up, lo = _cut_sides(sig, h_sig, contour.delta)
-    return (np.array([pt.rho for pt, _ in up + lo]),
-            np.array([w for _, w in up + lo]))
+    return _cut_sides(sig, h_sig, contour.delta)
 
 
 def build_contour(r0: float, R: float, delta: float = None,
@@ -179,10 +179,10 @@ def build_contour(r0: float, R: float, delta: float = None,
 
     # uniform in sqrt(s): resolves kernels oscillating in tau = sqrt(mu)
     sig = np.linspace(np.sqrt(r0), np.sqrt(R), n_cut)
-    up, lo = _cut_sides(sig, sig[1] - sig[0], delta)
-
-    nodes = [ContourNode(point=pt, weight=w, segment="upper_cut")
-             for pt, w in up]
+    segs = ("upper_cut",) * n_cut + ("lower_cut",) * n_cut
+    cut = [ContourNode(point=SpectralPoint(r), weight=w, segment=s)
+           for r, w, s in zip(*_cut_sides(sig, sig[1] - sig[0], delta), segs)]
+    nodes = cut[:n_cut]
 
     theta0 = np.arcsin(min(delta / r0, 1.0)) if delta > 0 else 0.0
     theta = np.linspace(theta0, 2.0 * np.pi - theta0, n_circle)
@@ -206,8 +206,7 @@ def build_contour(r0: float, R: float, delta: float = None,
             pt = lambda_to_point(lam, sheet)
         nodes.append(ContourNode(point=pt, weight=w, segment="circle"))
 
-    nodes += [ContourNode(point=pt, weight=w, segment="lower_cut")
-              for pt, w in lo]
+    nodes += cut[n_cut:]
 
     return Contour(r0=float(r0), R=float(R), delta=float(delta),
                    nodes=tuple(nodes))

@@ -26,11 +26,15 @@ keeps the system well scaled along the unbounded cut.
 For a real problem, M(conj lam) = conj M(lam), and on build_contour's
 contour, its own mirror image under lam -> conj lam, the main equation
 maps to itself under the mirror with conjugation: phi(x, conj lam) =
-conj phi(x, lam).  When the data are mirror-symmetric bit for bit
-(_mirror_symmetric), each x-slice is solved as an equivalent real system
-of order K n, assembled from the rows of the first half of the nodes
-(_Assembler); its probe gain is real.  Other data keep the complex
-system of order K n over all nodes.
+conj phi(x, lam).  Whether the data are mirror-symmetric bit for bit
+(_mirror_symmetric, over the contour, the tail and the probes) is decided
+once per inversion, in _Assembler.real_system, and every mirror shortcut
+takes that decision: each x-slice is solved as an equivalent real system
+of order K n, assembled from the rows of the first half of the nodes,
+with a real probe gain and real probe values; the tail fit between the
+passes is solved over real unknowns and the extension evaluated at half
+its nodes (_tail_extension).  Q and h then come out real.  Other data
+keep the complex system of order K n over all nodes and the complex fit.
 """
 
 from __future__ import annotations
@@ -481,20 +485,19 @@ def _one_blas_thread():
 
 
 def _slice_workers(n_blocks: int) -> int:
-    """Threads for n_blocks blocks of x-slices: the usable CPUs divided by
-    the BLAS thread count, at most one per block, so that the LUs of the
-    blocks and their own BLAS threads do not contend for cores (with
-    OpenBLAS at 2 threads on a 2-core host, 2 workers made invert about
-    twice as slow as 1; three or more workers are unmeasured).  1 where
-    no OpenBLAS can be read."""
-    blas = _blas_threads()
-    if blas is None:
+    """Threads for n_blocks blocks of x-slices: the usable CPUs, at most
+    one per block, where BLAS runs at one thread (as _one_blas_thread
+    sets every OpenBLAS with a setter), and 1 otherwise, so that the LUs
+    of the blocks and their own BLAS threads do not contend for cores
+    (with OpenBLAS at 2 threads on a 2-core host, 2 workers made invert
+    about twice as slow as 1), and 1 where no OpenBLAS can be read."""
+    if _blas_threads() != 1:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus // blas, n_blocks))
+    return max(1, min(cpus, n_blocks))
 
 
 def _map_blocks(work, blocks, workers: int) -> list:
@@ -535,16 +538,23 @@ def _map_blocks(work, blocks, workers: int) -> list:
     return results
 
 
-def _mirror_symmetric(rhos, weights, M, A, probes) -> bool:
+def _mirror_symmetric(weyl: WeylData, A, probes) -> bool:
     """Whether the data are their own mirror image under lambda ->
-    conj lambda, bit for bit: node K-1-k is the mirror -conj rho of node
-    k, with the weight -conj w and the sample conj M, A is real, and
-    every probe is its own mirror (Re rho = 0, lambda < 0).  Then the
+    conj lambda, bit for bit: contour node K-1-k is the mirror -conj rho
+    of node k, with the weight -conj w and the sample conj M, every tail
+    point is its own mirror (Re rho = 0) with a real sample, A is real,
+    and every probe is its own mirror (Re rho = 0, lambda < 0).  Then the
     main equation maps to itself under the mirror with conjugation, and
-    so does its solution: phi(x, conj lambda) = conj phi(x, lambda)."""
+    so does its solution: phi(x, conj lambda) = conj phi(x, lambda); so
+    do the tail fit and the extension of a real prior.  An empty tail
+    passes."""
+    rhos, w, M = weyl.contour.rhos, weyl.contour.weights, weyl.M_samples
+    tail_rhos = np.array([pt.rho for pt, _ in weyl.tail_samples], complex)
+    tail_M = np.array([m for _, m in weyl.tail_samples], complex)
     return bool(np.array_equal(rhos[::-1], -rhos.conj())
-                and np.array_equal(weights[::-1], -weights.conj())
+                and np.array_equal(w[::-1], -w.conj())
                 and np.array_equal(M[::-1], M.conj())
+                and not tail_rhos.real.any() and not tail_M.imag.any()
                 and not A.imag.any() and not probes.real.any())
 
 
@@ -557,9 +567,10 @@ class _Assembler:
     at the lambda probes) and, once extend() is called, the row nodes x
     extension (the Born tail source at both).
 
-    For mirror-symmetric data (_mirror_symmetric, recorded in
-    real_system), node K-1-k is the mirror of node k and its unknown the
-    conjugate of node k's.  Only the first ceil(K/2) nodes are then row
+    For mirror-symmetric data (_mirror_symmetric, evaluated once here and
+    recorded in real_system, which invert hands on to the tail step),
+    node K-1-k is the mirror of node k and its unknown the conjugate of
+    node k's.  Only the first ceil(K/2) nodes are then row
     nodes, and each slice is solved as the equivalent real system of
     order K n: with H the first K/2 nodes, B1 = B[H, H] and
     B2 = B[H, mirror(H)], over the unknowns (Re psi_H, Im psi_H),
@@ -571,8 +582,9 @@ class _Assembler:
     vanishes for a probe on its own mirror.  A self-mirror node (the
     theta = pi node of an odd circle) has one real unknown, Re psi, and
     one real equation.  The node factors, the fill, the sources and the
-    LU are halved or real, and the gain G = L B^-1 is real.  Other data
-    take the complex system of order K n over all K nodes.
+    LU are halved or real, the gain G = L B^-1 is real, and so are the
+    probe values phi(x, lambda_j).  Other data take the complex system of
+    order K n over all K nodes.
 
     The x-grid is worked through in blocks of as many slices as fit their
     B and L rows into _BLOCK_BYTES, at most _BLOCK_SLICES (8 on the scalar
@@ -593,7 +605,8 @@ class _Assembler:
     extend() adds synthetic cut nodes beyond the data truncation.  Their
     unknowns are replaced by the model solution (a Born approximation,
     accurate to O(Mhat^2)), so they only contribute source terms: B and
-    L are unchanged and the system never grows.
+    L are unchanged and the system never grows.  The extension must
+    mirror, and on the real system its samples too.
     """
 
     def __init__(self, weyl: WeylData, A, probes=()):
@@ -607,8 +620,7 @@ class _Assembler:
         self.wt = self.weights / (2j * np.pi)
         self.K = len(weyl.contour)
         probes = np.asarray(probes, complex)
-        self.real_system = _mirror_symmetric(self.rhos, self.weights,
-                                             weyl.M_samples, self.A, probes)
+        self.real_system = _mirror_symmetric(weyl, self.A, probes)
         # the contour nodes whose rows are filled: ceil(K/2) for the real
         # system, all K otherwise
         self._nk = (self.K + 1) // 2 if self.real_system else self.K
@@ -656,21 +668,20 @@ class _Assembler:
     def extend(self, ext_rhos, ext_w, ext_Mhat):
         """Set the Born tail extension: the rhos, quadrature weights and
         model Mhat samples of the synthetic nodes (replacing any earlier
-        ones)."""
-        self.ext_rhos = np.asarray(ext_rhos)
+        ones).  Node E-1-e must be the mirror of node e, with the weight
+        -conj w, as extension_nodes lays them out (_ext_source takes the
+        column factors of the mirrors as conjugates); on the real system,
+        which reads the source at the rows of half the nodes only, the
+        sample of node E-1-e must also be conj Mhat_e.  All bit for bit;
+        anything else raises ValueError."""
+        rhos = np.asarray(ext_rhos)
+        if not (np.array_equal(rhos[::-1], -rhos.conj())
+                and np.array_equal(ext_w[::-1], -np.conj(ext_w))
+                and (not self.real_system
+                     or np.array_equal(ext_Mhat[::-1], np.conj(ext_Mhat)))):
+            raise ValueError("the extension must mirror")
+        self.ext_rhos = rhos
         self.ext_wt = ext_w / (2j * np.pi)
-        # node E-1-e must be the mirror of node e, as extension_nodes lays
-        # them out: _ext_source takes the column factors of the mirrors as
-        # conjugates
-        if not (np.array_equal(self.ext_rhos[::-1], -self.ext_rhos.conj())
-                and np.array_equal(ext_w[::-1], -np.conj(ext_w))):
-            raise ValueError("the extension nodes must mirror")
-        if self.real_system:
-            # the source is read at the rows of the first half of the
-            # nodes only; of the samples, the mirror-symmetric part is
-            # taken (_tail_extension's of mirror-symmetric data mirror bit
-            # for bit, and for them this is a no-op)
-            ext_Mhat = (ext_Mhat + ext_Mhat[::-1].conj()) / 2.0
         # phi~ = c A + v A_perp at these nodes, so w phi~ Mhat [A | A_perp]
         # is c and v times the two halves of _ext_UV, (2, n, 2n, E)
         MAP = (self.ext_wt[:, None, None] * ext_Mhat) @ np.hstack([self.A, self.Ap])
@@ -724,7 +735,9 @@ class _Assembler:
         """The source F = phi~ - Born tail source at the probes, and the
         Nystrom right-hand side (X, K n, n) of F at the contour rows
         (rows and cols: the factors of the row nodes at xs).  For the
-        real system, the right-hand side is real, in the row order of
+        real system, both are real: every probe is its own mirror, so F
+        is real there (up to the rounding of the Born source, which is
+        dropped), and the right-hand side is in the row order of
         _real_form: the imaginary parts of the rows of the mirror pairs,
         then the real parts of all contour rows."""
         nk = self._nk
@@ -736,6 +749,7 @@ class _Assembler:
         if self.real_system:
             rhs = np.concatenate(
                 [rhs[:, :self.K // 2 * self.n].imag, rhs.real], axis=1)
+            return F[:, nk:].real, rhs
         return F[:, nk:], rhs
 
     def _real_form(self, BL):
@@ -851,7 +865,8 @@ class _Assembler:
         F - G rhs, with the current extension in the source F and the
         right-hand side.  Without gains, each slice is factored first
         (_factor) and its gain G = L B^-1 kept, from one transposed solve
-        with J n right-hand sides; G is real for the real system.  The
+        with J n right-hand sides; G and the values are real for the real
+        system.  The
         blocks run concurrently on _slice_workers threads, recorded in
         slice_workers, with every loaded OpenBLAS at one thread
         (_one_blas_thread); errors are reported in x order.  Returns the
@@ -1011,7 +1026,7 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
 _TAIL_EXTENSION_FACTOR = 7.0
 
 
-def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid):
+def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid, real: bool):
     """Synthetic Born-tail nodes past the data truncation radius.
 
     Fits (Q, h) to the data tail (_fit_tail_model, anchored to the
@@ -1021,21 +1036,21 @@ def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid):
         M - M~ = (A + i rho A_perp) (h - 2 kappa(rho)) (A/(i rho) - A_perp) / (i rho),
 
     of the fitted problem at them, followed by the fit's relative data
-    misfit.  For a real fit (_fit_tail_model's of a problem that is its
-    own conjugate) and real A, kappa and the deviation are evaluated at
-    the first ceil(E/2) nodes and conjugated onto the mirrors (node E-1-e
-    is -conj rho_e, as extension_nodes lays them out and
-    _Assembler.extend requires), so the samples mirror bit for bit.
+    misfit.  real is _Assembler.real_system (mirror-symmetric data and a
+    real prior): the fit is then real, and so is A, so kappa and the
+    deviation are evaluated at the first ceil(E/2) nodes and conjugated
+    onto the mirrors (node E-1-e is -conj rho_e, as extension_nodes lays
+    them out and _Assembler.extend requires), so the samples mirror bit
+    for bit.
     """
     rhos, w = extension_nodes(weyl.contour, _TAIL_EXTENSION_FACTOR)
-    Q_fit, h_fit, misfit = _fit_tail_model(weyl, A, Q_prior)
+    Q_fit, h_fit, misfit = _fit_tail_model(weyl, A, Q_prior, real)
     A = np.asarray(A, dtype=complex)
     Ap = np.eye(A.shape[0]) - A
     E = rhos.size
     # for a real fit and A, kappa(-conj rho) = conj kappa(rho), and the
     # deviation at -conj rho is the conjugate of that at rho
-    half = not (Q_fit.values.imag.any() or h_fit.imag.any() or A.imag.any())
-    r = rhos[:(E + 1) // 2] if half else rhos
+    r = rhos[:(E + 1) // 2] if real else rhos
     # kappa depends on Q and A only
     kap = kappa(Problem(potential=Q_fit,
                         bc=BoundaryCondition(A=A, h=np.zeros_like(A))), r)
@@ -1044,7 +1059,7 @@ def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid):
     right = A[None] / (1j * r) - Ap[None]
     mid = (h_fit[None] - 2.0 * kap) / (1j * r)
     Mhat = left @ mid @ right
-    if half:
+    if real:
         Mhat = np.concatenate([Mhat, Mhat[:E // 2][::-1].conj()])
     return rhos, w, Mhat, misfit
 
@@ -1058,7 +1073,7 @@ _FIT_ANCHOR_WEIGHT = 0.5
 _FIT_IRLS_ITERS = 8
 
 
-def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
+def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, real: bool):
     """Fit (Q, h) to the large-|rho| structure of the measured Weyl data.
 
     For |rho| past the low-lying singularities,
@@ -1077,13 +1092,14 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
     the truncation radius; it is a coarse estimate of Q only, never the
     reconstruction itself.
 
-    When the problem is its own conjugate (mirror-symmetric contour data
-    by _mirror_symmetric, with the tail rhos as its probes, real tail
-    samples and a real prior), the rows of rho and -conj rho are
-    conjugates and the anchor rows real, so the unique minimizer is real:
-    the fit is then solved over real unknowns, with each data row split
-    into its real and imaginary parts (the same misfit for real z) and
-    real arithmetic throughout.  Other data keep the complex rows.
+    real is _Assembler.real_system: for mirror-symmetric data
+    (_mirror_symmetric, whose tail points are their own mirrors with real
+    samples) and a real prior, which the real system returns, the rows of
+    rho and -conj rho are conjugates and the anchor rows real, so the
+    unique minimizer is real.  The fit is then solved over real
+    unknowns, with each data row split into its real and imaginary parts
+    (the same misfit for real z), the real part of the anchor rows and
+    real arithmetic throughout.  Otherwise it keeps the complex rows.
 
     Returns (Q, h) and the relative misfit of the (row-weighted) data
     rows.  Data rows that are not finite raise DataQualityError; anchor
@@ -1103,9 +1119,6 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid):
     tail = weyl.tail_samples
     tail_rhos = np.array([pt.rho for pt, _ in tail], dtype=complex)
     tail_M = np.reshape([M for _, M in tail], (-1, n, n))
-    real = (_mirror_symmetric(cont.rhos, cont.weights, weyl.M_samples, A,
-                              tail_rhos)
-            and not tail_M.imag.any() and not Q_prior.values.imag.any())
     # samples near 0 or far out overflow the data rows, and a prior far
     # out of scale the anchor rows or the fit; the checks reject them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1337,16 +1350,18 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     (_Assembler.read_probes, under a private 2.5 MB budget).  Pass 1 fills,
     LU-factors and checks every slice once and keeps only its probe gain
     ((J n) x (K n) per slice, about 8 MB at the criterion-6 matrix size).
-    For mirror-symmetric data (real potential and boundary data sampled on
-    build_contour's mirror-symmetric contour, probes with lambda < 0) each
-    slice is solved as an equivalent real system of order K n on the rows
-    of half the contour nodes, and the gain is real; other data take the
-    complex system over all nodes.  Every pass reads the probe values off
-    the gains and its own right-hand side, which alone carries the tail
-    extension.  Between the passes, the tail extension is fitted to the
-    previous pass's Q (_tail_extension); for the same mirror-symmetric
-    data, with real tail samples, that fit is solved over real unknowns
-    and the extension is evaluated at half its nodes.  The blocks run
+    Whether the data are mirror-symmetric (real potential and boundary
+    data sampled on build_contour's mirror-symmetric contour and on the
+    imaginary axis, probes with lambda < 0) is decided once
+    (_Assembler.real_system), and every step takes that decision: each
+    slice is then solved as an equivalent real system of order K n on the
+    rows of half the contour nodes, with a real gain and real probe
+    values, and the tail fit between the passes is solved over real
+    unknowns, with the extension evaluated at half its nodes; Q and h
+    come out real.  Other data take the complex system over all nodes and
+    the complex fit.  Every pass reads the probe values off the gains and
+    its own right-hand side, which alone carries the tail extension,
+    fitted to the previous pass's Q (_tail_extension).  The blocks run
     concurrently; errors are reported in x order.  Every loaded OpenBLAS
     runs at one thread for the duration (_one_blas_thread), so every
     result is the same for any thread count, of the blocks or of BLAS.
@@ -1359,8 +1374,9 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     node), phi_filled_nodes (x-nodes
     where phi was rejected at every probe and filled in, last pass),
     q_pass_change (relative L1 change of Q over the last pass, 0 for one
-    pass), slice_workers (the threads the blocks ran on: usable CPUs over
-    BLAS threads, at most one per block), blas_threads (the largest thread
+    pass), slice_workers (the threads the blocks ran on: the usable CPUs,
+    at most one per block, or 1 where BLAS could not be set to one
+    thread), blas_threads (the largest thread
     count a loaded OpenBLAS reports outside invert, None when none can be
     read), real_system (whether the slices were solved as the real half
     system) and, with passes > 1, tail_fit_residual (relative data misfit
@@ -1380,7 +1396,8 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
         Q = Q_prev = None
         for p in range(config.passes):
             if p > 0:
-                *ext, fit["tail_fit_residual"] = _tail_extension(weyl, A, Q)
+                *ext, fit["tail_fit_residual"] = _tail_extension(
+                    weyl, A, Q, asm.real_system)
                 asm.extend(*ext)
                 rho_band = _TAIL_EXTENSION_FACTOR * np.sqrt(weyl.contour.R)
                 PHI = asm.read_probes(xs, gains=gains)[0]

@@ -12,9 +12,10 @@ from weylinv import (
     cauchy_transform,
     coarsen_weyl_data,
     integrate,
+    lambda_to_point,
     model_weyl,
 )
-from weylinv.contour import coarsen_contour
+from weylinv.contour import _cut_sides, _param_weights, coarsen_contour
 from weylinv.inverse import WeylData
 
 
@@ -22,6 +23,18 @@ def small_contour(**kw):
     args = dict(r0=2.0, R=100.0, n_cut=64, n_circle=64, delta=0.0)
     args.update(kw)
     return build_contour(**args)
+
+
+def _cut_sides_per_node(sig, h, delta):
+    """Both cut sides built one node at a time, each side on its own
+    through lambda_to_point and its own weights (the reference for the
+    mirrored array layout of _cut_sides)."""
+    rhos, ws = [], []
+    for sheet, sg, shift, dlam in (("upper", sig[::-1], 1j * delta, -2.0),
+                                   ("lower", sig, -1j * delta, 2.0)):
+        rhos += [lambda_to_point(lam, sheet).rho for lam in sg ** 2 + shift]
+        ws.append(_param_weights(dlam * sg, h))
+    return np.array(rhos), np.concatenate(ws)
 
 
 class TestConstruction:
@@ -100,6 +113,19 @@ class TestConstruction:
                       + np.minimum(theta, theta[::-1]) + np.sin(2.0 * np.pi))
         dev = np.abs(lam - r0 * np.exp(1j * theta))
         assert np.all(dev <= r0 * (4e-16 + miss))
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 0.05, 2.0])
+    @pytest.mark.parametrize("sig", [np.linspace(np.sqrt(2.0), np.sqrt(200.0), 32),
+                                     np.sqrt(55.0) + 0.2 * np.arange(77)])
+    def test_cut_sides_match_per_node_construction(self, sig, delta):
+        # the lower side, laid out as the mirror of the upper, has the
+        # bits of its own construction, signs of zero included
+        h = sig[1] - sig[0]
+        fast = _cut_sides(sig, h, delta)
+        ref = _cut_sides_per_node(sig, h, delta)
+        for a, b in zip(fast, ref):
+            assert a.dtype == b.dtype == np.complex128
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_default_delta_positive(self):
         c = build_contour(r0=2.0, R=50.0)

@@ -534,7 +534,8 @@ class TestTailModelFit:
         prior_vals = prob.potential.values.copy()
         prior_vals[:20] = 0.0
         prior = PotentialGrid(x_nodes=x, values=prior_vals)
-        Q_fit, h_fit, _ = _fit_tail_model(weyl, A, prior)
+        Q_fit, h_fit, _ = _fit_tail_model(weyl, A, prior,
+                                          _Assembler(weyl, A).real_system)
         rhos = np.linspace(15.0, 40.0, 9) + 0j
         om_f = omega(Problem(potential=Q_fit, bc=prob.bc), 0.0, rhos)
         om_t = omega(prob, 0.0, rhos)
@@ -560,7 +561,8 @@ class TestTailModelFit:
         prior_vals = prob.potential.values.copy()
         prior_vals[:20] = 0.0
         prior = PotentialGrid(x_nodes=x, values=prior_vals)
-        Q_fit, h_fit, _ = _fit_tail_model(weyl, A, prior)
+        Q_fit, h_fit, _ = _fit_tail_model(weyl, A, prior,
+                                          _Assembler(weyl, A).real_system)
         rhos = np.linspace(15.0, 40.0, 9) + 0j
         om_f = omega(Problem(potential=Q_fit, bc=prob.bc), 0.0, rhos)
         om_t = omega(prob, 0.0, rhos)
@@ -591,8 +593,7 @@ def _real_prior(n):
 
 class TestRealTailFit:
     """The tail fit of a problem that is its own conjugate, solved over
-    real unknowns, against the complex fit of the same data, which they
-    take when the symmetry check is patched to fail."""
+    real unknowns, against the complex fit of the same data."""
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_complex_fit(self, n):
@@ -603,10 +604,8 @@ class TestRealTailFit:
         runs = {}
         for real in (True, False):
             with pytest.MonkeyPatch.context() as mp:
-                if not real:
-                    mp.setattr(inverse, "_mirror_symmetric", lambda *a: False)
                 seen = _fits(mp)
-                runs[real] = _fit_tail_model(weyl, A, prior), seen
+                runs[real] = _fit_tail_model(weyl, A, prior, real), seen
         (Q, h, misfit), [(dtype, Z)] = runs[True]
         (Q0, h0, misfit0), [(dtype0, Z0)] = runs[False]
         assert dtype == np.float64 and dtype0 == np.complex128
@@ -616,7 +615,9 @@ class TestRealTailFit:
         assert misfit == pytest.approx(misfit0, rel=1e-12)
 
     def test_other_data_keep_the_complex_fit(self):
-        weyl, A = _box_weyl(1)
+        # invert hands its one mirror decision to the fit: the real fit
+        # for mirror-symmetric data, the complex one for the rest
+        weyl, _ = _box_weyl(1)
         complex_q, _ = _box_weyl(1, coupling=0.3 + 0.05j)
         tail = list(weyl.tail_samples)
         tail[0] = (tail[0][0], tail[0][1] + 1e-9j)
@@ -625,20 +626,17 @@ class TestRealTailFit:
         M[3, 0, 0] = complex(np.nextafter(M[3, 0, 0].real, np.inf),
                              M[3, 0, 0].imag)
         ulp = replace(weyl, M_samples=M)
-        prior = _real_prior(1)
-        complex_prior = replace(prior, values=prior.values * (1.0 + 0.1j))
-        weyl2, A2 = _box_weyl(2)
-        cases = [(weyl, A, prior, np.float64),
-                 (weyl2, A2, _real_prior(2), np.float64),
-                 (complex_q, A, prior, np.complex128),
-                 (complex_tail, A, prior, np.complex128),
-                 (ulp, A, prior, np.complex128),
-                 (weyl, A, complex_prior, np.complex128)]
-        for data, AA, Q_prior, dtype in cases:
+        weyl2, _ = _box_weyl(2)
+        cases = [(weyl, np.float64), (weyl2, np.float64),
+                 (complex_q, np.complex128), (complex_tail, np.complex128),
+                 (ulp, np.complex128)]
+        cfg = InvertConfig(x_max=X_MAX, x_nodes=13)
+        for data, dtype in cases:
             with pytest.MonkeyPatch.context() as mp:
                 seen = _fits(mp)
-                _fit_tail_model(data, AA, Q_prior)
+                res = invert(data, cfg)
             assert [d for d, _ in seen] == [dtype]
+            assert res.diagnostics["real_system"] is (dtype == np.float64)
 
     @pytest.mark.parametrize("scale", [1e308, 1e300])
     def test_prior_out_of_scale_raises(self, scale):
@@ -649,7 +647,7 @@ class TestRealTailFit:
         prior = PotentialGrid(x_nodes=np.linspace(0.0, X_MAX, 61),
                               values=vals)
         with pytest.raises(ReconstructionError, match="tail fit"):
-            _fit_tail_model(weyl, A, prior)
+            _fit_tail_model(weyl, A, prior, True)
 
 
 class TestHalvedExtension:
@@ -666,12 +664,14 @@ class TestHalvedExtension:
 
     def test_tail_extension_mirrors(self, setup):
         weyl, A, prior = setup
-        rhos, _, Mhat, _ = inverse._tail_extension(weyl, A, prior)
+        rhos, w, Mhat, _ = inverse._tail_extension(weyl, A, prior, True)
         assert np.array_equal(Mhat[::-1], Mhat.conj())
-        # so the symmetrization of extend() changes no bit
-        assert np.array_equal((Mhat + Mhat[::-1].conj()) / 2.0, Mhat)
+        # so the real system takes it
+        asm = _Assembler(weyl, A, PROBES)
+        assert asm.real_system
+        asm.extend(rhos, w, Mhat)
         # M - M~ at every node, from the same fit
-        Q_fit, h_fit, _ = _fit_tail_model(weyl, A, prior)
+        Q_fit, h_fit, _ = _fit_tail_model(weyl, A, prior, True)
         Ap = np.eye(A.shape[0]) - A
         kap = kappa(Problem(potential=Q_fit,
                             bc=BoundaryCondition(A=A, h=np.zeros_like(A))),
@@ -683,12 +683,11 @@ class TestHalvedExtension:
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "plain"])
     def test_ext_source_from_half_the_columns(self, setup, real):
+        # a probe off the imaginary axis puts the same data on the complex
+        # system, which takes the extension of the complex fit
         weyl, A, prior = setup
-        ext = inverse._tail_extension(weyl, A, prior)[:3]
-        with pytest.MonkeyPatch.context() as mp:
-            if not real:
-                mp.setattr(inverse, "_mirror_symmetric", lambda *a: False)
-            asm = _Assembler(weyl, A, PROBES)
+        ext = inverse._tail_extension(weyl, A, prior, real)[:3]
+        asm = _Assembler(weyl, A, PROBES if real else [PROBES[0], 1.0 + 1.0j])
         asm.extend(*ext)
         assert asm.real_system is real
         xs = np.array([X_STEP, 1.0, X_MAX])
@@ -816,7 +815,7 @@ def test_slice_by_slice_path_matches_two_pass_invert(n):
     asm = _Assembler(weyl, A)
     assert calls == [(asm.K * n, asm.K * n)] * (cfg.x_nodes + 1)
     Q1 = invert(weyl, replace(cfg, passes=1)).Q
-    asm.extend(*inverse._tail_extension(weyl, A, Q1)[:3])
+    asm.extend(*inverse._tail_extension(weyl, A, Q1, asm.real_system)[:3])
     xs = np.linspace(0.0, cfg.x_max, cfg.x_nodes)
     sols = [asm.solve(x) for x in xs]
     # recover_potential's steps, through the extended assembler
@@ -892,7 +891,8 @@ class TestSlicePool:
         cfg = InvertConfig(x_max=X_MAX, x_nodes=13)
         xs = np.linspace(0.0, X_MAX, 7)
         ext_rhos, ext_w = extension_nodes(weyl.contour, 7.0)
-        ext_Mhat = 1e-2 / ext_rhos[:, None, None] * np.eye(n)
+        # i c / rho mirrors: at -conj rho it is conj(i c / rho)
+        ext_Mhat = 1e-2j / ext_rhos[:, None, None] * np.eye(n)
         real = scipy.linalg.lu_factor
         runs = {}
         for workers in (1, 3):
@@ -1110,7 +1110,7 @@ class TestRealSystem:
         assert len(weyl.contour) % 2 == (contour is ODD_CONTOUR)
         ext = inverse._tail_extension(
             weyl, A, invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=13,
-                                               passes=1)).Q)[:3]
+                                               passes=1)).Q, True)[:3]
         runs = {}
         for real in (True, False):
             with pytest.MonkeyPatch.context() as mp:
@@ -1146,11 +1146,19 @@ class TestRealSystem:
         weyl2, _ = _box_weyl(2)
         v = np.array([1.0, 1j]) / np.sqrt(2.0)
         complex_A = np.outer(v, v.conj())
+        # a tail sample that is not real, and a tail point off the
+        # imaginary axis: the contour samples still mirror
+        (pt, M0), *rest = weyl.tail_samples
+        complex_tail = replace(weyl, tail_samples=((pt, M0 + 1e-9j), *rest))
+        off_axis = replace(weyl, tail_samples=(
+            (SpectralPoint(pt.rho + 1e-3), M0), *rest))
         cases = [(weyl, A, PROBES, np.float64),
                  (ulp, A, PROBES, np.complex128),
                  (complex_q, A, PROBES, np.complex128),
                  (weyl2, complex_A, PROBES, np.complex128),
-                 (weyl, A, [1j * np.sqrt(2.0), 1.0 + 1.0j], np.complex128)]
+                 (weyl, A, [1j * np.sqrt(2.0), 1.0 + 1.0j], np.complex128),
+                 (complex_tail, A, PROBES, np.complex128),
+                 (off_axis, A, PROBES, np.complex128)]
         for data, AA, probes, dtype in cases:
             with pytest.MonkeyPatch.context() as mp:
                 seen = _dtypes_factored(mp)
@@ -1159,6 +1167,43 @@ class TestRealSystem:
                 asm.solve(1.0)
             assert asm.real_system is (dtype == np.float64)
             assert seen == [dtype, dtype]
+
+    def test_empty_tail_is_mirror_symmetric(self):
+        # WeylData and solve_main_equation allow data without a tail,
+        # which the main equation does not read: the same real system
+        weyl, A = _box_weyl(1)
+        bare = replace(weyl, tail_samples=())
+        assert _Assembler(bare, A, PROBES).real_system
+        assert np.array_equal(solve_main_equation(bare, A, 1.0).phi_nodes,
+                              solve_main_equation(weyl, A, 1.0).phi_nodes)
+
+    @pytest.mark.parametrize("passes", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_invert_returns_real_answers(self, n, passes):
+        # the probe values of the real system are real in every pass, so
+        # the Born source leaves no imaginary part in Q or h
+        weyl, _ = _box_weyl(n)
+        res = invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=13,
+                                        passes=passes))
+        assert res.diagnostics["real_system"] is True
+        assert not res.Q.values.imag.any() and not res.h.imag.any()
+
+    def test_extension_samples_off_their_mirror_rejected(self):
+        # on the real system, one sample one ulp off its mirror fails as
+        # an extension node off its mirror does; the complex system takes
+        # it
+        weyl, A = _box_weyl(1)
+        ext_rhos, ext_w = extension_nodes(weyl.contour, 7.0)
+        ext_Mhat = 1e-2j / ext_rhos[:, None, None] * np.ones((1, 1))
+        _Assembler(weyl, A, PROBES).extend(ext_rhos, ext_w, ext_Mhat)
+        off = ext_Mhat.copy()
+        off[5, 0, 0] = complex(np.nextafter(off[5, 0, 0].real, np.inf),
+                               off[5, 0, 0].imag)
+        with pytest.raises(ValueError, match="must mirror"):
+            _Assembler(weyl, A, PROBES).extend(ext_rhos, ext_w, off)
+        plain = _Assembler(weyl, A, [PROBES[0], 1.0 + 1.0j])
+        assert not plain.real_system
+        plain.extend(ext_rhos, ext_w, off)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_asymmetric_extension_nodes_rejected(self, real):
