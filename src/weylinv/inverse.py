@@ -486,11 +486,11 @@ def _one_blas_thread():
 
 def _slice_workers(n_blocks: int) -> int:
     """Threads for n_blocks blocks of x-slices: the usable CPUs, at most
-    one per block, where BLAS runs at one thread (as _one_blas_thread
-    sets every OpenBLAS with a setter), and 1 otherwise, so that the LUs
-    of the blocks and their own BLAS threads do not contend for cores
-    (with OpenBLAS at 2 threads on a 2-core host, 2 workers made invert
-    about twice as slow as 1), and 1 where no OpenBLAS can be read."""
+    one per block, where every loaded OpenBLAS runs at one thread (as
+    _one_blas_thread sets each one that has a setter); otherwise 1, also
+    where no OpenBLAS can be read, so that the LUs of the blocks and the
+    BLAS threads do not contend for cores (with OpenBLAS at 2 threads on
+    a 2-core host, 2 workers made invert about twice as slow as 1)."""
     if _blas_threads() != 1:
         return 1
     try:
@@ -1036,9 +1036,9 @@ def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid, real: bool):
         M - M~ = (A + i rho A_perp) (h - 2 kappa(rho)) (A/(i rho) - A_perp) / (i rho),
 
     of the fitted problem at them, followed by the fit's relative data
-    misfit.  real is _Assembler.real_system (mirror-symmetric data and a
-    real prior): the fit is then real, and so is A, so kappa and the
-    deviation are evaluated at the first ceil(E/2) nodes and conjugated
+    misfit.  real is _Assembler.real_system: for its mirror-symmetric data
+    and the real Q it returns, the fit is real, and so is A, so kappa and
+    the deviation are evaluated at the first ceil(E/2) nodes and conjugated
     onto the mirrors (node E-1-e is -conj rho_e, as extension_nodes lays
     them out and _Assembler.extend requires), so the samples mirror bit
     for bit.

@@ -584,13 +584,6 @@ def _fits(mp):
     return seen
 
 
-def _real_prior(n):
-    """A real prior on [0, X_MAX]: a box in every entry."""
-    x = np.linspace(0.0, X_MAX, 61)
-    vals = 0.3 * (x <= 1.0)[:, None, None] * np.ones((n, n))
-    return PotentialGrid(x_nodes=x, values=vals)
-
-
 class TestRealTailFit:
     """The tail fit of a problem that is its own conjugate, solved over
     real unknowns, against the complex fit of the same data."""
