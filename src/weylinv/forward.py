@@ -27,8 +27,14 @@ scaled integral's backward recurrence J_i = a J_{i+1} + s_i,
 a = exp(2 i rho dx), is a chunked scan of about 2 sqrt(N) small steps;
 the plain integral is a cumulative sum; and the 4th-order endpoint terms
 of the two integrals cancel at every interior node, so no gradient is
-taken (_sweep_increment).  B comes from a fixed memory budget, so the
-working set does not grow with the number of points.  For real Q,
+taken (_sweep_increment).  Where Q vanishes on [x, X] the equation
+gets nothing from that stretch and E = I there exactly, so the march
+stops three zero nodes past the last node where Q is nonzero
+(_march_length); those zeros keep every endpoint term of the full grid
+at 0, so the shorter march solves the full grid's equations and its
+cost scales with the support of Q, not with the grid.  B comes from a
+fixed memory budget over the marched rows, so the working set does not
+grow with the number of points.  For real Q,
 e(x, -conj rho) = conj e(x, rho), so the Jost data at x = 0 are marched
 once per mirror pair and per repeated point (_jost_at_zero).
 
@@ -85,9 +91,10 @@ __all__ = [
 COND_LIMIT = 1e10
 JOST_TOL = 1e-12
 JOST_MAX_ITER = 50
-# Memory budget of one (N, n, n, B) complex array of the Jost march; the
-# block size B is the largest that fits it.  Re-measured for the loop-free
-# sweep on forward-matrix (seed 7, one BLAS thread, 5 calls of
+# Memory budget of one (T, n, n, B) complex array of the Jost march over
+# T = _march_length(Q) rows; the block size B is the largest that fits it.
+# Re-measured for the loop-free sweep on forward-matrix, whose Q has no
+# zero tail, so T = N (seed 7, one BLAS thread, 5 calls of
 # generate_weyl_data in one process): one block of all 104 points took
 # 0.092 s a call against 0.083 s, and raised peak memory from 64.5 to
 # 80.4 MB; a 512 KB budget was no faster and added 2.6 MB.
@@ -324,6 +331,22 @@ def _scaled_integral_at_start(g, rhos, dx):
                                   - pw[-1] * (dN + 2j * rhos * g[-1])))
 
 
+def _march_length(Q):
+    """Rows of the (N, n, n) potential Q that the Jost march needs:
+    min(N, t + 4) for the last node t where an entry of Q is nonzero (NaN
+    and inf count as nonzero), 3 for Q = 0.
+
+    Past t the equation gets nothing and E = I exactly; the three zero
+    nodes at the end of the march keep P'_N, P_N (_sweep_increment,
+    _end_slopes) and the end terms of _scaled_integral_at_start at 0, as
+    on the full grid, so the marched rows solve the full grid's equations
+    and every update norm past them is exactly 0.
+    """
+    nonzero = np.flatnonzero(Q.reshape(Q.shape[0], -1).any(axis=1))
+    t = int(nonzero[-1]) if nonzero.size else -1
+    return min(Q.shape[0], t + 4)
+
+
 def _jost_at_zero(problem: Problem, rhos):
     """e(0, rho) and e'(0, rho) for every rho of a (K,) array, each
     (K, n, n).
@@ -331,28 +354,31 @@ def _jost_at_zero(problem: Problem, rhos):
     For real Q, conjugating the equation gives e(x, -conj rho) =
     conj e(x, rho), so a point with Re rho < 0 is marched as its mirror
     -conj rho and conjugated back; with exact repeats merged too, each
-    mirror pair and each repeat is marched once.  The distinct points go
-    in blocks of the most that fit _BLOCK_BYTES.  E' is formed at x = 0
-    only: E'(0) = -J_0 of the scaled tail integral of Q E.  A
-    ConvergenceError names the point as the caller passed it."""
+    mirror pair and each repeat is marched once.  Only the first
+    T = _march_length(Q) rows are marched, the support of Q and three zero
+    nodes; the rows past them hold E = I exactly.  The distinct points go
+    in blocks of the most whose (T, n, n, B) array fits _BLOCK_BYTES.  E'
+    is formed at x = 0 only: E'(0) = -J_0 of the scaled tail integral of
+    Q E.  A ConvergenceError names the point as the caller passed it."""
     pot = problem.potential
     rhos = np.asarray(rhos, dtype=complex)
     flip = (rhos.real < 0) & (not pot.values.imag.any())
     march, first, where = np.unique(np.where(flip, -rhos.conj(), rhos),
                                     return_index=True, return_inverse=True)
-    N, n = pot.x_nodes.size, pot.dim
-    B = max(1, _BLOCK_BYTES // (16 * N * n * n))
+    Q = pot.values[:_march_length(pot.values)]
+    T, n = Q.shape[:2]
+    B = max(1, _BLOCK_BYTES // (16 * T * n * n))
     e0 = np.empty((march.size, n, n), dtype=complex)
     e0p = np.empty_like(e0)
     for s in range(0, march.size, B):
         r = march[s:s + B]
-        E, _ = _jost_scaled(pot.values, r, pot.dx, rhos[first[s:s + B]])
+        E, _ = _jost_scaled(Q, r, pot.dx, rhos[first[s:s + B]])
         # i rho e(0) on (B, n, n) arrays: numpy's complex product rounds by
         # the loop it picks, and with the points last a block of one point
         # picks another loop than a block of many
         e0[s:s + B] = np.moveaxis(E[0], -1, 0)
         e0p[s:s + B] = 1j * r[:, None, None] * e0[s:s + B] - np.moveaxis(
-            _scaled_integral_at_start(_node_product(pot.values, E), r, pot.dx),
+            _scaled_integral_at_start(_node_product(Q, E), r, pot.dx),
             -1, 0)
     e0, e0p = e0[where], e0p[where]
     e0[flip] = e0[flip].conj()

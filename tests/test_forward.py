@@ -17,6 +17,7 @@ from weylinv import (
     build_contour,
     check_m_equals_mstar,
     generate_weyl_data,
+    jost_matrix,
     matnorm,
     model_weyl,
     p_matrix_diagnostic,
@@ -30,9 +31,9 @@ from weylinv import (
 from weylinv.core import apply_T, bracket, tail_integrals
 import weylinv.forward as fw
 from weylinv.forward import (JOST_MAX_ITER, _BLOCK_BYTES, _STEP_NORM_MAX,
-                             _jost_at_zero, _jost_scaled, _march_many,
-                             _node_product, _prefix_apply, _propagators,
-                             _scaled_integral_at_start,
+                             _jost_at_zero, _jost_scaled, _march_length,
+                             _march_many, _node_product, _prefix_apply,
+                             _propagators, _scaled_integral_at_start,
                              _scaled_tail_integrals, _sweep_factors,
                              _sweep_increment, _weyl_many, kappa, omega,
                              transpose_problem)
@@ -205,8 +206,8 @@ class TestBatchedJost:
         rhos = contour.rhos
         assert np.any(np.isclose(rhos[:, None], -rhos[None, :]))
         rhos = np.concatenate([rhos, rhos[:1], 1j * self.TAIL])  # repeat
-        N, n = prob.potential.x_nodes.size, prob.dim
-        assert rhos.size % (_BLOCK_BYTES // (16 * N * n * n)) != 0
+        T, n = _march_length(prob.potential.values), prob.dim
+        assert rhos.size % (_BLOCK_BYTES // (16 * T * n * n)) != 0
         e0, e0p = _jost_at_zero(prob, rhos)
         pot = prob.potential
         sweeps = _jost_scaled(pot.values, rhos, pot.dx)[1]
@@ -265,29 +266,40 @@ class TestBatchedJost:
             assert matnorm(der[:, k] - ref_der) <= 1e-13 * matnorm(ref_der)
 
 
+def block_jost_at_zero(Q, dx, rhos):
+    """e(0), e'(0) as (B, n, n) arrays and the sweep counts of
+    _jost_at_zero's block step for the (B,) points rhos, marched over all
+    rows of Q."""
+    E, sweeps = _jost_scaled(Q, rhos, dx)
+    e0 = np.moveaxis(E[0], -1, 0)
+    e0p = 1j * rhos[:, None, None] * e0 - np.moveaxis(
+        _scaled_integral_at_start(_node_product(Q, E), rhos, dx), -1, 0)
+    return e0, e0p, sweeps
+
+
 def unpaired_jost_at_zero(problem, rho):
     """e(0, rho), e'(0, rho) of _jost_at_zero's block step for one point,
-    marched at rho itself, never at its mirror."""
+    marched at rho itself, never at its mirror, over the same rows."""
     pot = problem.potential
-    r = np.array([rho])
-    E, _ = _jost_scaled(pot.values, r, pot.dx)
-    e0 = np.moveaxis(E[0], -1, 0)
-    e0p = 1j * r[:, None, None] * e0 - np.moveaxis(
-        _scaled_integral_at_start(_node_product(pot.values, E), r, pot.dx),
-        -1, 0)
+    e0, e0p, _ = block_jost_at_zero(pot.values[:_march_length(pot.values)],
+                                    pot.dx, np.array([rho]))
     return e0[0], e0p[0]
 
 
 class MarchSpy:
-    """Records the points every _jost_scaled call marches."""
+    """Records the points every _jost_scaled call marches, the rows of Q
+    it marches them over and the sweep counts it returns."""
 
     def __init__(self, monkeypatch):
-        self.points = []
+        self.points, self.rows, self.sweeps = [], [], []
         march = fw._jost_scaled
 
         def spy(Q, rhos, dx, names=None):
             self.points.extend(rhos)
-            return march(Q, rhos, dx, names)
+            self.rows.append(Q.shape[0])
+            E, sweeps = march(Q, rhos, dx, names)
+            self.sweeps.extend(sweeps)
+            return E, sweeps
 
         monkeypatch.setattr(fw, "_jost_scaled", spy)
 
@@ -356,6 +368,78 @@ class TestMirrorPairs:
         # a pair marched once is named by the first of its points passed
         with pytest.raises(ConvergenceError, match=r"at rho = \(-2\+0\.5j\)"):
             _jost_at_zero(bad, [-2.0 + 0.5j, 2.0 + 0.5j])
+
+
+class TestSupportMarch:
+    """_jost_at_zero marches Q only up to three zero nodes past its
+    support; the rows it drops hold E = I exactly on the full grid."""
+
+    N = 41
+    RHOS = np.array([0.8 + 0.5j, -2.0 + 0.3j, 3.0j, 9.0 + 1.0j, -9.0 + 1.0j,
+                     25.0 + 0.1j, 40.0j])
+
+    def problem(self, rng, n, complex_q, gap):
+        """A random Q on N nodes that is nonzero up to gap nodes before the
+        last node (gap = N: Q = 0)."""
+        vals = rng.normal(scale=0.8, size=(self.N, n, n)).astype(complex)
+        if complex_q:
+            vals += 0.5j * rng.normal(size=vals.shape)
+        vals[self.N - gap:] = 0.0
+        pot = PotentialGrid(np.linspace(0.0, 1.0, self.N), vals)
+        return Problem(potential=pot,
+                       bc=BoundaryCondition(A=np.eye(n, dtype=complex),
+                                            h=np.zeros((n, n), complex)))
+
+    @pytest.mark.parametrize("gap", [0, 1, 2, 3, 4, 17, 41])
+    @pytest.mark.parametrize("complex_q", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_full_grid_march(self, rng, monkeypatch, n, complex_q,
+                                     gap):
+        prob = self.problem(rng, n, complex_q, gap)
+        pot = prob.potential
+        T = 3 if gap == self.N else min(self.N, self.N - gap + 3)
+        assert _march_length(pot.values) == T
+        # two points a block on the full grid, more on the marched rows
+        budget = 16 * self.N * n * n * 2
+        monkeypatch.setattr(fw, "_BLOCK_BYTES", budget)
+        spy = MarchSpy(monkeypatch)
+        e0, e0p = _jost_at_zero(prob, self.RHOS)
+        real = not pot.values.imag.any()  # Q = 0 is real
+        marched = np.unique(np.where((self.RHOS.real < 0) & real,
+                                     -self.RHOS.conj(), self.RHOS))
+        assert np.array_equal(spy.points, marched)
+        B = budget // (16 * T * n * n)
+        assert spy.rows == [T] * (-(-marched.size // B))
+
+        sweeps = block_jost_at_zero(pot.values, pot.dx, marched)[2]
+        assert np.array_equal(spy.sweeps, sweeps)
+        r0, r0p, _ = block_jost_at_zero(pot.values, pot.dx, self.RHOS)
+        for k in range(self.RHOS.size):
+            assert matnorm(e0[k] - r0[k]) <= 1e-14 * matnorm(r0[k])
+            assert matnorm(e0p[k] - r0p[k]) <= 1e-14 * matnorm(r0p[k])
+        if gap == self.N:
+            assert not np.any(sweeps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_count_as_support(self, bad):
+        vals = np.zeros((41, 2, 2), dtype=complex)
+        vals[30, 1, 0] = bad
+        assert _march_length(vals) == 34
+        vals[30, 1, 0] = 1j * bad
+        assert _march_length(vals) == 34
+
+    def test_nan_in_the_zero_tail_raises(self, monkeypatch):
+        prob = scalar_box_problem(nodes=201)
+        vals = prob.potential.values.copy()
+        assert not vals[101:].any()
+        vals[150] = np.nan
+        bad_prob = Problem(potential=PotentialGrid(prob.potential.x_nodes,
+                                                   vals), bc=prob.bc)
+        spy = MarchSpy(monkeypatch)
+        with pytest.raises(ConvergenceError,
+                           match=rf"in {JOST_MAX_ITER} sweeps.* rho = \(1\+1j\)"):
+            jost_matrix(bad_prob, SpectralPoint(1.0 + 1.0j))
+        assert spy.rows == [154]
 
 
 def expm_step(Qm, lam, dx):
