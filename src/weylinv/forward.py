@@ -34,7 +34,10 @@ stops three zero nodes past the last node where Q is nonzero
 at 0, so the shorter march solves the full grid's equations and its
 cost scales with the support of Q, not with the grid.  B comes from a
 fixed memory budget over the marched rows, so the working set does not
-grow with the number of points.  For real Q,
+grow with the number of points; the points go in P / B blocks, rounded
+half up, of sizes that differ by at most one, so no block is a
+near-empty tail that pays a block's fixed cost for a few points.  For
+real Q,
 e(x, -conj rho) = conj e(x, rho), so the Jost data at x = 0 are marched
 once per mirror pair and per repeated point (_jost_at_zero).
 
@@ -92,12 +95,14 @@ COND_LIMIT = 1e10
 JOST_TOL = 1e-12
 JOST_MAX_ITER = 50
 # Memory budget of one (T, n, n, B) complex array of the Jost march over
-# T = _march_length(Q) rows; the block size B is the largest that fits it.
-# Re-measured for the loop-free sweep on forward-matrix, whose Q has no
-# zero tail, so T = N (seed 7, one BLAS thread, 5 calls of
-# generate_weyl_data in one process): one block of all 104 points took
-# 0.092 s a call against 0.083 s, and raised peak memory from 64.5 to
-# 80.4 MB; a 512 KB budget was no faster and added 2.6 MB.
+# T = _march_length(Q) rows; B is the most points that fit it, and
+# _jost_at_zero splits its points into blocks of about B.  Measured with
+# balanced blocks on forward-matrix, whose Q has no zero tail, so T = N =
+# 301 and B = 13 (8 problems of seed 11, one BLAS thread, alternated
+# in-process pairs of generate_weyl_data, check_m_equals_mstar and 16
+# solve_regular calls): 512 KiB (B = 27) read a median paired ratio of
+# 1.00 on each, winning 15 of 30 pairs, and 128 KiB (B = 6) 1.17 to 1.34,
+# winning at most 2 of 20.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -356,10 +361,16 @@ def _jost_at_zero(problem: Problem, rhos):
     -conj rho and conjugated back; with exact repeats merged too, each
     mirror pair and each repeat is marched once.  Only the first
     T = _march_length(Q) rows are marched, the support of Q and three zero
-    nodes; the rows past them hold E = I exactly.  The distinct points go
-    in blocks of the most whose (T, n, n, B) array fits _BLOCK_BYTES.  E'
-    is formed at x = 0 only: E'(0) = -J_0 of the scaled tail integral of
-    Q E.  A ConvergenceError names the point as the caller passed it."""
+    nodes; the rows past them hold E = I exactly.  B is the most points
+    whose (T, n, n, B) array fits _BLOCK_BYTES, and the P distinct points
+    go in C = max(1, P / B rounded half up) blocks of P // C or
+    P // C + 1 points, so none is a near-empty tail and none holds more
+    than 1.5 B.  For real Q every step rounds per point and the e'(0) sum
+    is a running sum, so the layout does not change the rounding; for
+    complex Q and n >= 2 the complex BLAS product of _node_product can
+    round a point by its column in the block.  E' is formed at
+    x = 0 only: E'(0) = -J_0 of the scaled tail integral of Q E.  A
+    ConvergenceError names the point as the caller passed it."""
     pot = problem.potential
     rhos = np.asarray(rhos, dtype=complex)
     flip = (rhos.real < 0) & (not pot.values.imag.any())
@@ -368,16 +379,19 @@ def _jost_at_zero(problem: Problem, rhos):
     Q = pot.values[:_march_length(pot.values)]
     T, n = Q.shape[:2]
     B = max(1, _BLOCK_BYTES // (16 * T * n * n))
-    e0 = np.empty((march.size, n, n), dtype=complex)
+    P = march.size
+    C = min(P, max(1, (2 * P + B) // (2 * B)))  # P / B rounded half up
+    e0 = np.empty((P, n, n), dtype=complex)
     e0p = np.empty_like(e0)
-    for s in range(0, march.size, B):
-        r = march[s:s + B]
-        E, _ = _jost_scaled(Q, r, pot.dx, rhos[first[s:s + B]])
+    for k in range(C):
+        blk = slice(k * P // C, (k + 1) * P // C)
+        r = march[blk]
+        E, _ = _jost_scaled(Q, r, pot.dx, rhos[first[blk]])
         # i rho e(0) on (B, n, n) arrays: numpy's complex product rounds by
         # the loop it picks, and with the points last a block of one point
         # picks another loop than a block of many
-        e0[s:s + B] = np.moveaxis(E[0], -1, 0)
-        e0p[s:s + B] = 1j * r[:, None, None] * e0[s:s + B] - np.moveaxis(
+        e0[blk] = np.moveaxis(E[0], -1, 0)
+        e0p[blk] = 1j * r[:, None, None] * e0[blk] - np.moveaxis(
             _scaled_integral_at_start(_node_product(Q, E), r, pot.dx),
             -1, 0)
     e0, e0p = e0[where], e0p[where]

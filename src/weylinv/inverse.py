@@ -150,6 +150,16 @@ class ReconstructionResult:
 # 0.5 to 1.0 at 0.83.  The bound admits the largest value in use, 0.56
 # (the default probes on 9 slices).
 _PROBE_STEP_LIMIT = 0.6
+# Largest |rho_j| / sqrt(R) of a lambda probe, R the data's truncation
+# radius; invert checks it, as InvertConfig does not see R.  On the box
+# data of tests/test_inverse.py (R = 200, 61 slices, probes (-2, lambda))
+# the relative L1 error of Q was 0.039 (n = 1) and 0.077 (n = 2) at
+# 0.16 sqrt(R), 0.054 and 0.108 at 0.7, 0.068 and 0.134 at 0.74 and 0.30
+# and 0.47 at 0.95, where |h| reached 0.044; up to 0.7 both stay within
+# 0.06 and 0.12 and |h| within 0.01.  The error follows |rho_j| dx as
+# much as |rho_j| / sqrt(R): on 241 slices 1.9 sqrt(R) gave 0.074 and
+# 0.129, so on fine grids the bound is conservative.
+_PROBE_BAND_LIMIT = 0.7
 
 
 @dataclass(frozen=True)
@@ -1381,14 +1391,23 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     read), real_system (whether the slices were solved as the real half
     system) and, with passes > 1, tail_fit_residual (relative data misfit
     of the last tail fit).
+
+    A probe with |rho_j| > _PROBE_BAND_LIMIT sqrt(R), R the data's
+    truncation radius, raises ValueError before any slice is factored.
     """
+    rho_band = math.sqrt(weyl.contour.R)
+    for lam in config.lambda_probes:
+        if math.sqrt(abs(lam)) > _PROBE_BAND_LIMIT * rho_band:
+            raise ValueError(
+                f"lambda probe {lam} has |rho| = {math.sqrt(abs(lam)):.3g} > "
+                f"{_PROBE_BAND_LIMIT} sqrt(R), sqrt(R) = {rho_band:.3g}: "
+                "take probes nearer 0")
     blas = _blas_threads()
     with _one_blas_thread():
         A = extract_A(weyl.tail_samples)
         xs = np.linspace(0.0, config.x_max, config.x_nodes)
         probes = [lambda_to_point(l) for l in config.lambda_probes]
         lams = np.array([pt.lam for pt in probes])
-        rho_band = np.sqrt(weyl.contour.R)
 
         asm = _Assembler(weyl, A, [pt.rho for pt in probes])
         PHI, gains, rcond = asm.read_probes(xs, config.system_cond_limit)
@@ -1465,7 +1484,9 @@ def discretization_estimate(weyl: WeylData, config: InvertConfig,
     the base configuration moves Q by less than this coarsening did, so
     it bounds the discretization error of the reported Q from above.
     The half-density grid needs x_nodes >= 13 (InvertConfig's minimum of
-    7 slices); below that it raises ValueError.
+    7 slices), and the halved radius every probe within
+    _PROBE_BAND_LIMIT of its sqrt(R), about 0.7 sqrt(R / 2); otherwise
+    it raises ValueError.
     """
     # the largest odd count <= (N + 1) / 2: N = 201 gives 101, N = 63 gives 31
     coarse_x = replace(config, x_nodes=(config.x_nodes - 1) // 4 * 2 + 1)

@@ -341,7 +341,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("probes, code", [
         ([0.0, -4.0], EXIT_NUMERICAL), ([-4.0], EXIT_CONFIG),
         ([float("nan"), -4.0], EXIT_CONFIG), ([-4.0, float("inf")], EXIT_CONFIG),
-        ([-4.0, -1e4], EXIT_CONFIG)])
+        ([-4.0, -1e4], EXIT_CONFIG),
+        # |rho| = 0.95 sqrt(R), past the band invert accepts
+        ([-4.0, -45.125], EXIT_CONFIG)])
     def test_lambda_probes(self, tmp_path, probes, code):
         weyl_csv, tail_csv = _forward_csvs(tmp_path)
         cfg = dict(SCALAR_BOX, lambda_probes=probes,

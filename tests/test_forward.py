@@ -1,5 +1,7 @@
 """Forward solver: Jost and regular solutions, Weyl matrix, diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -198,7 +200,7 @@ class TestBatchedJost:
     TAIL = np.linspace(50.0, 400.0, 8)
 
     @pytest.mark.parametrize("name", ["scalar", "matrix", "zero"])
-    def test_matches_per_point_reference(self, name):
+    def test_matches_per_point_reference(self, monkeypatch, name):
         prob = batch_problems()[name]
         # delta = 0: the two cut sides meet as mirrored nodes +-rho
         contour = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=32,
@@ -207,8 +209,10 @@ class TestBatchedJost:
         assert np.any(np.isclose(rhos[:, None], -rhos[None, :]))
         rhos = np.concatenate([rhos, rhos[:1], 1j * self.TAIL])  # repeat
         T, n = _march_length(prob.potential.values), prob.dim
-        assert rhos.size % (_BLOCK_BYTES // (16 * T * n * n)) != 0
+        spy = MarchSpy(monkeypatch)
         e0, e0p = _jost_at_zero(prob, rhos)
+        # the marched points do not split into full blocks of B
+        assert set(spy.sizes) != {_BLOCK_BYTES // (16 * T * n * n)}
         pot = prob.potential
         sweeps = _jost_scaled(pot.values, rhos, pot.dx)[1]
         for k, rho in enumerate(rhos):
@@ -286,16 +290,24 @@ def unpaired_jost_at_zero(problem, rho):
     return e0[0], e0p[0]
 
 
+def block_count(P, B):
+    """The blocks _jost_at_zero splits P distinct points into: P / B
+    rounded half up, at least one, and none for no points."""
+    return min(P, max(1, math.floor(P / B + 0.5)))
+
+
 class MarchSpy:
-    """Records the points every _jost_scaled call marches, the rows of Q
-    it marches them over and the sweep counts it returns."""
+    """Records the points every _jost_scaled call marches, how many it
+    marches at once, the rows of Q it marches them over and the sweep
+    counts it returns."""
 
     def __init__(self, monkeypatch):
-        self.points, self.rows, self.sweeps = [], [], []
+        self.points, self.sizes, self.rows, self.sweeps = [], [], [], []
         march = fw._jost_scaled
 
         def spy(Q, rhos, dx, names=None):
             self.points.extend(rhos)
+            self.sizes.append(rhos.size)
             self.rows.append(Q.shape[0])
             E, sweeps = march(Q, rhos, dx, names)
             self.sweeps.extend(sweeps)
@@ -370,6 +382,41 @@ class TestMirrorPairs:
             _jost_at_zero(bad, [-2.0 + 0.5j, 2.0 + 0.5j])
 
 
+class TestBlockSplit:
+    """_jost_at_zero splits its P distinct points into P / B blocks,
+    rounded half up, whose sizes differ by at most one; for real Q the
+    layout leaves every point's e(0), e'(0) as a one-block march gives
+    them."""
+
+    N, B = 41, 6
+
+    @pytest.mark.parametrize("P", [0, 1, B - 1, B, B + 1, B + 3, 2 * B - 1,
+                                   2 * B + 1, 3 * B])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_balanced_blocks(self, rng, monkeypatch, n, P):
+        # real Q on every node and Re rho > 0: every point is marched as
+        # itself, over all rows
+        vals = rng.normal(scale=0.8, size=(self.N, n, n)).astype(complex)
+        pot = PotentialGrid(np.linspace(0.0, 1.0, self.N), vals)
+        prob = Problem(potential=pot,
+                       bc=BoundaryCondition(A=np.eye(n, dtype=complex),
+                                            h=np.zeros((n, n), complex)))
+        assert _march_length(vals) == self.N
+        monkeypatch.setattr(fw, "_BLOCK_BYTES", 16 * self.N * n * n * self.B)
+        rhos = rng.uniform(1.0, 30.0, P) * np.exp(
+            1j * rng.uniform(0.05, 0.5 * np.pi - 0.05, P))
+        spy = MarchSpy(monkeypatch)
+        e0, e0p = _jost_at_zero(prob, rhos)
+        assert e0.shape == e0p.shape == (P, n, n)
+        assert len(spy.sizes) == block_count(P, self.B)
+        assert sum(spy.sizes) == P
+        if P:
+            assert max(spy.sizes) - min(spy.sizes) <= 1
+            assert max(spy.sizes) <= 1.5 * self.B
+            r0, r0p, _ = block_jost_at_zero(vals, pot.dx, rhos)
+            assert np.array_equal(e0, r0) and np.array_equal(e0p, r0p)
+
+
 class TestSupportMarch:
     """_jost_at_zero marches Q only up to three zero nodes past its
     support; the rows it drops hold E = I exactly on the full grid."""
@@ -408,8 +455,9 @@ class TestSupportMarch:
         marched = np.unique(np.where((self.RHOS.real < 0) & real,
                                      -self.RHOS.conj(), self.RHOS))
         assert np.array_equal(spy.points, marched)
+        # B (2 on the full grid) does not divide the 5 or 7 marched points
         B = budget // (16 * T * n * n)
-        assert spy.rows == [T] * (-(-marched.size // B))
+        assert spy.rows == [T] * block_count(marched.size, B)
 
         sweeps = block_jost_at_zero(pot.values, pot.dx, marched)[2]
         assert np.array_equal(spy.sweeps, sweeps)

@@ -1272,6 +1272,20 @@ class TestInvertConfig:
         with pytest.raises(ValueError, match=">= 7"):
             InvertConfig(x_max=2.0, x_nodes=x_nodes, lambda_probes=(-0.1, -0.2))
 
+    def test_probe_past_the_band_rejected(self):
+        # 0.95 sqrt(R) on 61 slices has |rho| dx = 0.45, which InvertConfig
+        # passes; invert returned Q off by 0.30 in relative L1 and |h| =
+        # 0.044 without an error
+        weyl, _ = _box_weyl(1)
+        lam = -(0.95 * np.sqrt(weyl.contour.R)) ** 2
+        cfg = InvertConfig(x_max=X_MAX, x_nodes=61, lambda_probes=(-2.0, lam))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inverse, "_Assembler",
+                       lambda *a: pytest.fail("a slice was assembled"))
+            with pytest.raises(ValueError,
+                               match=r"probe -180\.5.* sqrt\(R\) = 14\.1"):
+                invert(weyl, cfg)
+
     def test_limits_are_fixed(self):
         cfg = InvertConfig(x_max=2.0, x_nodes=9)
         assert (cfg.phi_cond_limit, cfg.system_cond_limit) == (1e8, 1e12)
