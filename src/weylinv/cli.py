@@ -367,8 +367,7 @@ def _forward(cfg, rep, problem: Problem) -> WeylData:
     return weyl
 
 
-def _invert(cfg, rep, weyl: WeylData):
-    icfg = _invert_config(cfg)
+def _invert(icfg: InvertConfig, rep, weyl: WeylData):
     with rep.stage("invert"):
         result = invert(weyl, icfg)
     with rep.stage("emit"):
@@ -386,14 +385,18 @@ def _mode_forward(cfg, rep, rng):
     _forward(cfg, rep, _build_problem(cfg, rng))
 
 
+# invert and roundtrip build the InvertConfig first, so a bad x-grid or
+# probe fails before any file is read or any sample is computed.
 def _mode_invert(cfg, rep, rng):
+    icfg = _invert_config(cfg)
     inp = cfg.get("input", {})
-    _invert(cfg, rep, read_weyl_csv(inp["weyl"], inp["tail"], cfg["contour"]))
+    _invert(icfg, rep, read_weyl_csv(inp["weyl"], inp["tail"], cfg["contour"]))
 
 
 def _mode_roundtrip(cfg, rep, rng):
+    icfg = _invert_config(cfg)
     problem = _build_problem(cfg, rng)
-    result = _invert(cfg, rep, _forward(cfg, rep, problem))
+    result = _invert(icfg, rep, _forward(cfg, rep, problem))
     with rep.stage("compare"):
         rep.data["error_norms"]["q_l1_relative"] = result.Q.relative_l1(
             problem.potential)

@@ -141,25 +141,14 @@ class ReconstructionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-# Largest |rho_j| dx of a lambda probe on the x-grid: Q is read off
-# phi''(x, lambda_j) by finite differences, and phi grows like
-# exp(|rho_j| x).  On the box data of tests/test_inverse.py (x_max = 2,
-# n = 1 and 2, 9 to 25 slices, probes inside the band |rho| < sqrt(R))
-# the |h| error is below 0.01 at |rho_j| dx = 0.3 (13 and 25 slices),
-# at most 0.08 up to 0.56, 0.05 to 0.12 at 0.6, 0.12 to 0.32 at 0.7 and
-# 0.5 to 1.0 at 0.83.  The bound admits the largest value in use, 0.56
-# (the default probes on 9 slices).
-_PROBE_STEP_LIMIT = 0.6
-# Largest |rho_j| / sqrt(R) of a lambda probe, R the data's truncation
-# radius; invert checks it, as InvertConfig does not see R.  On the box
-# data of tests/test_inverse.py (R = 200, 61 slices, probes (-2, lambda))
-# the relative L1 error of Q was 0.039 (n = 1) and 0.077 (n = 2) at
-# 0.16 sqrt(R), 0.054 and 0.108 at 0.7, 0.068 and 0.134 at 0.74 and 0.30
-# and 0.47 at 0.95, where |h| reached 0.044; up to 0.7 both stay within
-# 0.06 and 0.12 and |h| within 0.01.  The error follows |rho_j| dx as
-# much as |rho_j| / sqrt(R): on 241 slices 1.9 sqrt(R) gave 0.074 and
-# 0.129, so on fine grids the bound is conservative.
-_PROBE_BAND_LIMIT = 0.7
+# Largest s = |lambda_j|^(3/4) dx of a lambda probe.  Q is read off phi''
+# by a fourth-order second difference, whose truncation error in Q is about
+# rho^6 dx^4 / 90 = s^4 / 90, whatever the data's R.  On the box data of
+# tests/test_inverse.py (n = 1, 2; R = 50, 200; 25 to 1601 slices; probes
+# (-2, lambda) out to 14 sqrt(R)) the relative L1 error of Q followed s, not
+# |rho| / sqrt(R): against a probe at 0.16 sqrt(R) it grew at most 13% up to
+# s = 0.8, 7-56% at s = 1, 25-107% at 1.12 and 5 to 8 times at 1.6.
+_PROBE_STEP_LIMIT = 1.0
 
 
 @dataclass(frozen=True)
@@ -169,7 +158,10 @@ class InvertConfig:
     Q is recovered on x_nodes (odd, at least 7, the span of the read-out's
     finite-difference stencils) uniform slices of [0, x_max].
     lambda_probes are the energies at which Q is read off the recovered
-    solution; they should avoid the positive real axis.
+    solution.  Any nonzero lambda serves, the positive real axis
+    included; only probes with lambda < 0 keep mirror-symmetric data on
+    the real half system (_Assembler.real_system), and any other probe
+    puts them on the complex one.
 
     passes > 1 enables the self-consistent tail extension: the previous
     reconstruction supplies an asymptotic model of the kernel beyond the
@@ -183,7 +175,7 @@ class InvertConfig:
     x-slice.
 
     x_max must be finite and positive, every probe finite and resolved by
-    the x-grid, |rho_j| x_max / (x_nodes - 1) <= _PROBE_STEP_LIMIT;
+    the x-grid, |lambda_j|^(3/4) x_max / (x_nodes - 1) <= _PROBE_STEP_LIMIT;
     anything else raises ValueError.
     """
 
@@ -204,11 +196,13 @@ class InvertConfig:
         lams = np.asarray(self.lambda_probes, complex)
         if not np.all(np.isfinite(lams)):
             raise ValueError("lambda probes must be finite")
-        step = np.sqrt(np.abs(lams)).max() * self.x_max / (self.x_nodes - 1)
+        j = np.abs(lams).argmax()
+        step = abs(lams[j]) ** 0.75 * self.x_max / (self.x_nodes - 1)
         if step > _PROBE_STEP_LIMIT:
             raise ValueError(
-                f"largest lambda probe has |rho| dx = {step:.3g} > "
-                f"{_PROBE_STEP_LIMIT}: refine the x-grid or take probes nearer 0")
+                f"lambda probe {self.lambda_probes[j]:.6g} has |lambda|^(3/4) "
+                f"dx = {step:.3g} > {_PROBE_STEP_LIMIT:g}: refine the x-grid "
+                "or take probes nearer 0")
         if self.passes < 1:
             raise ValueError("passes must be >= 1")
 
@@ -1391,17 +1385,7 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     read), real_system (whether the slices were solved as the real half
     system) and, with passes > 1, tail_fit_residual (relative data misfit
     of the last tail fit).
-
-    A probe with |rho_j| > _PROBE_BAND_LIMIT sqrt(R), R the data's
-    truncation radius, raises ValueError before any slice is factored.
     """
-    rho_band = math.sqrt(weyl.contour.R)
-    for lam in config.lambda_probes:
-        if math.sqrt(abs(lam)) > _PROBE_BAND_LIMIT * rho_band:
-            raise ValueError(
-                f"lambda probe {lam} has |rho| = {math.sqrt(abs(lam)):.3g} > "
-                f"{_PROBE_BAND_LIMIT} sqrt(R), sqrt(R) = {rho_band:.3g}: "
-                "take probes nearer 0")
     blas = _blas_threads()
     with _one_blas_thread():
         A = extract_A(weyl.tail_samples)
@@ -1413,6 +1397,7 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
         PHI, gains, rcond = asm.read_probes(xs, config.system_cond_limit)
         fit = {}
         Q = Q_prev = None
+        rho_band = math.sqrt(weyl.contour.R)
         for p in range(config.passes):
             if p > 0:
                 *ext, fit["tail_fit_residual"] = _tail_extension(
@@ -1484,9 +1469,8 @@ def discretization_estimate(weyl: WeylData, config: InvertConfig,
     the base configuration moves Q by less than this coarsening did, so
     it bounds the discretization error of the reported Q from above.
     The half-density grid needs x_nodes >= 13 (InvertConfig's minimum of
-    7 slices), and the halved radius every probe within
-    _PROBE_BAND_LIMIT of its sqrt(R), about 0.7 sqrt(R / 2); otherwise
-    it raises ValueError.
+    7 slices) and must resolve every probe with dx doubled (InvertConfig's
+    probe rule); otherwise it raises ValueError.
     """
     # the largest odd count <= (N + 1) / 2: N = 201 gives 101, N = 63 gives 31
     coarse_x = replace(config, x_nodes=(config.x_nodes - 1) // 4 * 2 + 1)

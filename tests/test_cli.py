@@ -52,16 +52,18 @@ TINY["zeros"] = {"radius": 3.0, "grid_density": 6}
 
 
 class TestValidateBC:
-    def test_projector_form(self, tmp_path):
-        cfg = {"problem": {"dim": 2,
-                           "boundary": {"form": "delta", "coupling": 0.5}}}
+    @pytest.mark.parametrize("boundary, A", [
+        ({"form": "delta", "coupling": 0.5}, [[0.5, 0.5], [0.5, 0.5]]),
+        ({"form": "dirichlet"}, [[0.0, 0.0], [0.0, 0.0]])],
+        ids=["delta", "dirichlet"])
+    def test_projector_form(self, tmp_path, boundary, A):
+        cfg = {"problem": {"dim": 2, "boundary": boundary}}
         rc = main(["validate-bc", "--config",
                    write_cfg(tmp_path / "c.json", cfg),
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         out = json.loads((tmp_path / "out" / "boundary.json").read_text())
-        assert np.allclose(out["A"], [[[0.5, 0.0], [0.5, 0.0]],
-                                      [[0.5, 0.0], [0.5, 0.0]]])
+        assert np.allclose(out["A"], np.stack([A, np.zeros((2, 2))], axis=-1))
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "diagnostics" in report
 
@@ -92,11 +94,19 @@ class TestForward:
         assert report["diagnostics"]["n_contour_nodes"] == 32 + 2 * 32
         assert "weyl.csv" in report["manifest"]
 
-    def test_forward_byte_deterministic(self, tmp_path):
-        path = write_cfg(tmp_path / "c.json", SCALAR_BOX)
+    # the box again, or tabulated at its own nodes: the same bytes
+    @pytest.mark.parametrize("again", [
+        SCALAR_BOX["problem"]["potential"],
+        {"kind": "table", "x": np.linspace(0.0, 1.5, 151).tolist(),
+         "values": [0.3 if x <= 0.7 else 0.0
+                    for x in np.linspace(0.0, 1.5, 151)]}],
+        ids=["box", "table"])
+    def test_forward_byte_deterministic(self, tmp_path, again):
         blobs = []
-        for d in ("a", "b"):
-            rc = main(["forward", "--config", path,
+        for d, pot in (("a", SCALAR_BOX["problem"]["potential"]), ("b", again)):
+            cfg = _with(SCALAR_BOX, ("problem", "potential"), pot)
+            rc = main(["forward", "--config",
+                       write_cfg(tmp_path / f"{d}.json", cfg),
                        "--out", str(tmp_path / d)])
             assert rc == 0
             blobs.append((tmp_path / d / "weyl.csv").read_bytes())
@@ -135,15 +145,21 @@ class TestZeros:
 
 
 class TestRoundtrip:
-    def test_scalar_box_small(self, tmp_path):
+    # the far probe is at 0.95 sqrt(R), but on 151 slices |lambda|^(3/4) dx
+    # = 0.17, and Q and h are those of the near probes.  The small contour
+    # bounds the accuracy; the acceptance suite runs the production sizes
+    @pytest.mark.parametrize("probes", [[-4.0, -9.0], [-4.0, -45.125]])
+    def test_scalar_box_small(self, tmp_path, probes):
+        cfg = dict(SCALAR_BOX, lambda_probes=probes)
         rc = main(["roundtrip", "--config",
-                   write_cfg(tmp_path / "c.json", SCALAR_BOX),
+                   write_cfg(tmp_path / "c.json", cfg),
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        # small contour: loose bound, the acceptance suite runs the
-        # production sizes
-        assert report["error_norms"]["q_l1_relative"] < 0.5
+        assert report["error_norms"]["q_l1_relative"] == pytest.approx(
+            0.1172, abs=2e-4)
+        assert report["error_norms"]["h_error"] == pytest.approx(
+            0.00182, abs=1e-5)
         assert report["error_norms"]["A_error"] == 0.0
         diag = report["diagnostics"]
         assert 0.0 < diag["min_rcond"] <= 1.0
@@ -233,6 +249,8 @@ MALFORMED_CSVS = {
     "truncated row": lambda lines: (lines[:4] + [",".join(lines[4].split(",")[:4])]
                                     + lines[5:]),
     "fewer than 64 rows": lambda lines: lines[:40],
+    # n = 2 against the tail's n = 1
+    "dimension of the tail": lambda lines: [ln + ",0.0" * 6 for ln in lines],
 }
 
 
@@ -342,8 +360,8 @@ class TestExitCodes:
         ([0.0, -4.0], EXIT_NUMERICAL), ([-4.0], EXIT_CONFIG),
         ([float("nan"), -4.0], EXIT_CONFIG), ([-4.0, float("inf")], EXIT_CONFIG),
         ([-4.0, -1e4], EXIT_CONFIG),
-        # |rho| = 0.95 sqrt(R), past the band invert accepts
-        ([-4.0, -45.125], EXIT_CONFIG)])
+        # |rho| = 0.95 sqrt(R), resolved by the 151-slice grid
+        ([-4.0, -45.125], 0)])
     def test_lambda_probes(self, tmp_path, probes, code):
         weyl_csv, tail_csv = _forward_csvs(tmp_path)
         cfg = dict(SCALAR_BOX, lambda_probes=probes,
@@ -351,6 +369,23 @@ class TestExitCodes:
         rc = main(["invert", "--config", write_cfg(tmp_path / "i.json", cfg),
                    "--out", str(tmp_path / "inv")])
         assert rc == code
+
+    @pytest.mark.parametrize("mode", ["invert", "roundtrip"])
+    @pytest.mark.parametrize("nodes, probes", [
+        (41, [-2.0, -98.0]), (25, [-2.0, -32.0])])
+    def test_unresolved_probe_fails_before_any_work(self, tmp_path, mode,
+                                                    nodes, probes):
+        # 0.7 and 0.4 sqrt(200) on [0, 2], |lambda|^(3/4) dx = 1.56 and
+        # 1.12: exit 2 before the CSV files (absent here) are read or any
+        # sample is computed
+        cfg = dict(SCALAR_BOX, x_grid={"x_max": 2.0, "nodes": nodes},
+                   lambda_probes=probes,
+                   input={"weyl": str(tmp_path / "absent.csv"),
+                          "tail": str(tmp_path / "absent.csv")})
+        rc = main([mode, "--config", write_cfg(tmp_path / "c.json", cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out" / "weyl.csv").exists()
 
     @pytest.mark.parametrize("nodes", [3, 5])
     def test_x_grid_below_stencil_span_is_config_error(self, tmp_path, nodes):

@@ -37,7 +37,8 @@ from weylinv.forward import (JOST_MAX_ITER, _BLOCK_BYTES, _STEP_NORM_MAX,
                              _march_many, _node_product, _prefix_apply,
                              _propagators, _scaled_integral_at_start,
                              _scaled_tail_integrals, _sweep_factors,
-                             _sweep_increment, _weyl_many, kappa, omega,
+                             _sweep_increment, _weyl_many,
+                             adjoint_weyl_matrix, kappa, omega,
                              transpose_problem)
 
 from conftest import random_projector, scalar_box_problem, smooth_matrix_problem
@@ -770,6 +771,12 @@ class TestRegularSolutions:
 
 
 class TestWeylMatrix:
+    def test_problem_dimensions_must_agree(self):
+        with pytest.raises(ValueError, match="potential dim 2 != boundary dim 1"):
+            Problem(potential=zero_potential(2, 1.0, 41),
+                    bc=BoundaryCondition(A=np.eye(1, dtype=complex),
+                                         h=np.zeros((1, 1), complex)))
+
     def test_zero_potential_closed_form(self, rng):
         for _ in range(5):
             n = int(rng.integers(1, 5))
@@ -797,7 +804,17 @@ class TestWeylMatrix:
         pts = [SpectralPoint(rng.uniform(1, 5)
                              * np.exp(1j * rng.uniform(0.1, np.pi - 0.1)))
                for _ in range(3)]
-        assert check_m_equals_mstar(prob, pts) < 1e-7
+        gap = check_m_equals_mstar(prob, pts)
+        assert gap < 1e-7
+        # M* is the transposed problem's M, transposed, and the check is
+        # the largest gap between M and M*; no points, no gap
+        tp = transpose_problem(prob)
+        mstar = [adjoint_weyl_matrix(prob, pt) for pt in pts]
+        for pt, Ms in zip(pts, mstar):
+            assert np.array_equal(Ms, weyl_matrix(tp, pt).T)
+        assert max(matnorm(weyl_matrix(prob, pt) - Ms)
+                   for pt, Ms in zip(pts, mstar)) == gap
+        assert check_m_equals_mstar(prob, []) == 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(amp=st.lists(st.floats(-0.8, 0.8), min_size=4, max_size=4),

@@ -170,10 +170,8 @@ def _rel(a, b):
     return np.abs(a - b).max() / scale if scale else np.abs(a).max()
 
 
-def _box_weyl(n, contour=BENCH_CONTOUR, coupling=0.3):
-    """Box-potential Weyl data on the benchmark contour (or the one of the
-    build_contour arguments given), for n = 1 (of the given coupling) or
-    2."""
+def _box_problem(n, coupling=0.3):
+    """The box potential of _box_weyl, with A and h = 0."""
     x = np.linspace(0.0, 2.0, 241)
     if n == 1:
         vals = (coupling * (x <= 1.0)).astype(complex)[:, None, None]
@@ -186,9 +184,16 @@ def _box_weyl(n, contour=BENCH_CONTOUR, coupling=0.3):
         D[:, 1, 1] = 0.2 * (x <= 0.8)
         vals = (U @ D @ U.T).astype(complex)
         A = np.diag([1.0, 0.0]).astype(complex)
-    prob = Problem(potential=PotentialGrid(x_nodes=x, values=vals),
+    return Problem(potential=PotentialGrid(x_nodes=x, values=vals),
                    bc=BoundaryCondition(A=A, h=np.zeros((n, n), complex)))
-    return generate_weyl_data(prob, build_contour(**contour)), A
+
+
+def _box_weyl(n, contour=BENCH_CONTOUR, coupling=0.3):
+    """Box-potential Weyl data on the benchmark contour (or the one of the
+    build_contour arguments given), for n = 1 (of the given coupling) or
+    2."""
+    prob = _box_problem(n, coupling)
+    return generate_weyl_data(prob, build_contour(**contour)), prob.bc.A
 
 
 def _direct_ext_source(asm, x, ext_rhos, ext_w, ext_Mhat, rows=None):
@@ -783,6 +788,10 @@ def test_slice_by_slice_path_matches_one_pass_invert():
                                  edge_layer=1.5 / np.sqrt(weyl.contour.R))
         assert _rel(Q.values, res.Q.values) <= 1e-12
         assert np.abs(h - res.h).max() <= 1e-12
+    # the stencils span 7 slices, and the grid must be uniform
+    for bad, why in ((sols[:6], "at least 7"), (sols[:6] + sols[7:], "uniform")):
+        with pytest.raises(ReconstructionError, match=why):
+            recover_potential(bad, weyl, A, cfg.lambda_probes)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -1255,8 +1264,8 @@ class TestInvertConfig:
         {"x_max": np.nan}, {"x_max": np.inf}, {"x_max": 0.0},
         {"lambda_probes": (np.nan, -5.0)}, {"lambda_probes": (-2.0, np.inf)},
         {"lambda_probes": (-2.0, complex(-5.0, np.nan))},
-        # probes the x-grid does not resolve, |rho| dx = 5/6 and 50/3:
-        # invert returned a wrong h and Q without an error
+        # probes the x-grid does not resolve, |lambda|^(3/4) dx = 1.9 and
+        # 167: invert returned a wrong h and Q without an error
         {"lambda_probes": (-2.0, -25.0), "x_nodes": 13},
         {"lambda_probes": (-2.0, -1e4), "x_nodes": 13},
     ], ids=str)
@@ -1272,19 +1281,37 @@ class TestInvertConfig:
         with pytest.raises(ValueError, match=">= 7"):
             InvertConfig(x_max=2.0, x_nodes=x_nodes, lambda_probes=(-0.1, -0.2))
 
-    def test_probe_past_the_band_rejected(self):
-        # 0.95 sqrt(R) on 61 slices has |rho| dx = 0.45, which InvertConfig
-        # passes; invert returned Q off by 0.30 in relative L1 and |h| =
-        # 0.044 without an error
+    @pytest.mark.parametrize("x_nodes, f, s", [
+        (61, 0.95, "1.64"), (41, 0.7, "1.56"), (25, 0.4, "1.12")])
+    def test_unresolved_probe_rejected(self, x_nodes, f, s):
+        # a probe at f sqrt(R), R = 200, with |lambda|^(3/4) dx = s > 1:
+        # invert returned Q at 1.5 to 8 times the grid's (-2, -5) error in
+        # relative L1 without an error.  The last two have |rho| dx < 0.5
+        # and |rho| <= 0.7 sqrt(R), so a bound on |rho| dx or on
+        # |rho| / sqrt(R) lets them through
         weyl, _ = _box_weyl(1)
-        lam = -(0.95 * np.sqrt(weyl.contour.R)) ** 2
-        cfg = InvertConfig(x_max=X_MAX, x_nodes=61, lambda_probes=(-2.0, lam))
+        lam = -(f * np.sqrt(weyl.contour.R)) ** 2
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(inverse, "_Assembler",
                        lambda *a: pytest.fail("a slice was assembled"))
             with pytest.raises(ValueError,
-                               match=r"probe -180\.5.* sqrt\(R\) = 14\.1"):
-                invert(weyl, cfg)
+                               match=rf"probe {-f * f * 200:g} .* = {s} > 1"):
+                invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=x_nodes,
+                                          lambda_probes=(-2.0, lam)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_far_resolved_probe_accepted(self, n):
+        # 1.4 sqrt(R) on 241 slices: |lambda|^(3/4) dx = 0.73.  Past
+        # sqrt(R), Q is as close to the truth as with the default probes
+        # (relative L1 0.053 and 0.088)
+        prob = _box_problem(n)
+        weyl = generate_weyl_data(prob, build_contour(**BENCH_CONTOUR))
+        errors = [
+            invert(weyl, InvertConfig(x_max=X_MAX, x_nodes=241,
+                                      lambda_probes=probes)
+                   ).Q.relative_l1(prob.potential)
+            for probes in ((-2.0, -5.0), (-2.0, -392.0))]
+        assert errors[1] <= 1.05 * errors[0]
 
     def test_limits_are_fixed(self):
         cfg = InvertConfig(x_max=2.0, x_nodes=9)
