@@ -126,19 +126,37 @@ def _param_weights(mu_prime, h):
     return w
 
 
+def _mirror_fill(first, size, negate=False, axis=0):
+    """The mirror layout of size entries along axis, completed from its
+    first ceil(size/2) entries: entry size-1-k is the conjugate of entry
+    k, negated for rho and weights (rho -> -conj rho under lambda ->
+    conj lambda) but not for lambda or samples.  An odd size's middle
+    entry is the last of first, as given.  build_contour,
+    extension_nodes and scan_jost_zeros lay their grids out with it, and
+    the inverse completes its half evaluations with it."""
+    tail = np.take(first, np.arange(size // 2)[::-1], axis=axis).conj()
+    return np.concatenate([first, -tail if negate else tail], axis=axis)
+
+
+def _is_mirror(full, negate=False, axis=0) -> bool:
+    """Whether full is in _mirror_fill's layout along axis, bit for bit,
+    its middle entry included."""
+    mirror = np.flip(full, axis).conj()
+    return bool(np.array_equal(full, -mirror if negate else mirror))
+
+
 def _cut_sides(sig, h, delta):
     """The rhos and weights (2m,) of both cut sides on the grid
     sig = sqrt(Re lambda) of step h (m nodes): the upper side inward
     (lambda + i delta), with endpoint-corrected trapezoid weights, then
-    the lower side outward (lambda - i delta), laid out as the mirror of
-    the upper side, -conj rho and -conj w in reverse order, so the two
-    sides mirror bit for bit.  Im rho >= 0 on the upper side, which at
-    delta = 0 is the upper sheet rho = +sqrt(lambda)."""
+    the lower side outward (lambda - i delta), laid out as its mirror
+    (_mirror_fill).  Im rho >= 0 on the upper side, which at delta = 0
+    is the upper sheet rho = +sqrt(lambda)."""
     sg = sig[::-1]
     rho = np.sqrt(sg ** 2 + 1j * delta)
     w = _param_weights(-2.0 * sg, h)
-    return (np.concatenate([rho, -rho[::-1].conj()]),
-            np.concatenate([w, -w[::-1].conj()]))
+    return tuple(_mirror_fill(np.stack([rho, w]), 2 * sg.size, negate=True,
+                              axis=1))
 
 
 def extension_nodes(contour: Contour, factor: float):
@@ -146,8 +164,8 @@ def extension_nodes(contour: Contour, factor: float):
 
     Returns (rhos, weights) continuing the data cut's uniform-in-sqrt(s)
     spacing, ordered like the contour (upper side inward first, then the
-    lower side outward), with endpoint-corrected trapezoid weights; node
-    E-1-e is the mirror of node e (_cut_sides).
+    lower side outward), with endpoint-corrected trapezoid weights, in
+    the mirror layout (_mirror_fill).
     """
     n_cut = contour.segments.count("upper_cut")
     sig_R = np.sqrt(contour.R)
@@ -164,10 +182,9 @@ def build_contour(r0: float, R: float, delta: float = None,
 
     delta defaults to 1e-3 * r0.  The total node count is
     n_circle + 2 * n_cut.  The contour is its own mirror image under
-    lambda -> conj lambda, bit for bit: node k from the end is the
-    conjugate of node k (rho -> -conj rho) and carries the weight
-    -conj w.  The cut sides mirror by construction; the circle's lower
-    half is laid out as the conjugate of its upper half, and for an odd
+    lambda -> conj lambda, bit for bit: the cut sides and the circle are
+    laid out by _mirror_fill, so node k from the end is the conjugate of
+    node k (rho -> -conj rho) and carries the weight -conj w; for an odd
     n_circle the theta = pi node is -r0 exactly.  For real Q the forward
     solver then marches one point per mirror pair.
     """
@@ -186,15 +203,12 @@ def build_contour(r0: float, R: float, delta: float = None,
 
     theta0 = np.arcsin(min(delta / r0, 1.0)) if delta > 0 else 0.0
     theta = np.linspace(theta0, 2.0 * np.pi - theta0, n_circle)
-    # the lower half is the upper half's mirror image bit for bit, so every
-    # node's conjugate is a node (and its weight mirrors to -conj w);
+    # the lower half is laid out as the upper half's mirror, as
     # r0 exp(i theta) is mirrored only to rounding
-    half = n_circle // 2
-    lam_circ = np.empty(n_circle, dtype=complex)
-    lam_circ[:half] = r0 * np.exp(1j * theta[:half])
-    lam_circ[n_circle - half:] = lam_circ[half - 1::-1].conj()
+    lam_circ = r0 * np.exp(1j * theta[:(n_circle + 1) // 2])
     if n_circle % 2:
-        lam_circ[half] = -r0
+        lam_circ[-1] = -r0
+    lam_circ = _mirror_fill(lam_circ, n_circle)
     w_circ = _param_weights(1j * lam_circ, theta[1] - theta[0])
     for k, (lam, w) in enumerate(zip(lam_circ, w_circ)):
         if lam.imag != 0:

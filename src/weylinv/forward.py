@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contour import _mirror_fill
 from .core import (
     BoundaryCondition,
     ConvergenceError,
@@ -687,19 +688,16 @@ _DET_ERRORS = (ConvergenceError, DomainError)
 def _scan_grid(radius: float, grid_density: int) -> np.ndarray:
     """The polar grid of scan_jost_zeros, (radii, angles): grid_density
     radii up to radius and grid_density + 1 angles over [0, pi].  The
-    left half is laid out as the mirror -conj rho of the right half, bit
-    for bit, with theta = pi/2 on the imaginary axis exactly, so that for
-    real Q _jost_at_zero marches each mirror pair once (312 of the 600
-    points at grid_density 24)."""
+    left half is laid out as the mirror -conj rho of the right half
+    (_mirror_fill), with theta = pi/2 on the imaginary axis exactly, so
+    that for real Q _jost_at_zero marches each mirror pair once (312 of
+    the 600 points at grid_density 24)."""
     radii = np.linspace(radius / grid_density, radius, grid_density)
     angles = np.linspace(0.0, np.pi, grid_density + 1)
-    right = grid_density // 2 + 1
-    grid = np.empty((grid_density, grid_density + 1), dtype=complex)
-    grid[:, :right] = radii[:, None] * np.exp(1j * angles[:right])
+    grid = radii[:, None] * np.exp(1j * angles[:grid_density // 2 + 1])
     if grid_density % 2 == 0:
-        grid[:, grid_density // 2] = 1j * radii
-    grid[:, right:] = -grid[:, grid_density - right::-1].conj()
-    return grid
+        grid[:, -1] = 1j * radii
+    return _mirror_fill(grid, grid_density + 1, negate=True, axis=1)
 
 
 def scan_jost_zeros(problem: Problem, radius: float, grid_density: int = 24):

@@ -53,7 +53,8 @@ from typing import ClassVar
 import numpy as np
 import scipy.linalg
 
-from .contour import Contour, coarsen_contour, extension_nodes
+from .contour import (Contour, _is_mirror, _mirror_fill, coarsen_contour,
+                      extension_nodes)
 from .core import (
     BoundaryCondition,
     DataQualityError,
@@ -362,9 +363,10 @@ def extract_A(tail_samples) -> np.ndarray:
     Fits I - M/(-i rho) entrywise against a cubic in 1/|rho| and takes
     the constant term, then projects onto the nearest orthogonal
     projector (symmetrize, eigendecompose, round eigenvalues to {0, 1}).
-    Eigenvalues in the ambiguous band [0.25, 0.75] and extrapolation
-    misfits above _A_RESIDUAL_TOL raise DataQualityError, and so do
-    samples that overflow the fit (a non-finite misfit).
+    Eigenvalues in the ambiguous band [0.25, 0.75], extrapolation
+    misfits above _A_RESIDUAL_TOL and a fitted constant farther than that
+    from its projector raise DataQualityError, and so do samples that
+    overflow the fit (a non-finite misfit).
     """
     if len(tail_samples) < 4:
         raise DataQualityError("need at least 4 tail samples")
@@ -397,8 +399,8 @@ def extract_A(tail_samples) -> np.ndarray:
     residual = matnorm(A_raw - A_proj)
     if residual > _A_RESIDUAL_TOL:
         raise DataQualityError(
-            f"tail extrapolation residual {residual:.3e} exceeds {_A_RESIDUAL_TOL}"
-        )
+            f"fitted A is {residual:.3e} from the nearest projector, more "
+            f"than {_A_RESIDUAL_TOL}")
     return A_proj
 
 
@@ -544,22 +546,22 @@ def _map_blocks(work, blocks, workers: int) -> list:
 
 def _mirror_symmetric(weyl: WeylData, A, probes) -> bool:
     """Whether the data are their own mirror image under lambda ->
-    conj lambda, bit for bit: contour node K-1-k is the mirror -conj rho
-    of node k, with the weight -conj w and the sample conj M, every tail
+    conj lambda, bit for bit: the contour's rhos, weights and samples
+    are in the mirror layout (_is_mirror: node K-1-k is -conj rho_k, with
+    the weight -conj w_k and the sample conj M_k), every tail
     point is its own mirror (Re rho = 0) with a real sample, A is real,
     and every probe is its own mirror (Re rho = 0, lambda < 0).  Then the
     main equation maps to itself under the mirror with conjugation, and
     so does its solution: phi(x, conj lambda) = conj phi(x, lambda); so
     do the tail fit and the extension of a real prior.  An empty tail
     passes."""
-    rhos, w, M = weyl.contour.rhos, weyl.contour.weights, weyl.M_samples
     tail_rhos = np.array([pt.rho for pt, _ in weyl.tail_samples], complex)
     tail_M = np.array([m for _, m in weyl.tail_samples], complex)
-    return bool(np.array_equal(rhos[::-1], -rhos.conj())
-                and np.array_equal(w[::-1], -w.conj())
-                and np.array_equal(M[::-1], M.conj())
-                and not tail_rhos.real.any() and not tail_M.imag.any()
-                and not A.imag.any() and not probes.real.any())
+    return (_is_mirror(weyl.contour.rhos, negate=True)
+            and _is_mirror(weyl.contour.weights, negate=True)
+            and _is_mirror(weyl.M_samples)
+            and not tail_rhos.real.any() and not tail_M.imag.any()
+            and not A.imag.any() and not probes.real.any())
 
 
 class _Assembler:
@@ -589,6 +591,16 @@ class _Assembler:
     LU are halved or real, the gain G = L B^-1 is real, and so are the
     probe values phi(x, lambda_j).  Other data take the complex system of
     order K n over all K nodes.
+
+    The fill keeps its own column order (_order, _contour_cols and the
+    scatter in solve), not the contour's mirror layout (_mirror_fill):
+    the first ceil(K/2) nodes, then the mirrors of the first K/2 in the
+    order of their nodes, so that _real_form reads B1 and B2 as forward
+    slices of the same width.  Filling in contour order and reading the
+    mirror columns reversed in _real_form gives the same bits but is
+    slower: the node factors and fill of a 4-slice roundtrip-matrix block
+    took 4.3-5.9 ms against 3.6-3.9 ms (medians of three runs of 400 on
+    a 2-core x86 host, one BLAS thread).
 
     The x-grid is worked through in blocks of as many slices as fit their
     B and L rows into _BLOCK_BYTES, at most _BLOCK_SLICES (8 on the scalar
@@ -672,19 +684,16 @@ class _Assembler:
     def extend(self, ext_rhos, ext_w, ext_Mhat):
         """Set the Born tail extension: the rhos, quadrature weights and
         model Mhat samples of the synthetic nodes (replacing any earlier
-        ones).  Node E-1-e must be the mirror of node e, with the weight
-        -conj w, as extension_nodes lays them out (_ext_source takes the
-        column factors of the mirrors as conjugates); on the real system,
-        which reads the source at the rows of half the nodes only, the
-        sample of node E-1-e must also be conj Mhat_e.  All bit for bit;
-        anything else raises ValueError."""
-        rhos = np.asarray(ext_rhos)
-        if not (np.array_equal(rhos[::-1], -rhos.conj())
-                and np.array_equal(ext_w[::-1], -np.conj(ext_w))
-                and (not self.real_system
-                     or np.array_equal(ext_Mhat[::-1], np.conj(ext_Mhat)))):
+        ones).  The rhos and weights must be in the mirror layout
+        (_is_mirror), as extension_nodes lays them out (_ext_source
+        completes the column factors of the mirrors), and on the real
+        system, which reads the source at the rows of half the nodes
+        only, the samples too; anything else raises ValueError."""
+        if not (_is_mirror(ext_rhos, negate=True)
+                and _is_mirror(ext_w, negate=True)
+                and (not self.real_system or _is_mirror(ext_Mhat))):
             raise ValueError("the extension must mirror")
-        self.ext_rhos = rhos
+        self.ext_rhos = np.asarray(ext_rhos)
         self.ext_wt = ext_w / (2j * np.pi)
         # phi~ = c A + v A_perp at these nodes, so w phi~ Mhat [A | A_perp]
         # is c and v times the two halves of _ext_UV, (2, n, 2n, E)
@@ -725,12 +734,12 @@ class _Assembler:
         """Born tail term (1/2 pi i) sum_e w_e phi~(x, mu_e) r~(x, ., mu_e)
         at the rows of D (row factors rows at xs), a grid whose columns
         are the extension nodes, for every x of xs.  The column factors
-        are evaluated at the first half of the nodes and conjugated onto
-        their mirrors, as _contour_cols does."""
+        are evaluated at the first half of the nodes and completed onto
+        their mirrors (_mirror_fill): every factor of -conj rho is the
+        conjugate of that of rho."""
         E = self.ext_rhos.size
         _, cols = _node_factors(self.ext_rhos[:(E + 1) // 2], xs)
-        cols = np.concatenate([cols, cols[:, :, :E // 2][:, :, ::-1].conj()],
-                              axis=2)
+        cols = _mirror_fill(cols, E, axis=2)
         UV = (cols[:, 0, None, None] * self._ext_UV[0]
               + cols[:, 5, None, None] * self._ext_UV[1])
         return self._kernel_sum(D, xs, rows, cols, UV)
@@ -1028,6 +1037,12 @@ def closure_residual(weyl: WeylData, problem: Problem, x: float,
 
 # The Born tail extension reaches out to this multiple of sqrt(R) in rho.
 _TAIL_EXTENSION_FACTOR = 7.0
+# Largest q_pass_change invert accepts: a last pass that changes Q by more
+# than Q's own L1 norm shows that the passes do not converge.  Healthy
+# round trips read at most 0.27; those seen above 1 (boxes sampled on 9 to
+# 31 nodes, a bound state or a Robin condition on 9 to 151 slices) were
+# off by 0.8 to 93 in relative L1 after the pass.
+_Q_PASS_CHANGE_LIMIT = 1.0
 
 
 def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid, real: bool):
@@ -1042,19 +1057,16 @@ def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid, real: bool):
     of the fitted problem at them, followed by the fit's relative data
     misfit.  real is _Assembler.real_system: for its mirror-symmetric data
     and the real Q it returns, the fit is real, and so is A, so kappa and
-    the deviation are evaluated at the first ceil(E/2) nodes and conjugated
-    onto the mirrors (node E-1-e is -conj rho_e, as extension_nodes lays
-    them out and _Assembler.extend requires), so the samples mirror bit
-    for bit.
+    the deviation are evaluated at the first ceil(E/2) nodes and completed
+    onto the mirrors (_mirror_fill), as _Assembler.extend requires.
     """
     rhos, w = extension_nodes(weyl.contour, _TAIL_EXTENSION_FACTOR)
     Q_fit, h_fit, misfit = _fit_tail_model(weyl, A, Q_prior, real)
     A = np.asarray(A, dtype=complex)
     Ap = np.eye(A.shape[0]) - A
-    E = rhos.size
     # for a real fit and A, kappa(-conj rho) = conj kappa(rho), and the
     # deviation at -conj rho is the conjugate of that at rho
-    r = rhos[:(E + 1) // 2] if real else rhos
+    r = rhos[:(rhos.size + 1) // 2] if real else rhos
     # kappa depends on Q and A only
     kap = kappa(Problem(potential=Q_fit,
                         bc=BoundaryCondition(A=A, h=np.zeros_like(A))), r)
@@ -1064,7 +1076,7 @@ def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid, real: bool):
     mid = (h_fit[None] - 2.0 * kap) / (1j * r)
     Mhat = left @ mid @ right
     if real:
-        Mhat = np.concatenate([Mhat, Mhat[:E // 2][::-1].conj()])
+        Mhat = _mirror_fill(Mhat, rhos.size)
     return rhos, w, Mhat, misfit
 
 
@@ -1378,9 +1390,10 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     node), phi_filled_nodes (x-nodes
     where phi was rejected at every probe and filled in, last pass),
     q_pass_change (relative L1 change of Q over the last pass, 0 for one
-    pass), slice_workers (the threads the blocks ran on: the usable CPUs,
-    at most one per block, or 1 where BLAS could not be set to one
-    thread), blas_threads (the largest thread
+    pass; above _Q_PASS_CHANGE_LIMIT = 1 the passes do not converge and
+    ReconstructionError is raised), slice_workers (the threads the blocks
+    ran on: the usable CPUs, at most one per block, or 1 where BLAS could
+    not be set to one thread), blas_threads (the largest thread
     count a loaded OpenBLAS reports outside invert, None when none can be
     read), real_system (whether the slices were solved as the real half
     system) and, with passes > 1, tail_fit_residual (relative data misfit
@@ -1416,6 +1429,11 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
         change = PotentialGrid(x_nodes=xs,
                                values=Q.values - Q_prev.values).l1_norm()
         change /= Q_prev.l1_norm() or 1.0
+    if change > _Q_PASS_CHANGE_LIMIT:
+        raise ReconstructionError(
+            f"the Born tail passes do not converge: the last changed Q by "
+            f"q_pass_change = {change:.3g} > {_Q_PASS_CHANGE_LIMIT:g} times "
+            "its L1 norm")
     worst = int(np.argmin(rcond))
     diag = {
         "main_equation_residual": residual,

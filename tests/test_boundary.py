@@ -5,6 +5,8 @@ import pytest
 
 from weylinv import (
     BoundaryCondition,
+    DimensionMismatchError,
+    GeneralBoundaryPair,
     check_selfadjoint_pair,
     delta_condition,
     dirichlet,
@@ -59,6 +61,12 @@ class TestFromUnitary:
         with pytest.raises(ValueError, match="not unitary"):
             from_unitary(np.diag([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("U", [np.eye(3)[:2], np.ones(2)],
+                             ids=["2 x 3", "vector"])
+    def test_rejects_non_square(self, U):
+        with pytest.raises(DimensionMismatchError, match="U must be square"):
+            from_unitary(U)
+
     def test_scaled_unitary_within_tolerance(self, rng):
         # a unitary U scaled by 1 + eps, with ||U^dag U - I|| ~ 2 eps inside
         # the unitarity tolerance 1e-10, gives the condition of U itself
@@ -101,6 +109,14 @@ class TestSelfAdjointPair:
             U = random_unitary(3, rng)
             report = check_selfadjoint_pair(pair_from_unitary(U))
             assert report["cond_A3"] and report["cond_A4"]
+
+    @pytest.mark.parametrize("A1, B1", [
+        (np.eye(2), np.eye(3)), (np.eye(3)[:2], np.eye(3)[:2]),
+        (np.ones(2), np.ones(2))], ids=["2 vs 3", "2 x 3", "vectors"])
+    def test_pair_must_be_square_and_equal_sized(self, A1, B1):
+        with pytest.raises(DimensionMismatchError,
+                           match="square and equal-sized"):
+            GeneralBoundaryPair(A1, B1)
 
     def test_broken_pair_fails(self):
         pair = pair_from_unitary(np.eye(2))

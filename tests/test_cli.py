@@ -422,6 +422,15 @@ class TestExitCodes:
         rc = main([mode, "--config", path, "--out", str(tmp_path / "out")])
         assert rc == EXIT_IO
 
+    def test_diverging_born_pass_is_numerical_failure(self, tmp_path, caplog):
+        # the box sampled on 9 nodes: pass 2 changes Q by about 50 times
+        # its L1 norm (and its error from 0.44 to 93)
+        rc = main(["roundtrip", "--config",
+                   write_cfg(tmp_path / "c.json", TINY),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NUMERICAL
+        assert "q_pass_change" in caplog.text
+
     @pytest.mark.parametrize("code, errors", [
         (EXIT_CONFIG, _CONFIG_ERRORS), (EXIT_NUMERICAL, _NUMERICAL_ERRORS)])
     def test_readme_table_names_every_mapped_error(self, code, errors):
@@ -438,8 +447,10 @@ class TestExitCodes:
 
 def test_roundtrip_scores_the_problem_it_sampled(tmp_path):
     # a random-unitary boundary is drawn once per run, so roundtrip writes
-    # the same samples as forward with the same seed
-    cfg = copy.deepcopy(TINY)
+    # the same samples as forward with the same seed; the box is sampled
+    # on 151 nodes, as on 9 the Born pass diverges and roundtrip exits 3
+    cfg = _with(TINY, ("problem", "potential"),
+                SCALAR_BOX["problem"]["potential"])
     cfg["problem"]["boundary"] = {"form": "random-unitary"}
     path = write_cfg(tmp_path / "c.json", cfg)
     for mode in ("forward", "roundtrip"):
@@ -567,8 +578,10 @@ def test_omitted_keys_take_the_library_defaults(tmp_path):
     # density and the probes runs with the library's values: the files
     # match those of a config that spells the values out
     lean = copy.deepcopy(TINY)
-    # a bound state, and a circle that encloses its energy
-    lean["problem"]["potential"]["coupling"] = [-6.0, 0.0]
+    # a bound state, shallow enough that the Born pass converges on the 9
+    # slices (at -6 it diverges and invert exits 3), and a circle that
+    # encloses its energy
+    lean["problem"]["potential"]["coupling"] = [-2.0, 0.0]
     lean["contour"]["r0"] = 8.0
     for path in (("contour", "n_cut"), ("contour", "n_circle"),
                  ("problem", "potential", "nodes"), ("zeros", "grid_density"),

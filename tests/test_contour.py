@@ -6,6 +6,7 @@ import pytest
 from weylinv import (
     Contour,
     ContourNode,
+    DimensionMismatchError,
     DomainError,
     SpectralPoint,
     build_contour,
@@ -15,7 +16,8 @@ from weylinv import (
     lambda_to_point,
     model_weyl,
 )
-from weylinv.contour import _cut_sides, _param_weights, coarsen_contour
+from weylinv.contour import (_cut_sides, _is_mirror, _mirror_fill,
+                             _param_weights, coarsen_contour, extension_nodes)
 from weylinv.inverse import WeylData
 
 
@@ -60,10 +62,23 @@ class TestConstruction:
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
             build_contour(r0=3.0, R=2.0)
+        # and a Contour built directly
+        c = small_contour()
+        for r0 in (100.0, 150.0):
+            with pytest.raises(ValueError, match="0 < r0 < R"):
+                Contour(r0=r0, R=c.R, delta=c.delta, nodes=c.nodes)
 
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             build_contour(r0=1.0, R=10.0, delta=-0.1)
+        c = small_contour()
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            Contour(r0=c.r0, R=c.R, delta=-0.1, nodes=c.nodes)
+
+    @pytest.mark.parametrize("n_circle, n_cut", [(31, 32), (32, 31), (64, 8)])
+    def test_rejects_too_few_nodes(self, n_circle, n_cut):
+        with pytest.raises(ValueError, match="n_circle >= 32 and n_cut >= 32"):
+            build_contour(r0=2.0, R=100.0, n_circle=n_circle, n_cut=n_cut)
 
     def test_rejects_zero_weight_node(self):
         with pytest.raises(ValueError):
@@ -88,12 +103,20 @@ class TestConstruction:
     @pytest.mark.parametrize("n_circle", [32, 33, 64, 65])
     def test_reversed_contour_is_its_mirror_image(self, n_circle, delta):
         # lambda -> conj lambda (rho -> -conj rho) maps every node onto the
-        # node at the mirrored position, bit for bit, and w onto -conj w
+        # node at the mirrored position, bit for bit, and w onto -conj w;
+        # _is_mirror accepts the layout, and the extension's too
         c = build_contour(r0=2.0, R=100.0, n_cut=32, n_circle=n_circle,
                           delta=delta)
         assert np.array_equal(c.lambdas[::-1], c.lambdas.conj())
         assert np.array_equal(c.rhos[::-1], -c.rhos.conj())
         assert np.array_equal(c.weights[::-1], -c.weights.conj())
+        assert _is_mirror(c.lambdas)
+        assert _is_mirror(c.rhos, negate=True)
+        assert _is_mirror(c.weights, negate=True)
+        rhos, w = extension_nodes(c, 7.0)
+        assert np.array_equal(rhos[::-1], -rhos.conj())
+        assert np.array_equal(w[::-1], -w.conj())
+        assert _is_mirror(rhos, negate=True) and _is_mirror(w, negate=True)
 
     @pytest.mark.parametrize("delta", [0.0, None])
     @pytest.mark.parametrize("n_circle", [32, 33, 64, 65])
@@ -132,6 +155,76 @@ class TestConstruction:
         assert c.delta == pytest.approx(2e-3)
 
 
+def _mirror_per_entry(first, size, negate):
+    """The mirror layout of a 1-d first half, one entry at a time in
+    Python complex arithmetic (the reference for _mirror_fill)."""
+    full = [complex(z) for z in first]
+    for z in full[:size // 2][::-1]:
+        full.append(complex(-z.real, z.imag) if negate
+                    else complex(z.real, -z.imag))
+    return np.array(full)
+
+
+class TestMirrorLayout:
+    """_mirror_fill completes a first half into the mirror layout and
+    _is_mirror checks it (the grids laid out with them are checked in
+    test_reversed_contour_is_its_mirror_image and
+    test_forward's test_scan_grid_is_its_own_mirror)."""
+
+    @pytest.mark.parametrize("negate", [False, True], ids=["plain", "negated"])
+    @pytest.mark.parametrize("size", [1, 2, 5, 6, 7])
+    def test_fill_matches_per_entry_mirror(self, size, negate):
+        rng = np.random.default_rng(size)
+        m = (size + 1) // 2
+        first = rng.normal(size=m) + 1j * rng.normal(size=m)
+        # signed zeros in both parts, and a self-mirror middle entry
+        first[0] = complex(0.0, -0.0)
+        if m > 1:
+            first[1] = complex(-0.0, 0.0)
+        if size % 2:
+            first[-1] = complex(-0.0, 1.5) if negate else complex(1.5, 0.0)
+        full = _mirror_fill(first, size, negate=negate)
+        ref = _mirror_per_entry(first, size, negate)
+        assert full.dtype == np.complex128 and full.shape == (size,)
+        assert np.array_equal(full.view(np.int64), ref.view(np.int64))
+        assert _is_mirror(full, negate=negate)
+        # the other sign is a different layout (for sizes past the zeros)
+        assert size <= 2 or not _is_mirror(full, negate=not negate)
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_fill_and_check_along_an_inner_axis(self, size):
+        rng = np.random.default_rng(size)
+        m = (size + 1) // 2
+        first = rng.normal(size=(2, m, 3)) + 1j * rng.normal(size=(2, m, 3))
+        if size % 2:
+            first[:, -1] = first[:, -1].real
+        full = _mirror_fill(first, size, axis=1)
+        assert full.shape == (2, size, 3)
+        for i in range(2):
+            for j in range(3):
+                ref = _mirror_per_entry(first[i, :, j], size, False)
+                assert np.array_equal(
+                    np.ascontiguousarray(full[i, :, j]).view(np.int64),
+                    ref.view(np.int64))
+        assert _is_mirror(full, axis=1)
+        assert not _is_mirror(full, axis=0) and not _is_mirror(full, axis=2)
+
+    @pytest.mark.parametrize("negate", [False, True], ids=["plain", "negated"])
+    def test_check_is_bit_exact(self, negate):
+        first = np.array([1.0 + 2.0j, 3.0 - 1.0j, (1j if negate else 1.0)])
+        full = _mirror_fill(first, 5, negate=negate)
+        assert _is_mirror(full, negate=negate)
+        # one ulp off in one part of one entry, or a middle entry that is
+        # not its own mirror (a nonzero part the mirror negates), fails
+        for k, part in ((0, 0), (3, 1), (2, 0 if negate else 1)):
+            bad = full.copy().view(np.float64)
+            bad[2 * k + part] = np.nextafter(bad[2 * k + part], np.inf)
+            assert not _is_mirror(bad.view(np.complex128), negate=negate)
+        # zeros of either sign mirror, as they compare equal
+        assert _is_mirror(np.array([complex(0.0, 0.0), complex(0.0, 0.0)]),
+                          negate=negate)
+
+
 class TestQuadrature:
     def test_closure_residue_inside(self):
         # (1/2 pi i) int d mu/(mu - lam0) = 1 for lam0 inside the circle
@@ -164,6 +257,12 @@ class TestQuadrature:
             val = integrate(c, 1.0 / (c.lambdas - lam0)) / (2j * np.pi)
             errs.append(abs(val - 1.0))
         assert errs[1] < errs[0] / 4.0
+
+    def test_integrate_rejects_sample_count_mismatch(self):
+        c = small_contour()
+        with pytest.raises(DimensionMismatchError,
+                           match=f"{len(c) - 1} samples for {len(c)} nodes"):
+            integrate(c, np.ones(len(c) - 1))
 
     def test_integrate_matrix_samples(self):
         c = small_contour()

@@ -10,6 +10,7 @@ from weylinv import (
     SpectralPoint,
     lambda_to_point,
     matnorm,
+    potentials,
 )
 from weylinv.core import (
     apply_T,
@@ -66,6 +67,12 @@ class TestLambdaToPoint:
         with pytest.raises(DomainError):
             lambda_to_point(0.0)
 
+    def test_unknown_sheet_rejected(self):
+        # the sheet tag is read only on the positive real axis
+        assert lambda_to_point(-4.0, "middle").rho == pytest.approx(2.0j)
+        with pytest.raises(DomainError, match="unknown sheet 'middle'"):
+            lambda_to_point(9.0, "middle")
+
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"),
                                      -float("inf"), complex(1.0, float("nan"))])
@@ -119,6 +126,17 @@ class TestPotentialGrid:
         x = np.array([0.0, 0.4, 1.0])
         with pytest.raises(ValueError):
             PotentialGrid(x_nodes=x, values=np.zeros((3, 1, 1), dtype=complex))
+
+    @pytest.mark.parametrize("x, shape, match", [
+        (np.linspace(0.5, 1.0, 3), (3, 1, 1), "start at x = 0"),
+        (np.linspace(0.0, 1.0, 3), (3, 1), "shape"),
+        (np.linspace(0.0, 1.0, 3), (5, 1, 1), "shape"),
+        (np.linspace(0.0, 1.0, 3), (3, 1, 2), "shape"),
+    ], ids=["first node 0.5", "no matrix axes", "5 values for 3 nodes",
+            "non-square values"])
+    def test_rejects_bad_start_or_value_shape(self, x, shape, match):
+        with pytest.raises(ValueError, match=match):
+            PotentialGrid(x_nodes=x, values=np.zeros(shape, dtype=complex))
 
     def test_index_of_and_l1(self):
         x = np.linspace(0.0, 2.0, 201)
@@ -205,3 +223,17 @@ class TestCumulativeQuadrature:
         out = prefix_integrals(f, x[1] - x[0])
         assert out[-1][0, 1] == pytest.approx(0.5, abs=1e-10)
         assert abs(out[-1][1, 0]) < 1e-14
+
+
+class TestPotentialConstructors:
+    @pytest.mark.parametrize("make, match", [
+        (lambda: potentials.box(0.3, 0.0, 2.0), "x_cut"),
+        (lambda: potentials.box(0.3, 2.0, 2.0), "x_cut"),
+        (lambda: potentials.box(0.3, np.nan, 2.0), "x_cut"),
+        (lambda: potentials.gaussian(0.3, 1.0, 0.0, 2.0), "width"),
+        (lambda: potentials.gaussian(0.3, 1.0, -0.2, 2.0), "width"),
+    ], ids=["box cut at 0", "box cut at x_max", "box cut NaN",
+            "gaussian width 0", "gaussian width < 0"])
+    def test_bad_arguments_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()

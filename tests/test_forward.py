@@ -30,6 +30,7 @@ from weylinv import (
     weyl_solution,
     zero_potential,
 )
+from weylinv.contour import _is_mirror
 from weylinv.core import apply_T, bracket, tail_integrals
 import weylinv.forward as fw
 from weylinv.forward import (JOST_MAX_ITER, _BLOCK_BYTES, _STEP_NORM_MAX,
@@ -905,6 +906,11 @@ class TestDiagnostics:
         with pytest.raises(ValueError):
             asymptotics_report(prob, [SpectralPoint(5.0 + 1.0j)], "fourier")
 
+    def test_report_needs_one_residual_per_probe(self):
+        with pytest.raises(ValueError, match="one residual per probe"):
+            fw.AsymptoticsReport(probes=(SpectralPoint(5.0 + 1.0j),),
+                                 residuals=(1e-3, 1e-4), order=2.0)
+
     def test_p_matrix_requires_same_projector(self, rng):
         prob = smooth_matrix_problem(2, rng, nodes=301)
         other = Problem(potential=prob.potential,
@@ -945,14 +951,15 @@ class TestDiagnostics:
         assert scan_jost_zeros(prob, 3.0, grid_density=density)[0] == []
         assert seen == reference_grid_minima(prob, 3.0, density)
 
-    @pytest.mark.parametrize("density", [1, 7, 24])
+    @pytest.mark.parametrize("density", [1, 7, 8, 24])
     def test_scan_grid_is_its_own_mirror(self, density):
-        # theta and pi - theta mirror bit for bit, theta = pi/2 lies on the
-        # imaginary axis, and the grid stays within 4 eps radius of
-        # r exp(i theta)
+        # theta and pi - theta mirror bit for bit, by hand and by
+        # contour's check, theta = pi/2 lies on the imaginary axis, and the
+        # grid stays within 4 eps radius of r exp(i theta)
         grid = fw._scan_grid(3.0, density)
         assert grid.shape == (density, density + 1)
         assert np.array_equal(grid[:, ::-1], -grid.conj())
+        assert _is_mirror(grid, negate=True, axis=1)
         if density % 2 == 0:
             assert not grid[:, density // 2].real.any()
         assert grid.imag.min() >= 0.0

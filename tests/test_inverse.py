@@ -516,14 +516,19 @@ class TestExtractA:
         with pytest.raises(DataQualityError):
             extract_A(self._tails(bc)[:3])
 
-    def test_ambiguous_rank_rejected(self):
-        # synthetic data whose limit is A = I/2, not a projector
+    @pytest.mark.parametrize("limit, match", [
+        ((0.5, 0.5), "rank ambiguous"),
+        # no eigenvalue in the ambiguous band, but 0.1 from diag(1, 0)
+        ((1.0, 0.1), "1.000e-01 from the nearest projector")],
+        ids=["I/2", "diag(1, 0.1)"])
+    def test_non_projector_limit_rejected(self, limit, match):
+        # synthetic data whose limit A = diag(limit) is not a projector
         tails = []
         for t in (50.0, 100.0, 200.0, 400.0, 800.0):
             pt = SpectralPoint(1j * t)
-            M = -1j * pt.rho * 0.5 * np.eye(2)
+            M = -1j * pt.rho * (np.eye(2) - np.diag(limit))
             tails.append((pt, M))
-        with pytest.raises(DataQualityError):
+        with pytest.raises(DataQualityError, match=match):
             extract_A(tails)
 
 
@@ -792,6 +797,9 @@ def test_slice_by_slice_path_matches_one_pass_invert():
     for bad, why in ((sols[:6], "at least 7"), (sols[:6] + sols[7:], "uniform")):
         with pytest.raises(ReconstructionError, match=why):
             recover_potential(bad, weyl, A, cfg.lambda_probes)
+    # cond phi >= 1, so a limit of 0.5 rejects phi at every probe and node
+    with pytest.raises(ReconstructionError, match="every probe and node"):
+        recover_potential(sols, weyl, A, cfg.lambda_probes, phi_cond_limit=0.5)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -1268,6 +1276,8 @@ class TestInvertConfig:
         # 167: invert returned a wrong h and Q without an error
         {"lambda_probes": (-2.0, -25.0), "x_nodes": 13},
         {"lambda_probes": (-2.0, -1e4), "x_nodes": 13},
+        # no pass at all
+        {"passes": 0},
     ], ids=str)
     def test_values_that_disable_checks_rejected(self, kwargs):
         cfg = dict(x_max=2.0, x_nodes=9) | kwargs
@@ -1327,6 +1337,14 @@ class TestWeylDataValidation:
         weyl = model_weyl_data(A)
         with pytest.raises(Exception):
             WeylData(contour=weyl.contour, M_samples=weyl.M_samples[:-1],
+                     tail_samples=weyl.tail_samples)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2,)], ids=["1 x 2", "vectors"])
+    def test_samples_must_be_square(self, shape):
+        weyl = model_weyl_data(np.array([[1.0 + 0j]]))
+        M = np.ones((len(weyl.contour),) + shape, dtype=complex)
+        with pytest.raises(ValueError, match=r"must be \(K, n, n\)"):
+            WeylData(contour=weyl.contour, M_samples=M,
                      tail_samples=weyl.tail_samples)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
