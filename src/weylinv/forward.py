@@ -8,38 +8,31 @@ objects of the transposed problem (transpose_problem).
 The outgoing solution is computed in the scaled variable
 E(x) = e(x, rho) * exp(-i rho x), which stays O(1) for Im rho > 0; this
 lets the solver evaluate far up the imaginary axis (rho = 400i) without
-overflow.  Successive approximation of the scaled Volterra equation
+overflow.  The scaled Volterra equation
 
     E(x) = I + (1 / 2 i rho) [e^{-2 i rho x} I2(x) - I0(x)],
     I2(x) = int_x^X e^{2 i rho t} Q E dt,   I0(x) = int_x^X Q E dt,
 
-uses 4th-order cumulative tail quadrature.  Differentiating the
-representation gives E'(x) = -e^{-2 i rho x} I2(x) exactly, so no
-numerical differencing enters the Jost matrix; the Jost matrix needs E'
-at x = 0 only, which is one weighted sum.
+is discretized with 4th-order tail quadrature and solved directly, not
+by successive approximation: one affine backward recurrence, run as a
+chunked scan of about 2 sqrt(N) small steps (_jost_scaled).
+Differentiating the representation gives E'(x) = -e^{-2 i rho x} I2(x)
+exactly, so no numerical differencing of E enters the Jost matrix.
 
-The solver works on blocks of spectral points, (N, n, n, B) arrays with
-the points last, and a point drops out as soon as it has converged, so it
-stops at the sweep count it would reach alone.  A sweep is a fixed, small
-number of whole-block numpy operations, with no Python loop over x and no
-product per matrix: Q E is one (n, n) @ (n, n B) product per x-node; the
-scaled integral's backward recurrence J_i = a J_{i+1} + s_i,
-a = exp(2 i rho dx), is a chunked scan of about 2 sqrt(N) small steps;
-the plain integral is a cumulative sum; and the 4th-order endpoint terms
-of the two integrals cancel at every interior node, so no gradient is
-taken (_sweep_increment).  Where Q vanishes on [x, X] the equation
-gets nothing from that stretch and E = I there exactly, so the march
-stops three zero nodes past the last node where Q is nonzero
-(_march_length); those zeros keep every endpoint term of the full grid
-at 0, so the shorter march solves the full grid's equations and its
-cost scales with the support of Q, not with the grid.  B comes from a
+The solver works on blocks of spectral points, arrays with the points
+last, with no Python loop over x or over the points and no product per
+matrix (_pmm).  Where Q vanishes on
+[x, X] the equation gets nothing from that stretch and E = I there
+exactly, so the march stops three zero nodes past the last node where Q
+is nonzero (_march_length); those zeros keep every endpoint term of the
+full grid at 0, so the shorter march solves the full grid's equations and
+its cost scales with the support of Q, not with the grid.  B comes from a
 fixed memory budget over the marched rows, so the working set does not
 grow with the number of points; the points go in P / B blocks, rounded
 half up, of sizes that differ by at most one, so no block is a
 near-empty tail that pays a block's fixed cost for a few points.  For
-real Q,
-e(x, -conj rho) = conj e(x, rho), so the Jost data at x = 0 are marched
-once per mirror pair and per repeated point (_jost_at_zero).
+real Q, e(x, -conj rho) = conj e(x, rho), so the Jost data at x = 0 are
+marched once per mirror pair and per repeated point (_jost_at_zero).
 
 The regular solutions are marched for many energies at once, with Q
 frozen at each step midpoint.  Each step map exp(dx [[0, I], [B, 0]]) is
@@ -90,20 +83,17 @@ __all__ = [
     "zero_potential",
 ]
 
-# Largest Jost-matrix 1-norm condition number the Weyl objects accept, and
-# the update tolerance and sweep budget of the Jost iteration.
+# Largest Jost-matrix 1-norm condition number the Weyl objects accept.
 COND_LIMIT = 1e10
-JOST_TOL = 1e-12
-JOST_MAX_ITER = 50
 # Memory budget of one (T, n, n, B) complex array of the Jost march over
 # T = _march_length(Q) rows; B is the most points that fit it, and
-# _jost_at_zero splits its points into blocks of about B.  Measured with
-# balanced blocks on forward-matrix, whose Q has no zero tail, so T = N =
-# 301 and B = 13 (8 problems of seed 11, one BLAS thread, alternated
-# in-process pairs of generate_weyl_data, check_m_equals_mstar and 16
-# solve_regular calls): 512 KiB (B = 27) read a median paired ratio of
-# 1.00 on each, winning 15 of 30 pairs, and 128 KiB (B = 6) 1.17 to 1.34,
-# winning at most 2 of 20.
+# _jost_at_zero splits its points into blocks of about B.  A block holds
+# two such arrays (the forcing f and K f of _jost_scaled).  Measured on
+# forward-matrix, where T = N = 301 and B = 13 (8 problems of seed 11,
+# generate_weyl_data and check_m_equals_mstar, one BLAS thread, 12
+# alternated in-process rounds, 2-core x86 host): 512 KiB and 1 MiB read
+# median paired ratios of 0.88 and 0.83, winning all 12, but raised the
+# loop's peak RSS by 2.2 and 4.3 MB against 1.4 MB here; 128 KiB read 1.57.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -150,188 +140,170 @@ def transpose_problem(problem: Problem) -> Problem:
 # Jost solution
 # ---------------------------------------------------------------------------
 
-def _node_product(Q, E):
-    """Q(x) E(x, rho) for every node and point of an (N, n, m, B) block
-    (points last): one (n, n) @ (n, m B) product per node, not one per
-    node and point."""
-    N, n, m, B = E.shape
-    return (Q @ E.reshape(N, n, m * B)).reshape(N, n, m, B)
-
-
-def _powers(rhos, N, dx):
-    """a^k = exp(2 i rho k dx) for k < N and every rho, as (N, B).
-
-    |a| <= 1 for Im rho >= 0, so no power overflows; far up the imaginary
-    axis the high powers underflow to 0, which is their value to rounding.
-    """
-    return np.exp(2j * rhos * (np.arange(N) * dx)[:, None])
-
-
-def _backward_scan(s, pw):
-    """J_i = a J_{i+1} + s_i for i < M and J_M = 0, as M + 1 rows, for an
-    (M, ...) array s and the powers pw of a (pw[k] = a^k for k <= M).
-
-    A chunked scan: the rows go into C chunks of L = ceil(sqrt(M)) rows
-    (the first chunk padded in front), every chunk is scanned on its own,
-    all chunks at once; one pass over the chunks carries J at the start
-    of the next chunk with a^L; one fix-up adds a^(L - j) times that
-    carry to row j of every chunk.  That is L + C small steps, not M.
-    """
-    M, rest = s.shape[0], s.shape[1:]
-    L = math.isqrt(M - 1) + 1
-    C = -(-(M + 1) // L)
-    pad = C * L - M - 1
-    y = np.zeros((C * L,) + rest, dtype=complex)
-    y[pad:-1] = s
-    y = y.reshape((C, L) + rest)
-    for j in range(L - 2, -1, -1):
-        y[:, j] += pw[1] * y[:, j + 1]
-    carry = np.zeros((C,) + rest, dtype=complex)
-    for c in range(C - 2, -1, -1):
-        np.multiply(pw[L], carry[c + 1], out=carry[c])
-        carry[c] += y[c + 1, 0]
-    y += pw[L - np.arange(L)] * carry[:, None]
-    return y.reshape((C * L,) + rest)[pad:]
-
-
-def _end_slopes(g, dx):
-    """g'(x_0) and g'(x_N) by the one-sided 3-point stencils that
-    np.gradient(edge_order=2) uses at the ends."""
-    return ((-1.5 * g[0] + 2.0 * g[1] - 0.5 * g[2]) / dx,
-            (0.5 * g[-3] - 2.0 * g[-2] + 1.5 * g[-1]) / dx)
-
-
-def _sweep_increment(P, pw, w, inv, dx):
-    """E_new - I = (S2(P) - S0(P)) / (2 i rho) for P = Q E of one sweep.
-
-    S2 is the scaled tail integral of P (_scaled_tail_integrals) and S0
-    the plain one (core.tail_integrals).  Their endpoint terms
-    (dx^2/12) P'(x_i) cancel at every node, which leaves the two
-    trapezoid sums plus (dx^2/12) [P + P'_N w - decay P_N] with
-    decay_i = a^(N-1-i) and w = (1 - decay) / (2 i rho), so no interior
-    gradient is taken.  pw are the powers of a and inv = 1 / (2 i rho);
-    the last row is zero.
-
-    The terms are formed in place in one scratch array s.  Freed
-    whole-block temporaries go back to the system, so each new one costs
-    its page faults again: written as plain expressions, a
-    generate_weyl_data call on forward-matrix took about 22 000 page
-    faults and 0.15 s, against 3 800 and 0.08 s in place.
-    """
-    half = 0.5 * dx
-    s = pw[1] * P[1:]
-    s += P[:-1]
-    s *= half
-    out = _backward_scan(s, pw)
-    np.add(P[:-1], P[1:], out=s)
-    s *= half
-    np.cumsum(s[::-1], axis=0, out=s[::-1])
-    out[:-1] -= s
-    out[:-1] *= inv
-    np.multiply(w[:-1], _end_slopes(P, dx)[1], out=s)
-    s -= pw[:0:-1] * P[-1]
-    s += P[:-1]
-    s *= dx * dx / 12.0
-    out[:-1] += s
+def _pmm(a, b):
+    """_mm over the axes (-3, -2) of arrays whose last axis is the points
+    (a size-one last axis is shared by all of them)."""
+    out = a[..., :, :1, :] * b[..., None, 0, :, :]
+    for k in range(1, a.shape[-2]):
+        out += a[..., :, k, None, :] * b[..., None, k, :, :]
     return out
 
 
-def _sweep_factors(rhos, shape, dx):
-    """The rho-only factors of a sweep over an (N, n, n, B) block: the
-    powers pw of a, w = (1 - decay) / (2 i rho) and inv = 1 / (2 i rho).
-    They are stored at full width, so every product with them runs over
-    contiguous rows instead of broadcasting short ones."""
-    pw = np.broadcast_to(_powers(rhos, shape[0], dx)[:, None, None],
-                         shape).copy()
-    inv = np.broadcast_to(1.0 / (2j * rhos), shape[1:]).copy()
-    return pw, (1.0 - pw[::-1]) * inv, inv
+def _jost_step(D, H, K, F, a, b, dx):
+    """Node i of _jost_scaled's recurrence: the state D, H of node i - 1
+    and P_i from that of node i, K = K_i and F = K_i f_i, which is added
+    to the last columns of the state (the others carry its response)."""
+    P = _pmm(K, D)
+    P[..., -F.shape[-2]:, :] += F
+    H = H + dx * P
+    return a * D + b * H, H, P
 
 
-def _jost_scaled(Q, rhos, dx, names=None):
-    """Scaled Jost solutions E = e * exp(-i rho x) for a block of points.
+def _jost_scan(K, KF, D, H, a, b, dx, keep=False):
+    """The state after M steps of _jost_step (K, KF in march order) from
+    the (n, n, B) state D, H, and, if keep, the entry state and P of
+    every step, (M, 3, n, n, B).
 
-    Q is the (N, n, n) potential and rhos a (B,) array; returns E as an
-    (N, n, n, B) array (points last) and the (B,) sweep count of each
-    point.  A point leaves the sweep once its update norm is within
-    JOST_TOL, so it stops after as many sweeps as it would alone.  A NaN
-    update never counts as converged; the ConvergenceError names the
-    point's entry of names (the (B,) points the caller asked for, rhos
-    when None).
+    A chunked scan like _prefix_apply's: C chunks of L = ceil(sqrt(M))
+    steps (the first padded in front) are marched together for their
+    response to their entry state (2n columns) and to the forcing (n
+    columns); one pass carries the true state through them: L + C small
+    steps, not M.  keep marches every chunk again from its true entry
+    state, L steps more.
     """
-    N, n = Q.shape[:2]
+    M, n = K.shape[0], D.shape[0]
+    L = math.isqrt(M - 1) + 1
+    C = -(-M // L)
+    pad = C * L - M
+    S = np.zeros((C, 2 * n, 3 * n, D.shape[-1]), dtype=complex)
+    S[:, :, :2 * n] = np.eye(2 * n)[..., None]
+    # step j runs in chunks c, c + 1, ...: chunk 0 waits out its padding
+    steps = [(int(j < pad), j - pad + int(j < pad) * L) for j in range(L)]
+    for c, i in steps:
+        S[c:, :n], S[c:, n:], _ = _jost_step(S[c:, :n], S[c:, n:], K[i::L],
+                                             KF[i::L], a, b, dx)
+    X = np.empty_like(S[..., :n, :])               # the chunks' entry states
+    state = np.concatenate([D, H])
+    for Sc, Xc in zip(S, X):
+        Xc[...] = state
+        state = _pmm(Sc[:, :2 * n], state) + Sc[:, 2 * n:]
+    rows = np.empty((C if keep else 0, L, 3) + D.shape, dtype=complex)
+    for j, (c, i) in enumerate(steps if keep else ()):
+        rows[c:, j, 0], rows[c:, j, 1] = X[c:, :n], X[c:, n:]
+        X[c:, :n], X[c:, n:], rows[c:, j, 2] = _jost_step(
+            X[c:, :n], X[c:, n:], K[i::L], KF[i::L], a, b, dx)
+    return state[:n], state[n:], rows.reshape((-1, 3) + D.shape)[pad:]
+
+
+def _jost_scaled(Q, rhos, dx, names=None, full=False):
+    """Scaled Jost solutions E = e exp(-i rho x) and their x-derivatives
+    E' for a block of points, at x = 0 or, if full, on the whole grid:
+    each (1 or T, n, n, B), points last, for the (T, n, n) potential Q
+    and the (B,) array rhos.
+
+    With c = dx^2 / 12, a = exp(2 i rho dx), m = T - 1 and the trapezoid
+    sums J_i (scaled) and S_i (plain) of P = Q E over [x_i, x_m], the
+    discrete equations read, from i = m - 1 down to 0,
+
+        (I - c Q_i) E_i = f_i + (J_i - S_i) / (2 i rho),
+        f_i = I + c (w_i P'_m - a^(m-i) Q_m),  w_i = (1 - a^(m-i)) / (2 i rho),
+
+    and E_m = I; the P_i terms of J_i and S_i cancel.  So E_i = R_i (f_i +
+    D_i) and P_i = K_i (f_i + D_i), R_i = (I - c Q_i)^-1, K_i = Q_i R_i,
+    for the state D_i = (G_i - H_i) / (2 i rho), H_i (G_i, H_i: J_i, S_i
+    less their P_i terms), which obeys (_jost_step)
+
+        H_{i-1} = H_i + dx P_i,  D_{i-1} = a D_i + b H_{i-1},
+        b = (a - 1) / (2 i rho).
+
+    The end slope P'_m = Z couples forward, through P_{m-1} and P_{m-2}:
+    two steps carry the response to Z beside the state, then one n x n
+    solve per point gives Z.  Nodes m - 3 to 3 are _jost_scan's and the
+    last three single steps, whose P give P'_0 for E'(0) = -J_0 less its
+    endpoint terms: about 2 sqrt(T) steps (3 sqrt(T) if full).  Every
+    product is _pmm's, so each point rounds as it would alone.  A
+    singular I - c Q_i or a non-finite result raises ConvergenceError
+    naming the point's entry of names (rhos when None).
+    """
+    T, n = Q.shape[:2]
+    m, c, B = T - 1, dx * dx / 12.0, rhos.size
+    names = rhos if names is None else names
+    # numpy rounds a complex product whose result is one element by another
+    # loop than longer ones, so a lone point is marched as two copies
+    rhos = np.resize(rhos, max(B, 2))
     eye = np.eye(n, dtype=complex)[..., None]
-    E = np.broadcast_to(eye, (N, n, n, rhos.size)).copy()
-    sweeps = np.zeros(rhos.size, dtype=int)
-    if not np.any(Q):
-        return E, sweeps
-
-    # formed once per block and cut down to the points still live
-    pw, w, inv = _sweep_factors(rhos, E.shape, dx)
-    live = np.arange(rhos.size)
-    going = np.ones(rhos.size, dtype=bool)
-    Ea = E
-    for _ in range(JOST_MAX_ITER):
-        if not going.all():
-            live, pw, w, inv = (live[going], pw[..., going], w[..., going],
-                                inv[..., going])
-            Ea = Ea[..., going]
-        E_new = _sweep_increment(_node_product(Q, Ea), pw, w, inv, dx)
-        E_new += eye
-        upd = np.abs(E_new - Ea).sum(axis=2).max(axis=(0, 1))
-        E[..., live] = E_new
-        sweeps[live] += 1
-        going = ~(upd <= JOST_TOL)
-        if not going.any():
-            return E, sweeps
-        Ea = E_new
-    worst = np.argmax(np.where(np.isnan(upd), np.inf, upd))
-    last = float(upd[worst])
-    raise ConvergenceError(
-        f"Jost iteration did not reach {JOST_TOL} in {JOST_MAX_ITER} sweeps; "
-        f"largest last update {last:.3e} at rho = "
-        f"{complex((rhos if names is None else names)[live[worst]])}",
-        residual=last,
-    )
-
-
-def _scaled_tail_integrals(g, rhos, dx: float):
-    """J_i = int_{x_i}^{x_N} exp(2 i rho (t - x_i)) g(t) dt for sampled g.
-
-    g is (N, B, n, n) with one column per entry of the (B,) array rhos
-    (a column of size one is shared by all of them).  The kernel is
-    pre-scaled to the left endpoint, so every factor is a power of
-    a = exp(2 i rho dx) with |a| <= 1 for Im rho >= 0 and nothing
-    overflows at large |rho|.  The trapezoid sums obey the backward
-    recurrence J_i = a J_{i+1} + (dx/2)(g_i + a g_{i+1}), solved by the
-    chunked scan of _backward_scan; the trapezoid endpoint correction
-    (dx^2/12)(f'(x_i) - scaled f'(x_N)) with f = exp(2 i rho (t - x_i)) g
-    restores 4th-order accuracy.  A Jost sweep does not call this: there
-    the g'(x_i) terms cancel against those of the plain integral
-    (_sweep_increment).  solve_jost uses it for E' on the whole grid.
-    """
-    N = g.shape[0]
-    r = rhos[:, None, None]
-    pw = _powers(rhos, N, dx)[..., None, None]
-    J = _backward_scan(0.5 * dx * (g[:-1] + pw[1] * g[1:]), pw)
-    gp = np.gradient(g, dx, axis=0, edge_order=2)
-    J += (dx * dx / 12.0) * (gp + 2j * r * g
-                             - pw[::-1] * (gp[-1] + 2j * r * g[-1]))
-    J[-1] = 0.0
-    return J
+    if not Q.any():                              # E = I and E' = 0 exactly
+        shape = (T if full else 1, n, n, B)
+        return np.broadcast_to(eye, shape).copy(), np.zeros(shape, complex)
+    two = 2j * rhos
+    a, b = np.exp(two * dx), np.expm1(two * dx) / two
+    xr = (np.arange(T) * dx)[:, None]          # x_m - x_i for row r = m - i
+    d, w = np.exp(two * xr), -np.expm1(two * xr) / two
+    Qm = np.broadcast_to(Q[-1, ..., None], (n, n, rhos.size))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = np.linalg.inv(eye[..., 0] - c * Q)
+            K = _mm(Q, R)[::-1, ..., None]               # row r is node m - r
+            f = eye - c * d[1:, None, None] * Qm        # f less its Z term
+            D0, H0 = 0.5 * dx * b * Qm, 0.5 * dx * Qm   # state of node m - 1
+            # nodes m - 1 and m - 2 with the response to Z beside the state
+            D, H = (np.concatenate([X, 0 * X], axis=1) for X in (D0, H0))
+            Pz = []
+            for r in (1, 2):
+                F = np.concatenate([_pmm(K[r], f[r - 1]), c * w[r] * K[r]],
+                                   axis=1)
+                D, H, Pr = _jost_step(D, H, K[r], F, a, b, dx)
+                Pz.append(Pr)
+            slope = (0.5 * Pz[1] - 2.0 * Pz[0]) / dx  # Z less 1.5 Q_m / dx
+            Z = np.moveaxis(np.linalg.solve(
+                np.moveaxis(eye - slope[:, n:], -1, 0),
+                np.moveaxis(slope[:, :n] + 1.5 * Qm / dx, -1, 0)), 0, -1)
+            f += c * w[1:, None, None] * Z
+            KF = _pmm(K[1:], f)
+            # the march, with the scan over rows 3 .. m - 3; kept holds the
+            # entry state and P of the single steps, and of all if full
+            D, H, kept = D0, H0, []
+            for r in [1, 2, *range(max(3, m - 2), m + 1)]:
+                if r > 3 and r == m - 2:
+                    D, H, rows = _jost_scan(K[3:r], KF[2:r - 1], D, H, a, b,
+                                            dx, full)
+                    kept.append(rows)
+                D1, H1, Pr = _jost_step(D, H, K[r], KF[r - 1], a, b, dx)
+                kept.append(np.stack([D, H, Pr])[None])
+                D, H = D1, H1
+            kept = np.concatenate(kept)[::-1]        # nodes 0, 1, 2, ...
+            k = m if full else 1                     # rows 0 .. k - 1
+            P = np.concatenate([kept[:, 2], Qm[None]])[:max(k + 1, 3)]
+            D, H = kept[:k, 0], kept[:k, 1]
+            E = _pmm(R[:k, ..., None], D + f[::-1][:k])
+            Ep = -(H + two * D + 0.5 * dx * P[:k] + c * (
+                np.gradient(P, dx, axis=0, edge_order=2)[:k] + two * P[:k]
+                - d[::-1][:k, None, None] * (Z + two * Qm)))
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(
+            "Jost solve: I - (dx^2/12) Q is singular at a node; rho = "
+            f"{complex(names[0])}", residual=float("inf")) from None
+    if full:
+        E = np.concatenate([E, np.broadcast_to(eye, (1,) + E.shape[1:])])
+        Ep = np.concatenate([Ep, np.zeros((1,) + Ep.shape[1:])])
+    bad = ~np.isfinite(Ep[..., :B]).all(axis=(0, 1, 2))
+    if bad.any():
+        raise ConvergenceError(
+            "Jost solution not finite at rho = "
+            f"{complex(names[np.argmax(bad)])}", residual=float("nan"))
+    return E[..., :B], Ep[..., :B]
 
 
 def _scaled_integral_at_start(g, rhos, dx):
-    """J_0 of _scaled_tail_integrals alone, (n, n, B): one weighted sum of
-    g against the trapezoid weights times a^k, plus the endpoint terms.
-
-    The sum is a running sum, so the order of its additions, and with it
-    the rounding, does not depend on how many points share the block.
-    """
+    """int_0^X exp(2 i rho t) g(t) dt for sampled g, (n, n, B): the
+    trapezoid sum of g times a^k = exp(2 i rho k dx) (|a| <= 1), plus the
+    4th-order endpoint terms with one-sided 3-point slopes of g."""
     N = g.shape[0]
-    pw = _powers(rhos, N, dx)[:, None, None]
+    pw = np.exp(2j * rhos * (np.arange(N) * dx)[:, None])[:, None, None]
     wt = np.full((N, 1, 1, 1), dx)
     wt[0] = wt[-1] = 0.5 * dx
-    d0, dN = _end_slopes(g, dx)
+    d0 = (-1.5 * g[0] + 2.0 * g[1] - 0.5 * g[2]) / dx
+    dN = (0.5 * g[-3] - 2.0 * g[-2] + 1.5 * g[-1]) / dx
     return (np.cumsum(wt * pw * g, axis=0)[-1]
             + (dx * dx / 12.0) * (d0 + 2j * rhos * g[0]
                                   - pw[-1] * (dN + 2j * rhos * g[-1])))
@@ -343,10 +315,9 @@ def _march_length(Q):
     and inf count as nonzero), 3 for Q = 0.
 
     Past t the equation gets nothing and E = I exactly; the three zero
-    nodes at the end of the march keep P'_N, P_N (_sweep_increment,
-    _end_slopes) and the end terms of _scaled_integral_at_start at 0, as
-    on the full grid, so the marched rows solve the full grid's equations
-    and every update norm past them is exactly 0.
+    nodes at the end of the march keep the end terms P_m and P'_m of
+    _jost_scaled at 0, as on the full grid, so the marched rows solve the
+    full grid's equations.
     """
     nonzero = np.flatnonzero(Q.reshape(Q.shape[0], -1).any(axis=1))
     t = int(nonzero[-1]) if nonzero.size else -1
@@ -366,12 +337,9 @@ def _jost_at_zero(problem: Problem, rhos):
     whose (T, n, n, B) array fits _BLOCK_BYTES, and the P distinct points
     go in C = max(1, P / B rounded half up) blocks of P // C or
     P // C + 1 points, so none is a near-empty tail and none holds more
-    than 1.5 B.  For real Q every step rounds per point and the e'(0) sum
-    is a running sum, so the layout does not change the rounding; for
-    complex Q and n >= 2 the complex BLAS product of _node_product can
-    round a point by its column in the block.  E' is formed at
-    x = 0 only: E'(0) = -J_0 of the scaled tail integral of Q E.  A
-    ConvergenceError names the point as the caller passed it."""
+    than 1.5 B.  Every step rounds per point, so the layout does not
+    change the rounding.  A ConvergenceError names the point as the
+    caller passed it."""
     pot = problem.potential
     rhos = np.asarray(rhos, dtype=complex)
     flip = (rhos.real < 0) & (not pot.values.imag.any())
@@ -387,14 +355,12 @@ def _jost_at_zero(problem: Problem, rhos):
     for k in range(C):
         blk = slice(k * P // C, (k + 1) * P // C)
         r = march[blk]
-        E, _ = _jost_scaled(Q, r, pot.dx, rhos[first[blk]])
+        E, Ep = _jost_scaled(Q, r, pot.dx, rhos[first[blk]])
         # i rho e(0) on (B, n, n) arrays: numpy's complex product rounds by
         # the loop it picks, and with the points last a block of one point
         # picks another loop than a block of many
         e0[blk] = np.moveaxis(E[0], -1, 0)
-        e0p[blk] = 1j * r[:, None, None] * e0[blk] - np.moveaxis(
-            _scaled_integral_at_start(_node_product(Q, E), r, pot.dx),
-            -1, 0)
+        e0p[blk] = 1j * r[:, None, None] * e0[blk] + np.moveaxis(Ep[0], -1, 0)
     e0, e0p = e0[where], e0p[where]
     e0[flip] = e0[flip].conj()
     e0p[flip] = e0p[flip].conj()
@@ -405,18 +371,15 @@ def solve_jost(problem: Problem, pt: SpectralPoint) -> MatrixWave:
     """Jost solution e(., rho) and e'(., rho) on the potential grid.
 
     Q is treated as zero beyond x_max, where e = exp(i rho x) I holds
-    exactly.  Raises ConvergenceError if the successive approximations do
-    not settle within the sweep budget.
+    exactly.  Raises ConvergenceError if the discrete equations have no
+    finite solution (see _jost_scaled).
     """
     rho = pt.rho
     pot = problem.potential
-    rhos = np.array([rho])
-    E, _ = _jost_scaled(pot.values, rhos, pot.dx)
-    Eprime = -_scaled_tail_integrals(
-        np.moveaxis(_node_product(pot.values, E), -1, 1), rhos, pot.dx)
+    E, Ep = _jost_scaled(pot.values, np.array([rho]), pot.dx, full=True)
     phase = np.exp(1j * rho * pot.x_nodes)[:, None, None]
     value = E[..., 0] * phase
-    derivative = (1j * rho * E[..., 0] + Eprime[:, 0]) * phase
+    derivative = (1j * rho * E[..., 0] + Ep[..., 0]) * phase
     return MatrixWave(grid=pot.x_nodes, value=value, derivative=derivative,
                       at=pt)
 
@@ -466,7 +429,8 @@ def _mm(a, b):
     cost is most of the time (16 solve_regular calls on forward-matrix:
     0.020-0.029 s with matmul throughout, 0.011-0.013 s with this for the
     long stacks, one BLAS thread on a 2-core x86 host).  Short stacks are
-    faster with matmul (see _MM_MIN_STACK)."""
+    faster with matmul (see _MM_MIN_STACK).  Every entry adds the same
+    products in the same order, so it rounds the same in any stack."""
     out = a[..., :, :1] * b[..., None, 0, :]
     for k in range(1, a.shape[-1]):
         out += a[..., :, k, None] * b[..., None, k, :]

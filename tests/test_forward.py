@@ -33,12 +33,9 @@ from weylinv import (
 from weylinv.contour import _is_mirror
 from weylinv.core import apply_T, bracket, tail_integrals
 import weylinv.forward as fw
-from weylinv.forward import (JOST_MAX_ITER, _BLOCK_BYTES, _STEP_NORM_MAX,
-                             _jost_at_zero, _jost_scaled, _march_length,
-                             _march_many, _node_product, _prefix_apply,
-                             _propagators, _scaled_integral_at_start,
-                             _scaled_tail_integrals, _sweep_factors,
-                             _sweep_increment, _weyl_many,
+from weylinv.forward import (_BLOCK_BYTES, _STEP_NORM_MAX, _jost_at_zero,
+                             _jost_scaled, _march_length, _march_many,
+                             _pmm, _prefix_apply, _propagators, _weyl_many,
                              adjoint_weyl_matrix, kappa, omega,
                              transpose_problem)
 
@@ -79,20 +76,27 @@ def reference_scaled_tail_integrals(g, rho, dx):
     return J
 
 
-def reference_jost_at_zero(problem, rho, tol=1e-12, max_iter=50):
-    """e(0, rho), e'(0, rho) and the sweep count by successive
-    approximation, one point at a time: the direct path the batched
-    solver replaces."""
-    pot = problem.potential
-    Q, dx, n = pot.values, pot.dx, pot.dim
+def reference_sweep(Q, E, rho, dx):
+    """One successive-approximation sweep E -> I + (S2 - S0) / (2 i rho)
+    of the scaled Jost equation for one point, P = Q E, with the two
+    4th-order tail integrals formed separately: the iteration whose fixed
+    point the direct solve computes."""
+    P = Q @ E
+    return np.eye(Q.shape[1]) + (reference_scaled_tail_integrals(P, rho, dx)
+                                 - tail_integrals(P, dx)) / (2j * rho)
+
+
+def reference_jost_at_zero(Q, dx, rho, tol=1e-14, max_iter=50):
+    """e(0, rho), e'(0, rho) for the (N, n, n) potential Q by successive
+    approximation, one point at a time, sweeping until the update is
+    within tol."""
+    n = Q.shape[1]
     eye = np.eye(n, dtype=complex)
     E = np.broadcast_to(eye, Q.shape).copy()
     if not np.any(Q):
-        return eye, 1j * rho * eye, 0
-    for sweeps in range(1, max_iter + 1):
-        P = Q @ E
-        E_new = eye + (reference_scaled_tail_integrals(P, rho, dx)
-                       - tail_integrals(P, dx)) / (2j * rho)
+        return eye, 1j * rho * eye
+    for _ in range(max_iter):
+        E_new = reference_sweep(Q, E, rho, dx)
         last = matnorm(E_new - E)
         E = E_new
         if last <= tol:
@@ -100,12 +104,22 @@ def reference_jost_at_zero(problem, rho, tol=1e-12, max_iter=50):
     else:
         raise ConvergenceError("reference Jost iteration did not converge")
     Eprime0 = -reference_scaled_tail_integrals(Q @ E, rho, dx)[0]
-    return E[0], 1j * rho * E[0] + Eprime0, sweeps
+    return E[0], 1j * rho * E[0] + Eprime0
+
+
+def assert_fixed_point(Q, E, rhos, dx):
+    """One reference sweep moves every point's (N, n, n) E of the
+    (N, n, n, B) array E by at most 1e-13 max(1, |E|)."""
+    for k, rho in enumerate(rhos):
+        Ek = E[..., k]
+        moved = np.abs(reference_sweep(Q, Ek, rho, dx) - Ek).max()
+        assert moved <= 1e-13 * max(1.0, np.abs(Ek).max()), (rho, moved)
 
 
 def reference_weyl(problem, rho):
     bc = problem.bc
-    e0, e0p, _ = reference_jost_at_zero(problem, rho)
+    pot = problem.potential
+    e0, e0p = reference_jost_at_zero(pot.values, pot.dx, rho)
     return (bc.A @ e0 + bc.A_perp @ e0p) @ np.linalg.inv(apply_T(bc, e0, e0p))
 
 
@@ -216,12 +230,12 @@ class TestBatchedJost:
         # the marched points do not split into full blocks of B
         assert set(spy.sizes) != {_BLOCK_BYTES // (16 * T * n * n)}
         pot = prob.potential
-        sweeps = _jost_scaled(pot.values, rhos, pot.dx)[1]
+        E = _jost_scaled(pot.values, rhos, pot.dx, full=True)[0]
+        assert_fixed_point(pot.values, E, rhos, pot.dx)
         for k, rho in enumerate(rhos):
-            r0, r0p, count = reference_jost_at_zero(prob, rho)
+            r0, r0p = reference_jost_at_zero(pot.values, pot.dx, rho)
             assert matnorm(e0[k] - r0) <= 1e-13 * max(1.0, matnorm(r0))
             assert matnorm(e0p[k] - r0p) <= 1e-13 * max(1.0, matnorm(r0p))
-            assert sweeps[k] == count
         assert matnorm(e0[0] - e0[-len(self.TAIL) - 1]) == 0.0
 
         data = generate_weyl_data(prob, contour, tail_ts=self.TAIL)
@@ -232,20 +246,42 @@ class TestBatchedJost:
             assert matnorm(M - ref) <= 1e-13 * max(1.0, matnorm(ref))
             assert np.array_equal(M, weyl_matrix(prob, SpectralPoint(rho)))
 
-    def test_nan_potential_does_not_converge(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1j * np.inf])
+    def test_nan_potential_does_not_converge(self, value):
         prob = scalar_box_problem(nodes=201)
         vals = prob.potential.values.copy()
-        vals[50] = np.nan
+        vals[50] = value
         bad = Problem(potential=PotentialGrid(prob.potential.x_nodes, vals),
                       bc=prob.bc)
         contour = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=32)
-        with pytest.raises(ConvergenceError, match=f"in {JOST_MAX_ITER} sweeps"):
+        with pytest.raises(ConvergenceError, match="Jost solution not finite"):
             generate_weyl_data(bad, contour)
-        # the message names the point with the largest (here NaN) update
+        # the message names the point, with no RuntimeWarning on the way
         with pytest.raises(ConvergenceError,
-                           match=r"update nan at rho = \(1\+1j\)") as err:
+                           match=r"not finite at rho = \(1\+1j\)") as err:
             weyl_matrix(bad, SpectralPoint(1.0 + 1.0j))
         assert np.isnan(err.value.residual)
+        with pytest.raises(ConvergenceError, match=r"rho = \(1\+1j\)"):
+            solve_jost(bad, SpectralPoint(1.0 + 1.0j))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_singular_node_raises(self, n):
+        # dx = 0.5: I - (dx^2/12) Q is exactly singular where Q has the
+        # eigenvalue 48
+        c = 0.5 * 0.5 / 12.0
+        assert 1.0 - c * 48.0 == 0.0
+        vals = np.zeros((5, n, n), dtype=complex)
+        vals[1, 0, 0] = 48.0
+        bad = Problem(potential=PotentialGrid(np.linspace(0.0, 2.0, 5), vals),
+                      bc=BoundaryCondition(A=np.eye(n, dtype=complex),
+                                           h=np.zeros((n, n), complex)))
+        # marched as its mirror 2 + 1j, named as passed
+        with pytest.raises(ConvergenceError,
+                           match=r"singular at a node; rho = \(-2\+1j\)") as err:
+            weyl_matrix(bad, SpectralPoint(-2.0 + 1.0j))
+        assert err.value.residual == np.inf
+        with pytest.raises(ConvergenceError, match="singular"):
+            solve_jost(bad, SpectralPoint(3.0 + 1.0j))
 
     def test_point_at_jost_zero_raises(self):
         # Q = 0, A = 1, h = -2: J(rho) = i rho + 2 vanishes at rho = 2i,
@@ -273,22 +309,20 @@ class TestBatchedJost:
 
 
 def block_jost_at_zero(Q, dx, rhos):
-    """e(0), e'(0) as (B, n, n) arrays and the sweep counts of
-    _jost_at_zero's block step for the (B,) points rhos, marched over all
-    rows of Q."""
-    E, sweeps = _jost_scaled(Q, rhos, dx)
+    """e(0), e'(0) as (B, n, n) arrays of _jost_at_zero's block step for
+    the (B,) points rhos, marched over all rows of Q."""
+    E, Ep = _jost_scaled(Q, rhos, dx)
     e0 = np.moveaxis(E[0], -1, 0)
-    e0p = 1j * rhos[:, None, None] * e0 - np.moveaxis(
-        _scaled_integral_at_start(_node_product(Q, E), rhos, dx), -1, 0)
-    return e0, e0p, sweeps
+    e0p = 1j * rhos[:, None, None] * e0 + np.moveaxis(Ep[0], -1, 0)
+    return e0, e0p
 
 
 def unpaired_jost_at_zero(problem, rho):
     """e(0, rho), e'(0, rho) of _jost_at_zero's block step for one point,
     marched at rho itself, never at its mirror, over the same rows."""
     pot = problem.potential
-    e0, e0p, _ = block_jost_at_zero(pot.values[:_march_length(pot.values)],
-                                    pot.dx, np.array([rho]))
+    e0, e0p = block_jost_at_zero(pot.values[:_march_length(pot.values)],
+                                 pot.dx, np.array([rho]))
     return e0[0], e0p[0]
 
 
@@ -300,20 +334,17 @@ def block_count(P, B):
 
 class MarchSpy:
     """Records the points every _jost_scaled call marches, how many it
-    marches at once, the rows of Q it marches them over and the sweep
-    counts it returns."""
+    marches at once and the rows of Q it marches them over."""
 
     def __init__(self, monkeypatch):
-        self.points, self.sizes, self.rows, self.sweeps = [], [], [], []
+        self.points, self.sizes, self.rows = [], [], []
         march = fw._jost_scaled
 
-        def spy(Q, rhos, dx, names=None):
+        def spy(Q, rhos, dx, names=None, full=False):
             self.points.extend(rhos)
             self.sizes.append(rhos.size)
             self.rows.append(Q.shape[0])
-            E, sweeps = march(Q, rhos, dx, names)
-            self.sweeps.extend(sweeps)
-            return E, sweeps
+            return march(Q, rhos, dx, names, full)
 
         monkeypatch.setattr(fw, "_jost_scaled", spy)
 
@@ -334,11 +365,18 @@ class TestMirrorPairs:
         return np.concatenate([c0.rhos, c1.rhos, c0.rhos[40:41], 1j * self.TAIL,
                                lone])
 
+    @pytest.mark.parametrize("complex_q", [False, True])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_real_q_matches_unpaired_march_bitwise(self, rng, n):
+    def test_matches_unpaired_march_bitwise(self, rng, n, complex_q):
+        # for complex Q nothing is flipped, so this checks that a point
+        # marched in a block rounds as it does alone
         prob = (scalar_box_problem(nodes=201) if n == 1
                 else smooth_matrix_problem(2, rng, nodes=301))
-        assert not prob.potential.values.imag.any()
+        if complex_q:
+            pot = prob.potential
+            prob = Problem(potential=PotentialGrid(
+                pot.x_nodes, pot.values * (1.0 + 0.7j)), bc=prob.bc)
+        assert prob.potential.values.imag.any() == complex_q
         rhos = self.points()
         e0, e0p = _jost_at_zero(prob, rhos)
         for k, rho in enumerate(rhos):
@@ -358,6 +396,7 @@ class TestMirrorPairs:
         for rho, Mk in zip(rhos, M):
             ref = reference_weyl(prob, rho)
             assert matnorm(Mk - ref) <= 1e-13 * max(1.0, matnorm(ref))
+            assert np.array_equal(Mk, weyl_matrix(prob, SpectralPoint(rho)))
 
     def test_benchmark_contour_marches_55_points(self, monkeypatch):
         # 2 x 32 cut nodes, 32 circle nodes and 8 tail points: 32 cut
@@ -377,28 +416,33 @@ class TestMirrorPairs:
         bad = Problem(potential=PotentialGrid(prob.potential.x_nodes, vals),
                       bc=prob.bc)
         # marched as its mirror 1 + 1j, named as passed
-        with pytest.raises(ConvergenceError, match=r"at rho = \(-1\+1j\)"):
+        with pytest.raises(ConvergenceError,
+                           match=r"not finite at rho = \(-1\+1j\)"):
             weyl_matrix(bad, SpectralPoint(-1.0 + 1.0j))
         # a pair marched once is named by the first of its points passed
-        with pytest.raises(ConvergenceError, match=r"at rho = \(-2\+0\.5j\)"):
+        with pytest.raises(ConvergenceError,
+                           match=r"not finite at rho = \(-2\+0\.5j\)"):
             _jost_at_zero(bad, [-2.0 + 0.5j, 2.0 + 0.5j])
 
 
 class TestBlockSplit:
     """_jost_at_zero splits its P distinct points into P / B blocks,
-    rounded half up, whose sizes differ by at most one; for real Q the
-    layout leaves every point's e(0), e'(0) as a one-block march gives
-    them."""
+    rounded half up, whose sizes differ by at most one; for real and
+    complex Q the layout leaves every point's e(0), e'(0) as a one-block
+    march gives them."""
 
     N, B = 41, 6
 
     @pytest.mark.parametrize("P", [0, 1, B - 1, B, B + 1, B + 3, 2 * B - 1,
                                    2 * B + 1, 3 * B])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_balanced_blocks(self, rng, monkeypatch, n, P):
-        # real Q on every node and Re rho > 0: every point is marched as
-        # itself, over all rows
+    @pytest.mark.parametrize("complex_q", [False, True])
+    def test_balanced_blocks(self, rng, monkeypatch, complex_q, n, P):
+        # Q nonzero on every node and Re rho > 0: every point is marched
+        # as itself, over all rows
         vals = rng.normal(scale=0.8, size=(self.N, n, n)).astype(complex)
+        if complex_q:
+            vals += 0.5j * rng.normal(size=vals.shape)
         pot = PotentialGrid(np.linspace(0.0, 1.0, self.N), vals)
         prob = Problem(potential=pot,
                        bc=BoundaryCondition(A=np.eye(n, dtype=complex),
@@ -415,7 +459,7 @@ class TestBlockSplit:
         if P:
             assert max(spy.sizes) - min(spy.sizes) <= 1
             assert max(spy.sizes) <= 1.5 * self.B
-            r0, r0p, _ = block_jost_at_zero(vals, pot.dx, rhos)
+            r0, r0p = block_jost_at_zero(vals, pot.dx, rhos)
             assert np.array_equal(e0, r0) and np.array_equal(e0p, r0p)
 
 
@@ -461,14 +505,18 @@ class TestSupportMarch:
         B = budget // (16 * T * n * n)
         assert spy.rows == [T] * block_count(marched.size, B)
 
-        sweeps = block_jost_at_zero(pot.values, pot.dx, marched)[2]
-        assert np.array_equal(spy.sweeps, sweeps)
-        r0, r0p, _ = block_jost_at_zero(pot.values, pot.dx, self.RHOS)
+        # the solution on the T rows, with E = I past them, is a fixed
+        # point of the full grid's equations
+        E = _jost_scaled(pot.values[:T], self.RHOS, pot.dx, full=True)[0]
+        E = np.concatenate([E, np.broadcast_to(
+            np.eye(n)[..., None], (self.N - T, n, n, self.RHOS.size))])
+        assert_fixed_point(pot.values, E, self.RHOS, pot.dx)
+        r0, r0p = block_jost_at_zero(pot.values, pot.dx, self.RHOS)
         for k in range(self.RHOS.size):
             assert matnorm(e0[k] - r0[k]) <= 1e-14 * matnorm(r0[k])
             assert matnorm(e0p[k] - r0p[k]) <= 1e-14 * matnorm(r0p[k])
         if gap == self.N:
-            assert not np.any(sweeps)
+            assert np.array_equal(e0, np.broadcast_to(np.eye(n), e0.shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_count_as_support(self, bad):
@@ -487,7 +535,7 @@ class TestSupportMarch:
                                                    vals), bc=prob.bc)
         spy = MarchSpy(monkeypatch)
         with pytest.raises(ConvergenceError,
-                           match=rf"in {JOST_MAX_ITER} sweeps.* rho = \(1\+1j\)"):
+                           match=r"not finite at rho = \(1\+1j\)"):
             jost_matrix(bad_prob, SpectralPoint(1.0 + 1.0j))
         assert spy.rows == [154]
 
@@ -572,69 +620,75 @@ class TestRegularMarch:
             assert matnorm(got[k] - ref[k]) <= 1e-12 * matnorm(ref[k])
 
 
-class TestJostSweep:
-    """The loop-free pieces of one Jost sweep against the sequential
-    forms they replace."""
-
-    RHOS = np.array([400j, 99.0, -99.0, 3 + 2j, 1e-3 + 1e-3j])
+class TestDirectSolve:
+    """The direct solve of the discrete Jost equations against the
+    successive approximation whose fixed point it is."""
 
     @staticmethod
-    def smooth(rng, N, cols):
-        # a smooth complex (N, cols, 2, 2) sample on [0, 1]
-        t = np.linspace(0.0, 1.0, N)[:, None, None, None]
-        c = rng.normal(size=(4, cols, 2, 2)) + 1j * rng.normal(size=(4, cols, 2, 2))
-        return (c[0] + c[1] * np.cos(3 * t + c[2].real)
-                + c[3] * np.exp(-((t - 0.4) / 0.3) ** 2))
+    def points():
+        # around both cut/circle joints at delta = 0: 24 nodes, 22
+        # distinct (the joints repeat), in 11 mirror pairs; tail points up
+        # to 400i
+        c = build_contour(r0=2.0, R=50.0, n_cut=32, n_circle=32, delta=0.0)
+        return np.concatenate([c.rhos[26:38], c.rhos[58:70], [50j, 400j]])
 
-    # N - 1 = 2, 3, 24, 25, 26, 300, 400: one chunk, chunk count and
-    # padding moving across a square, and the benchmark's grid sizes
-    @pytest.mark.parametrize("N", [3, 4, 25, 26, 27, 301, 401])
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_tail_integrals_match_sequential_recurrence(self, rng, N, shared):
-        rhos = self.RHOS
-        dx = 1.0 / (N - 1)
-        g = self.smooth(rng, N, 1 if shared else rhos.size)
-        J = _scaled_tail_integrals(g, rhos, dx)
-        assert J.shape == (N, rhos.size, 2, 2)
+    # N < 9 has no chunked scan; N = 9, 15, 41 and 301 scan N - 6 = 3, 9,
+    # 35 and 295 nodes in 2, 3, 6 and 17 chunks of 2, 3, 6 and 18, all
+    # but 15 with a padded first chunk
+    @pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 9, 15, 41, 301])
+    @pytest.mark.parametrize("tail", [False, True])
+    @pytest.mark.parametrize("complex_q", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_successive_approximation(self, rng, n, complex_q, tail,
+                                              N):
+        Q = rng.normal(scale=0.8, size=(N, n, n)).astype(complex)
+        if complex_q:
+            Q += 0.5j * rng.normal(size=Q.shape)
+        if tail:
+            Q[N // 2 + 1:] = 0.0
+        dx = 1.5 / (N - 1)
+        rhos = self.points()
+        E, Ep = _jost_scaled(Q, rhos, dx)
+        Ef, Epf = _jost_scaled(Q, rhos, dx, full=True)
+        assert E.shape == Ep.shape == (1, n, n, rhos.size)
+        assert Ef.shape == Epf.shape == (N, n, n, rhos.size)
+        assert_fixed_point(Q, Ef, rhos, dx)
+        e0 = np.moveaxis(E[0], -1, 0)
+        e0p = 1j * rhos[:, None, None] * e0 + np.moveaxis(Ep[0], -1, 0)
+        if N % 2:
+            # odd grids also go through _jost_at_zero: mirror pairs,
+            # repeats and the march over the support of Q
+            prob = Problem(potential=PotentialGrid(
+                np.linspace(0.0, 1.5, N), Q), bc=BoundaryCondition(
+                    A=np.eye(n, dtype=complex), h=np.zeros((n, n), complex)))
+            e0, e0p = _jost_at_zero(prob, rhos)
         for k, rho in enumerate(rhos):
-            ref = reference_scaled_tail_integrals(g[:, 0 if shared else k],
-                                                  rho, dx)
-            assert np.abs(J[:, k] - ref).max() <= 1e-13 * np.abs(ref).max()
-            assert np.all(J[-1, k] == 0.0)
+            r0, r0p = reference_jost_at_zero(Q, dx, rho)
+            assert matnorm(e0[k] - r0) <= 1e-13 * max(1.0, matnorm(r0))
+            assert matnorm(e0p[k] - r0p) <= 1e-13 * max(1.0, matnorm(r0p))
+            # the whole-grid solve gives the same x = 0 values
+            assert np.abs(Ef[0, ..., k] - E[0, ..., k]).max() <= 1e-13
+            assert (np.abs(Epf[0, ..., k] - Ep[0, ..., k]).max()
+                    <= 1e-13 * max(1.0, np.abs(Ep[0, ..., k]).max()))
+        assert np.array_equal(Ef[-1], np.broadcast_to(Ef[-1, ..., :1],
+                                                      Ef[-1].shape))
+        assert not Epf[-1].any()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_node_product_matches_stacked_matmul(self, rng, n):
-        # bitwise for a real-valued Q (every potential of the benchmark and
-        # the acceptance suite but one); for a complex Q the BLAS kernels
-        # of the two shapes round differently in the last bit
-        N, B = 41, 7
-        E = rng.normal(size=(N, B, n, n)) + 1j * rng.normal(size=(N, B, n, n))
-        Q = rng.normal(size=(N, n, n)).astype(complex)
-        for Q in (Q, Q + 1j * rng.normal(size=Q.shape)):
-            ref = Q[:, None] @ E
-            got = np.moveaxis(_node_product(Q, np.moveaxis(E, 1, -1)), -1, 1)
-            if np.any(Q.imag):
-                assert np.abs(got - ref).max() <= 4e-16 * n * np.abs(ref).max()
-            else:
-                assert np.array_equal(got, ref)
-
-    @pytest.mark.parametrize("N", [3, 26, 301])
-    def test_sweep_increment_matches_two_integral_form(self, rng, N):
-        # the cancelled endpoint terms against (S2 - S0) / (2 i rho) with
-        # np.gradient, relative to the two integrals it is the difference
-        # of (at rho = 1e-3 the difference is 500 times smaller than they)
-        rhos = self.RHOS
-        dx = 1.5 / (N - 1)
-        P = self.smooth(rng, N, rhos.size)
-        inc = _sweep_increment(np.moveaxis(P, 1, -1).copy(),
-                               *_sweep_factors(rhos, (N, 2, 2, rhos.size), dx),
-                               dx)
-        for k, rho in enumerate(rhos):
-            S2 = reference_scaled_tail_integrals(P[:, k], rho, dx)
-            S0 = tail_integrals(P[:, k], dx)
-            scale = (np.abs(S2).max() + np.abs(S0).max()) / abs(2 * rho)
-            assert np.abs(inc[..., k] - (S2 - S0) / (2j * rho)).max() <= 1e-13 * scale
-            assert np.all(inc[-1, ..., k] == 0.0)
+    def test_products_round_each_point_alone(self, rng, n):
+        # a stack of shared (size-one point axis) or per-point matrices
+        # times per-point ones: bit for bit as one point at a time, and
+        # matmul to rounding
+        B = 7
+        b = rng.normal(size=(5, n, n, B)) + 1j * rng.normal(size=(5, n, n, B))
+        for a in (rng.normal(size=(5, n, n, 1)) + 1j * rng.normal(size=(5, n, n, 1)),
+                  rng.normal(size=(5, n, n, B)) + 1j * rng.normal(size=(5, n, n, B))):
+            got = _pmm(a, b)
+            ref = np.moveaxis(np.moveaxis(a, -1, 1) @ np.moveaxis(b, -1, 1), 1, -1)
+            assert np.abs(got - ref).max() <= 4e-16 * n * np.abs(ref).max()
+            for j in range(B):
+                aj = a[..., j:j + 1] if a.shape[-1] == B else a
+                assert np.array_equal(got[..., j:j + 1], _pmm(aj, b[..., j:j + 1]))
 
 
 class TestJostSolution:
@@ -701,8 +755,8 @@ class TestJostSolution:
         rhos = np.concatenate([np.linspace(-99.0, 99.0, 12),
                                [50j, 400j, 3 + 2j]]).astype(complex)
         i = pot.index_of(x)
-        ref = 0.5 * _scaled_tail_integrals(pot.values[i:, None], rhos,
-                                           pot.dx)[0]
+        ref = 0.5 * np.stack([reference_scaled_tail_integrals(
+            pot.values[i:], rho, pot.dx)[0] for rho in rhos])
         got = omega(prob, x, rhos)
         assert got.shape == (rhos.size, n, n)
         scale = np.abs(ref).max(axis=(1, 2))

@@ -720,6 +720,25 @@ def _lstsq_irls(top, b, D1):
     return Z
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_lapack_tpqrt_resolves(rng, dtype):
+    # the tail fit (_tv_irls) takes ?tpqrt from scipy's LAPACK wrappers;
+    # scipy >= 1.13 is the declared floor, which the CI floors job pins.
+    # R of the pentagonal QR of [T; V] (T triangular, V full) is the R of
+    # the stacked matrix: R^H R = T^H T + V^H V
+    tpqrt = scipy.linalg.get_lapack_funcs("tpqrt", (np.zeros(1, dtype),))
+    assert tpqrt.typecode == ("d" if dtype == np.float64 else "z")
+    X = rng.normal(size=(9, 4)).astype(dtype)
+    if dtype == np.complex128:
+        X += 1j * rng.normal(size=X.shape)
+    T, V = np.triu(X[:4]), X[4:]
+    R, _, _, info = tpqrt(0, 2, T.copy(), V.copy())
+    assert info == 0
+    R = np.triu(R)
+    gram = T.conj().T @ T + V.conj().T @ V
+    assert np.abs(R.conj().T @ R - gram).max() <= 1e-13 * np.abs(gram).max()
+
+
 class TestBatchedTailFit:
     """The tail fit of a two-pass invert on the benchmark contour: the
     stacked system _tv_irls received and what it returned, against the
