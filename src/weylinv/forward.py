@@ -140,6 +140,21 @@ def transpose_problem(problem: Problem) -> Problem:
 # Jost solution
 # ---------------------------------------------------------------------------
 
+def _mm(a, b):
+    """a @ b for long stacks of small matrices, as one whole-stack
+    broadcast product per inner index.  numpy's matmul makes one BLAS
+    call per matrix of a stack, and for the 2n x 2n step maps that fixed
+    cost is most of the time (16 solve_regular calls on forward-matrix:
+    0.020-0.029 s with matmul throughout, 0.011-0.013 s with this for the
+    long stacks, one BLAS thread on a 2-core x86 host).  Short stacks are
+    faster with matmul (see _MM_MIN_STACK).  Every entry adds the same
+    products in the same order, so it rounds the same in any stack."""
+    out = a[..., :, :1] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
+
+
 def _pmm(a, b):
     """_mm over the axes (-3, -2) of arrays whose last axis is the points
     (a size-one last axis is shared by all of them)."""
@@ -173,8 +188,7 @@ def _jost_scan(K, KF, D, H, a, b, dx, keep=False):
     """
     M, n = K.shape[0], D.shape[0]
     L = math.isqrt(M - 1) + 1
-    C = -(-M // L)
-    pad = C * L - M
+    C, pad = -(-M // L), -M % L                  # pad = C L - M
     S = np.zeros((C, 2 * n, 3 * n, D.shape[-1]), dtype=complex)
     S[:, :, :2 * n] = np.eye(2 * n)[..., None]
     # step j runs in chunks c, c + 1, ...: chunk 0 waits out its padding
@@ -221,68 +235,81 @@ def _jost_scaled(Q, rhos, dx, names=None, full=False):
     solve per point gives Z.  Nodes m - 3 to 3 are _jost_scan's and the
     last three single steps, whose P give P'_0 for E'(0) = -J_0 less its
     endpoint terms: about 2 sqrt(T) steps (3 sqrt(T) if full).  Every
-    product is _pmm's, so each point rounds as it would alone.  A
-    singular I - c Q_i or a non-finite result raises ConvergenceError
-    naming the point's entry of names (rhos when None).
+    product is _pmm's, so each point rounds as it would alone.
+
+    A node with c |Q_i| >= 1/2 (dx^2 |Q_i| >= 6, where the periodicity
+    interval of Numerov's method, with the same factor I - c Q_i, ends;
+    |.| the max row-sum norm) marks a grid too coarse for Q: R_i grows
+    without bound as c |Q_i| nears 1, where I - c Q_i can be singular.
+    That, a singular end-slope system or a non-finite result raises
+    ConvergenceError naming the point's entry of names (rhos when None).
     """
     T, n = Q.shape[:2]
     m, c, B = T - 1, dx * dx / 12.0, rhos.size
     names = rhos if names is None else names
     # numpy rounds a complex product whose result is one element by another
-    # loop than longer ones, so a lone point is marched as two copies
+    # loop than longer ones, so a lone point is marched as two copies (seen
+    # on numpy 2.4.6; an assumption about numpy's inner loops, not checked
+    # on other versions)
     rhos = np.resize(rhos, max(B, 2))
     eye = np.eye(n, dtype=complex)[..., None]
     if not Q.any():                              # E = I and E' = 0 exactly
         shape = (T if full else 1, n, n, B)
         return np.broadcast_to(eye, shape).copy(), np.zeros(shape, complex)
+    cq = c * matnorm(Q)
+    if 0.5 <= cq < np.inf:              # a NaN or inf Q ends as not finite
+        raise ConvergenceError(f"Jost solve: (dx^2/12) |Q| = {cq:.3g} >= 0.5, "
+                               "the grid does not resolve Q; rho = "
+                               f"{complex(names[0])}", residual=float("inf"))
     two = 2j * rhos
     a, b = np.exp(two * dx), np.expm1(two * dx) / two
     xr = (np.arange(T) * dx)[:, None]          # x_m - x_i for row r = m - i
     d, w = np.exp(two * xr), -np.expm1(two * xr) / two
     Qm = np.broadcast_to(Q[-1, ..., None], (n, n, rhos.size))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            R = np.linalg.inv(eye[..., 0] - c * Q)
-            K = _mm(Q, R)[::-1, ..., None]               # row r is node m - r
-            f = eye - c * d[1:, None, None] * Qm        # f less its Z term
-            D0, H0 = 0.5 * dx * b * Qm, 0.5 * dx * Qm   # state of node m - 1
-            # nodes m - 1 and m - 2 with the response to Z beside the state
-            D, H = (np.concatenate([X, 0 * X], axis=1) for X in (D0, H0))
-            Pz = []
-            for r in (1, 2):
-                F = np.concatenate([_pmm(K[r], f[r - 1]), c * w[r] * K[r]],
-                                   axis=1)
-                D, H, Pr = _jost_step(D, H, K[r], F, a, b, dx)
-                Pz.append(Pr)
-            slope = (0.5 * Pz[1] - 2.0 * Pz[0]) / dx  # Z less 1.5 Q_m / dx
-            Z = np.moveaxis(np.linalg.solve(
-                np.moveaxis(eye - slope[:, n:], -1, 0),
-                np.moveaxis(slope[:, :n] + 1.5 * Qm / dx, -1, 0)), 0, -1)
-            f += c * w[1:, None, None] * Z
-            KF = _pmm(K[1:], f)
-            # the march, with the scan over rows 3 .. m - 3; kept holds the
-            # entry state and P of the single steps, and of all if full
-            D, H, kept = D0, H0, []
-            for r in [1, 2, *range(max(3, m - 2), m + 1)]:
-                if r > 3 and r == m - 2:
-                    D, H, rows = _jost_scan(K[3:r], KF[2:r - 1], D, H, a, b,
-                                            dx, full)
-                    kept.append(rows)
-                D1, H1, Pr = _jost_step(D, H, K[r], KF[r - 1], a, b, dx)
-                kept.append(np.stack([D, H, Pr])[None])
-                D, H = D1, H1
-            kept = np.concatenate(kept)[::-1]        # nodes 0, 1, 2, ...
-            k = m if full else 1                     # rows 0 .. k - 1
-            P = np.concatenate([kept[:, 2], Qm[None]])[:max(k + 1, 3)]
-            D, H = kept[:k, 0], kept[:k, 1]
-            E = _pmm(R[:k, ..., None], D + f[::-1][:k])
-            Ep = -(H + two * D + 0.5 * dx * P[:k] + c * (
-                np.gradient(P, dx, axis=0, edge_order=2)[:k] + two * P[:k]
-                - d[::-1][:k, None, None] * (Z + two * Qm)))
-    except np.linalg.LinAlgError:
-        raise ConvergenceError(
-            "Jost solve: I - (dx^2/12) Q is singular at a node; rho = "
-            f"{complex(names[0])}", residual=float("inf")) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = np.linalg.inv(eye[..., 0] - c * Q)
+        K = _mm(Q, R)[::-1, ..., None]               # row r is node m - r
+        f = eye - c * d[1:, None, None] * Qm        # f less its Z term
+        D0, H0 = 0.5 * dx * b * Qm, 0.5 * dx * Qm   # state of node m - 1
+        # nodes m - 1 and m - 2 with the response to Z beside the state
+        D, H = (np.concatenate([X, 0 * X], axis=1) for X in (D0, H0))
+        Pz = []
+        for r in (1, 2):
+            F = np.concatenate([_pmm(K[r], f[r - 1]), c * w[r] * K[r]], 1)
+            D, H, Pr = _jost_step(D, H, K[r], F, a, b, dx)
+            Pz.append(Pr)
+        slope = (0.5 * Pz[1] - 2.0 * Pz[0]) / dx
+        slope[:, :n] += 1.5 * Qm / dx   # Z = slope[:, :n] + slope[:, n:] Z
+        Mz = np.moveaxis(eye - slope[:, n:], -1, 0)
+        try:
+            Z = np.linalg.solve(Mz, np.moveaxis(slope[:, :n], -1, 0))
+        except np.linalg.LinAlgError:
+            k = np.argmin(np.abs(np.linalg.det(Mz[:B])))
+            raise ConvergenceError(
+                "Jost solve: the end-slope system is singular at rho = "
+                f"{complex(names[k])}", residual=float("inf")) from None
+        Z = np.moveaxis(Z, 0, -1)
+        f += c * w[1:, None, None] * Z
+        KF = _pmm(K[1:], f)
+        # the march, with the scan over rows 3 .. m - 3; kept holds the
+        # entry state and P of the single steps, and of all if full
+        D, H, kept = D0, H0, []
+        for r in [1, 2, *range(max(3, m - 2), m + 1)]:
+            if r > 3 and r == m - 2:
+                D, H, rows = _jost_scan(K[3:r], KF[2:r - 1], D, H, a, b,
+                                        dx, full)
+                kept.append(rows)
+            D1, H1, Pr = _jost_step(D, H, K[r], KF[r - 1], a, b, dx)
+            kept.append(np.stack([D, H, Pr])[None])
+            D, H = D1, H1
+        kept = np.concatenate(kept)[::-1]        # nodes 0, 1, 2, ...
+        k = m if full else 1                     # rows 0 .. k - 1
+        P = np.concatenate([kept[:, 2], Qm[None]])[:max(k + 1, 3)]
+        D, H = kept[:k, 0], kept[:k, 1]
+        E = _pmm(R[:k, ..., None], D + f[::-1][:k])
+        Ep = -(H + two * D + 0.5 * dx * P[:k] + c * (
+            np.gradient(P, dx, axis=0, edge_order=2)[:k] + two * P[:k]
+            - d[::-1][:k, None, None] * (Z + two * Qm)))
     if full:
         E = np.concatenate([E, np.broadcast_to(eye, (1,) + E.shape[1:])])
         Ep = np.concatenate([Ep, np.zeros((1,) + Ep.shape[1:])])
@@ -298,9 +325,8 @@ def _scaled_integral_at_start(g, rhos, dx):
     """int_0^X exp(2 i rho t) g(t) dt for sampled g, (n, n, B): the
     trapezoid sum of g times a^k = exp(2 i rho k dx) (|a| <= 1), plus the
     4th-order endpoint terms with one-sided 3-point slopes of g."""
-    N = g.shape[0]
-    pw = np.exp(2j * rhos * (np.arange(N) * dx)[:, None])[:, None, None]
-    wt = np.full((N, 1, 1, 1), dx)
+    pw = np.exp(2j * rhos * (np.arange(g.shape[0]) * dx)[:, None])[:, None, None]
+    wt = np.full((g.shape[0], 1, 1, 1), dx)
     wt[0] = wt[-1] = 0.5 * dx
     d0 = (-1.5 * g[0] + 2.0 * g[1] - 0.5 * g[2]) / dx
     dN = (0.5 * g[-3] - 2.0 * g[-2] + 1.5 * g[-1]) / dx
@@ -350,8 +376,7 @@ def _jost_at_zero(problem: Problem, rhos):
     B = max(1, _BLOCK_BYTES // (16 * T * n * n))
     P = march.size
     C = min(P, max(1, (2 * P + B) // (2 * B)))  # P / B rounded half up
-    e0 = np.empty((P, n, n), dtype=complex)
-    e0p = np.empty_like(e0)
+    e0, e0p = np.empty((2, P, n, n), dtype=complex)
     for k in range(C):
         blk = slice(k * P // C, (k + 1) * P // C)
         r = march[blk]
@@ -362,8 +387,7 @@ def _jost_at_zero(problem: Problem, rhos):
         e0[blk] = np.moveaxis(E[0], -1, 0)
         e0p[blk] = 1j * r[:, None, None] * e0[blk] + np.moveaxis(Ep[0], -1, 0)
     e0, e0p = e0[where], e0p[where]
-    e0[flip] = e0[flip].conj()
-    e0p[flip] = e0p[flip].conj()
+    e0[flip], e0p[flip] = e0[flip].conj(), e0p[flip].conj()
     return e0, e0p
 
 
@@ -371,17 +395,14 @@ def solve_jost(problem: Problem, pt: SpectralPoint) -> MatrixWave:
     """Jost solution e(., rho) and e'(., rho) on the potential grid.
 
     Q is treated as zero beyond x_max, where e = exp(i rho x) I holds
-    exactly.  Raises ConvergenceError if the discrete equations have no
-    finite solution (see _jost_scaled).
+    exactly.  Raises ConvergenceError if the grid is too coarse for Q or
+    the discrete equations have no finite solution (see _jost_scaled).
     """
-    rho = pt.rho
-    pot = problem.potential
+    rho, pot = pt.rho, problem.potential
     E, Ep = _jost_scaled(pot.values, np.array([rho]), pot.dx, full=True)
     phase = np.exp(1j * rho * pot.x_nodes)[:, None, None]
-    value = E[..., 0] * phase
-    derivative = (1j * rho * E[..., 0] + Ep[..., 0]) * phase
-    return MatrixWave(grid=pot.x_nodes, value=value, derivative=derivative,
-                      at=pt)
+    return MatrixWave(grid=pot.x_nodes, value=E[..., 0] * phase, at=pt,
+                      derivative=(1j * rho * E[..., 0] + Ep[..., 0]) * phase)
 
 
 def jost_matrix(problem: Problem, pt: SpectralPoint) -> np.ndarray:
@@ -395,8 +416,8 @@ def omega(problem: Problem, x: float, rhos) -> np.ndarray:
     rhos is one value, giving an (n, n) matrix, or an array, giving one
     matrix per entry.  A direct sum over the suffix [x, X] for all rho at
     once: the trapezoid rule plus the endpoint correction
-    (dx^2/12)(f'(x) - f'(X)) of the Jost solver's backward recurrence,
-    which it matches to rounding.
+    (dx^2/12)(f'(x) - f'(X)), with one-sided 3-point slopes
+    (_scaled_integral_at_start).
     """
     pot = problem.potential
     rhos = np.asarray(rhos, dtype=complex)
@@ -420,21 +441,6 @@ def kappa(problem: Problem, rhos) -> np.ndarray:
 # are summed at; larger W are scaled by 4^-m and doubled back m times.
 _STEP_TAYLOR_TOL = 1e-17
 _STEP_NORM_MAX = 0.25
-
-
-def _mm(a, b):
-    """a @ b for long stacks of small matrices, as one whole-stack
-    broadcast product per inner index.  numpy's matmul makes one BLAS
-    call per matrix of a stack, and for the 2n x 2n step maps that fixed
-    cost is most of the time (16 solve_regular calls on forward-matrix:
-    0.020-0.029 s with matmul throughout, 0.011-0.013 s with this for the
-    long stacks, one BLAS thread on a 2-core x86 host).  Short stacks are
-    faster with matmul (see _MM_MIN_STACK).  Every entry adds the same
-    products in the same order, so it rounds the same in any stack."""
-    out = a[..., :, :1] * b[..., None, 0, :]
-    for k in range(1, a.shape[-1]):
-        out += a[..., :, k, None] * b[..., None, k, :]
-    return out
 
 
 # Shortest stack that _prefix_apply multiplies by _mm.  One BLAS thread on a

@@ -432,18 +432,18 @@ class TestExitCodes:
         assert rc == EXIT_NUMERICAL
         assert "q_pass_change" in caplog.text
 
-    def test_singular_jost_node_is_numerical_failure(self, tmp_path, caplog):
-        # dx = 0.5: I - (dx^2/12) Q is exactly singular at Q = 48, and the
-        # error names a point (a non-finite Q is a config error before it
-        # reaches the solver)
+    def test_unresolved_jost_node_is_numerical_failure(self, tmp_path, caplog):
+        # dx = 0.5: (dx^2/12) |Q| = 0.83 at Q = 40, a grid too coarse for
+        # Q, and the error names a point (a non-finite Q is a config error
+        # before it reaches the solver)
         cfg = copy.deepcopy(SCALAR_BOX)
         cfg["problem"]["potential"] = {"kind": "table",
                                        "x": [0.0, 0.5, 1.0, 1.5, 2.0],
-                                       "values": [0.3, 48.0, 0.3, 0.0, 0.0]}
+                                       "values": [0.3, 40.0, 0.3, 0.0, 0.0]}
         rc = main(["forward", "--config", write_cfg(tmp_path / "c.json", cfg),
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_NUMERICAL
-        assert re.search(r"ConvergenceError: .* singular at a node; rho = \S",
+        assert re.search(r"ConvergenceError: .* does not resolve Q; rho = \S",
                          caplog.text)
 
     @pytest.mark.parametrize("code, errors", [

@@ -264,24 +264,49 @@ class TestBatchedJost:
         with pytest.raises(ConvergenceError, match=r"rho = \(1\+1j\)"):
             solve_jost(bad, SpectralPoint(1.0 + 1.0j))
 
+    @pytest.mark.parametrize("q", [40.0, 48.0])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_singular_node_raises(self, n):
-        # dx = 0.5: I - (dx^2/12) Q is exactly singular where Q has the
-        # eigenvalue 48
+    def test_unresolved_node_raises(self, n, q):
+        # dx = 0.5: (dx^2/12) |Q| = 0.83 at Q = 40 (where successive
+        # approximation did not converge either) and 1 at Q = 48, where
+        # I - (dx^2/12) Q is exactly singular
         c = 0.5 * 0.5 / 12.0
-        assert 1.0 - c * 48.0 == 0.0
+        assert q < 48.0 or 1.0 - c * q == 0.0
         vals = np.zeros((5, n, n), dtype=complex)
-        vals[1, 0, 0] = 48.0
+        vals[1, 0, 0] = q
         bad = Problem(potential=PotentialGrid(np.linspace(0.0, 2.0, 5), vals),
                       bc=BoundaryCondition(A=np.eye(n, dtype=complex),
                                            h=np.zeros((n, n), complex)))
         # marched as its mirror 2 + 1j, named as passed
-        with pytest.raises(ConvergenceError,
-                           match=r"singular at a node; rho = \(-2\+1j\)") as err:
+        with pytest.raises(ConvergenceError, match=r"does not resolve Q; "
+                           r"rho = \(-2\+1j\)") as err:
             weyl_matrix(bad, SpectralPoint(-2.0 + 1.0j))
         assert err.value.residual == np.inf
-        with pytest.raises(ConvergenceError, match="singular"):
+        with pytest.raises(ConvergenceError, match="does not resolve Q"):
             solve_jost(bad, SpectralPoint(3.0 + 1.0j))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_node_below_the_resolution_limit_solves(self, n):
+        # (dx^2/12) |Q| = 0.479 < 0.5: solved, and equal to successive
+        # approximation
+        Q = np.zeros((5, n, n), dtype=complex)
+        Q[1, 0, 0] = 23.0
+        rhos = np.array([2.0 + 1.0j, 0.1 + 0.01j, 50.0 + 0j, 400j])
+        E, Ep = _jost_scaled(Q, rhos, 0.5, full=True)
+        assert_fixed_point(Q, E, rhos, 0.5)
+        for k, rho in enumerate(rhos):
+            r0, _ = reference_jost_at_zero(Q, 0.5, rho)
+            assert matnorm(E[0, ..., k] - r0) <= 1e-13 * max(1.0, matnorm(r0))
+
+    def test_singular_end_slope_system_raises(self, monkeypatch):
+        # a singular end-slope system names the point too, not LinAlgError
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConvergenceError, match=r"end-slope system is "
+                           r"singular at rho = \(-2\+1j\)") as err:
+            weyl_matrix(scalar_box_problem(nodes=41), SpectralPoint(-2.0 + 1.0j))
+        assert err.value.residual == np.inf
 
     def test_point_at_jost_zero_raises(self):
         # Q = 0, A = 1, h = -2: J(rho) = i rho + 2 vanishes at rho = 2i,
