@@ -88,13 +88,17 @@ COND_LIMIT = 1e10
 # Memory budget of one (T, n, n, B) complex array of the Jost march over
 # T = _march_length(Q) rows; B is the most points that fit it, and
 # _jost_at_zero splits its points into blocks of about B.  A block holds
-# two such arrays (the forcing f and K f of _jost_scaled).  Measured on
-# forward-matrix, where T = N = 301 and B = 13 (8 problems of seed 11,
-# generate_weyl_data and check_m_equals_mstar, one BLAS thread, 12
-# alternated in-process rounds, 2-core x86 host): 512 KiB and 1 MiB read
-# median paired ratios of 0.88 and 0.83, winning all 12, but raised the
-# loop's peak RSS by 2.2 and 4.3 MB against 1.4 MB here; 128 KiB read 1.57.
-_BLOCK_BYTES = 256 * 1024
+# two such arrays (the forcing f and K f of _jost_scaled).  On
+# forward-matrix, where T = N = 301, B is 54 and its 55 distinct points
+# march as one block (4 blocks at 256 KiB, B = 13).  perfbench on a 2-core
+# x86 host, one BLAS thread, 3 alternated 20-s pairs, 256 KiB -> 1 MiB:
+# forward_s 0.0138 -> 0.0097, 0.0141 -> 0.0097 and 0.0133 -> 0.0096 s,
+# invert_or_certify_s 0.0215 -> 0.0210, 0.0220 -> 0.0209 and
+# 0.0215 -> 0.0205 s, peak_rss_mb 66.97-67.09 -> 67.46-67.65 MB.  In
+# process (8 problems of seed 11, 12 alternated rounds) 512 KiB and 1 MiB
+# read median paired ratios of 0.88 and 0.83 against 256 KiB, winning all
+# 12; 128 KiB read 1.57.
+_BLOCK_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,10 @@ keeps the system well scaled along the unbounded cut.
 For a real problem, M(conj lam) = conj M(lam), and on build_contour's
 contour, its own mirror image under lam -> conj lam, the main equation
 maps to itself under the mirror with conjugation: phi(x, conj lam) =
-conj phi(x, lam).  Whether the data are mirror-symmetric bit for bit
-(_mirror_symmetric, over the contour, the tail and the probes) is decided
-once per inversion, in _Assembler.real_system, and every mirror shortcut
-takes that decision: each x-slice is solved as an equivalent real system
-of order K n, assembled from the rows of the first half of the nodes,
-with a real probe gain and real probe values; the tail fit between the
-passes is solved over real unknowns and the extension evaluated at half
-its nodes (_tail_extension).  Q and h then come out real.  Other data
-keep the complex system of order K n over all nodes and the complex fit.
+conj phi(x, lam).  Mirror-symmetric data (_mirror_symmetric, decided once
+in _Assembler.real_system) take an equivalent real system of order K n
+on the rows of half the nodes and a real tail fit, so Q and h come out
+real; other data keep the complex system over all nodes.
 """
 
 from __future__ import annotations
@@ -548,13 +543,11 @@ def _mirror_symmetric(weyl: WeylData, A, probes) -> bool:
     """Whether the data are their own mirror image under lambda ->
     conj lambda, bit for bit: the contour's rhos, weights and samples
     are in the mirror layout (_is_mirror: node K-1-k is -conj rho_k, with
-    the weight -conj w_k and the sample conj M_k), every tail
-    point is its own mirror (Re rho = 0) with a real sample, A is real,
-    and every probe is its own mirror (Re rho = 0, lambda < 0).  Then the
-    main equation maps to itself under the mirror with conjugation, and
-    so does its solution: phi(x, conj lambda) = conj phi(x, lambda); so
-    do the tail fit and the extension of a real prior.  An empty tail
-    passes."""
+    the weight -conj w_k and the sample conj M_k), every tail point is its
+    own mirror (Re rho = 0) with a real sample, A is real, and every probe
+    is its own mirror (Re rho = 0, lambda < 0).  Then phi(x, conj lambda)
+    = conj phi(x, lambda), and the tail fit and the extension of a real
+    prior mirror too.  An empty tail passes."""
     tail_rhos = np.array([pt.rho for pt, _ in weyl.tail_samples], complex)
     tail_M = np.array([m for _, m in weyl.tail_samples], complex)
     return (_is_mirror(weyl.contour.rhos, negate=True)
@@ -573,13 +566,13 @@ class _Assembler:
     at the lambda probes) and, once extend() is called, the row nodes x
     extension (the Born tail source at both).
 
-    For mirror-symmetric data (_mirror_symmetric, evaluated once here and
-    recorded in real_system, which invert hands on to the tail step),
-    node K-1-k is the mirror of node k and its unknown the conjugate of
-    node k's.  Only the first ceil(K/2) nodes are then row
-    nodes, and each slice is solved as the equivalent real system of
-    order K n: with H the first K/2 nodes, B1 = B[H, H] and
-    B2 = B[H, mirror(H)], over the unknowns (Re psi_H, Im psi_H),
+    For mirror-symmetric data (_mirror_symmetric, decided once here in
+    real_system, which invert hands on to the tail step), node K-1-k is
+    the mirror of node k and its unknown the conjugate of node k's.  Only
+    the first ceil(K/2) nodes are then row nodes, and each slice is
+    solved as the equivalent real system of order K n: with H the first
+    K/2 nodes, B1 = B[H, H] and B2 = B[H, mirror(H)], over the unknowns
+    (Re psi_H, Im psi_H),
 
         [[Re(B1 + B2), -Im(B1 - B2)],     [Re rhs_H]
          [Im(B1 + B2),  Re(B1 - B2)]]  =  [Im rhs_H],
@@ -587,10 +580,9 @@ class _Assembler:
     and a probe row is [Re(L1 + L2), -Im(L1 - L2)]: its imaginary half
     vanishes for a probe on its own mirror.  A self-mirror node (the
     theta = pi node of an odd circle) has one real unknown, Re psi, and
-    one real equation.  The node factors, the fill, the sources and the
-    LU are halved or real, the gain G = L B^-1 is real, and so are the
-    probe values phi(x, lambda_j).  Other data take the complex system of
-    order K n over all K nodes.
+    one real equation.  The node factors, fill, sources and LU are halved
+    or real, and so are the gain G = L B^-1 and the probe values.  Other
+    data take the complex system of order K n over all K nodes.
 
     The fill keeps its own column order (_order, _contour_cols and the
     scatter in solve), not the contour's mirror layout (_mirror_fill):
@@ -599,24 +591,23 @@ class _Assembler:
     slices of the same width.  Filling in contour order and reading the
     mirror columns reversed in _real_form gives the same bits but is
     slower: the node factors and fill of a 4-slice roundtrip-matrix block
-    took 4.3-5.9 ms against 3.6-3.9 ms (medians of three runs of 400 on
-    a 2-core x86 host, one BLAS thread).
+    took 4.3-5.9 ms against 3.6-3.9 ms (medians of 3 runs of 400, 2-core
+    x86 host, one BLAS thread).
 
     The x-grid is worked through in blocks of as many slices as fit their
-    B and L rows into _BLOCK_BYTES, at most _BLOCK_SLICES (8 on the scalar
-    benchmark contour, 4 on the matrix one), each array with a leading
-    block axis.  Per block,
-    the node factors are evaluated once, _factor() fills B and L with one
-    batched product, the Born source is one product with a Cauchy matrix,
-    and read_probes() reads the probes off the gains with one batched
-    product.  The LU, its condition check and the gain stay per slice.
+    B and L rows into _BLOCK_BYTES, at most _BLOCK_SLICES, each array
+    with a leading block axis.  read_probes() evaluates the coincident
+    pairs once at all its xs (_pairs).  Per block, the node factors are
+    evaluated once, and the fill of B and L (_factor), the Born source
+    and the probe reads are one batched product each.  Per slice, B^T is
+    factored in place by LAPACK routines resolved once for the system's
+    dtype (_lapack), with no copy and no Python checks under the GIL.
     The blocks run concurrently (_map_blocks on _slice_workers threads);
     slices are independent, so the results do not depend on the thread
     count, and errors are reported in x order.  solve() runs the same
     routine on one slice and returns phi at all K nodes; phi_at()
-    interpolates a solution through the same _SeparableD.apply, on grids
-    built for the call, and residual() checks a solution with it at cut
-    midpoints.
+    interpolates a solution through _SeparableD.apply, on grids built for
+    the call, and residual() checks a solution with it at cut midpoints.
 
     extend() adds synthetic cut nodes beyond the data truncation.  Their
     unknowns are replaced by the model solution (a Born approximation,
@@ -645,10 +636,8 @@ class _Assembler:
         self._MhatAP = self.Mhat @ np.hstack([self.A, self.Ap])
         self.MhatA, self.MhatP = self._MhatAP[..., :n], self._MhatAP[..., n:]
         # equilibration weights W_k = A + i rho_k A_perp and inverses
-        self.W = (self.A[None, :, :]
-                  + (1j * self.rhos)[:, None, None] * self.Ap[None, :, :])
-        self.Winv = (self.A[None, :, :]
-                     + (1.0 / (1j * self.rhos))[:, None, None] * self.Ap[None, :, :])
+        self.W = self.A + (1j * self.rhos)[:, None, None] * self.Ap
+        self.Winv = self.A + (1.0 / (1j * self.rhos))[:, None, None] * self.Ap
         # the row nodes: the probe rhos follow the contour rows in every
         # per-slice array
         self._nodes = np.concatenate([self.rhos[:self._nk], probes])
@@ -659,6 +648,13 @@ class _Assembler:
         if self.real_system:
             self._order[self._nk:] = self._order[:self._nk - 1:-1]
         self._D_nodes = _SeparableD(self._nodes, self.rhos[self._order])
+        # the i rho_j of B's rows on the cP of the coincident pairs (_pairs)
+        j, _ = self._D_nodes.near
+        self._pair_scale = np.where(j < self._nk, 1j * self._nodes[j], 1.0)
+        # ?getrf, ?gecon and ?getrs of the system's dtype (_factor)
+        self._lapack = scipy.linalg.get_lapack_funcs(
+            ("getrf", "gecon", "getrs"),
+            dtype=float if self.real_system else complex)
         # Block (j, k) of the Nystrom matrix is Winv_k (delta_jk I + R_jk) W_j.
         # As A A_perp = 0 and Winv_k W_k = I, it equals
         # delta_jk I + cA_jk FA_k + i rho_j cP_jk FP_k, where
@@ -789,18 +785,28 @@ class _Assembler:
             bot[:, :, h] = re[:, :, h]
         return out.reshape(X, -1, K * n)
 
-    def _factor(self, xs, rows, cols, cond_limit):
+    def _pairs(self, xs):
+        """cA and cP (2, X, pairs) of the coincident pairs of the fill
+        (_D_nodes.near) at every x of xs, cP with the i rho_j of B's rows.
+        Elementwise: a slice of xs has the bits of its x alone."""
+        j, k = self._D_nodes.near
+        with np.errstate(over="ignore", invalid="ignore"):
+            cA, cP = _model_D_coeffs(xs[:, None], self._nodes[j],
+                                     self._D_nodes.taus[k])
+            return np.stack([cA, self._pair_scale * cP])
+
+    def _factor(self, xs, rows, cols, pairs, cond_limit):
         """Fill B over L for every x of xs, (X, J n, K n): the row factors
         R (X, J, 6) of the row nodes, with i rho_j on the cP terms of B's
         rows, times the contour column factors cols (X, 6, K, in the
         column order of the fill) times FA (i < 2) or FP (i >= 2), in one
-        batched product, times C; the coincident pairs from the direct
-        closed form, then the identity on B; for the real system, its
-        real form (_real_form).  Then,
-        slice by slice in x order within the block, check that B and L
-        are finite, LU-factor B and check its reciprocal 1-norm condition
-        number (of the real form, for the real system) against
-        cond_limit.  Yields the LU factors, rcond and L of each slice."""
+        batched product, times C; the coincident pairs from pairs (_pairs
+        at xs), then the identity on B; for the real system, its real form
+        (_real_form).  Then, slice by slice in x order, check that B and L
+        are finite and factor B^T in place (B's rows are C-ordered, so
+        ?getrf takes B^T uncopied); rcond_1(B) = rcond_inf(B^T), by ?gecon
+        on its factors, is checked against cond_limit, and so is a
+        singular factor (info > 0).  Yields B^T's factors, rcond and L."""
         K, n, nk = self.K, self.n, self._nk
         X, _, J = rows.shape
         Kn = K * n
@@ -815,9 +821,7 @@ class _Assembler:
             BL = (R @ T.reshape(X, 6, -1)).reshape(X, J, n, K, n)
             BL *= self._D_nodes.C[:, None, :, None]
             j, k = self._D_nodes.near
-            cA, cP = _model_D_coeffs(xs[:, None], self._nodes[j],
-                                     self._D_nodes.taus[k])
-            cP = np.where(j < nk, 1j * self._nodes[j], 1.0) * cP
+            cA, cP = pairs
             # indexing at [:, j, :, k] puts the pairs first
             BL[:, j, :, k] = (
                 cA.T[..., None, None] * self._FA[k, None]
@@ -830,13 +834,13 @@ class _Assembler:
             # the 1-norm of each B: NaN or inf if B is not finite
             norms = np.abs(BL[:, :Kn]).sum(axis=1).max(axis=1)
         finite = np.isfinite(norms) & np.isfinite(BL[:, Kn:]).all(axis=(1, 2))
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (BL,))
+        getrf, gecon, _ = self._lapack
         for x, ok, norm, S in zip(xs, finite, norms, BL):
             if not ok:
                 raise ReconstructionError(
                     f"main-equation system not finite at x = {x:.6g}")
-            lu, piv = scipy.linalg.lu_factor(S[:Kn], check_finite=False)
-            rcond, _ = gecon(lu, norm)
+            lu, piv, info = getrf(S[:Kn].T, overwrite_a=1)
+            rcond = gecon(lu, norm, norm="I")[0] if info == 0 else 0.0
             # written so that a NaN rcond fails too
             if not (rcond > 0 and 1.0 / rcond <= cond_limit):
                 raise ReconstructionError(
@@ -855,9 +859,11 @@ class _Assembler:
         rows, cols = _node_factors(self._nodes, xs)
         node_cols = self._contour_cols(cols)
         with _one_blas_thread():
-            (fac, rcond, _), = self._factor(xs, rows, node_cols, cond_limit)
+            ((lu, piv), rcond, _), = self._factor(
+                xs, rows, node_cols, self._pairs(xs), cond_limit)
             _, rhs = self._source(xs, rows, cols)
-            X = scipy.linalg.lu_solve(fac, rhs[0], check_finite=False)
+            # B X = rhs: trans 'T' on the factors of B^T
+            X = self._lapack[2](lu, piv, rhs[0], trans=1)[0]
         if self.real_system:
             h = K // 2
             X, V = X[:nk * n] + 0j, X[nk * n:]
@@ -876,33 +882,34 @@ class _Assembler:
                     gains=None):
         """phi(x, lambda_j) at the probes for every x of xs, (X, J, n, n):
         F - G rhs, with the current extension in the source F and the
-        right-hand side.  Without gains, each slice is factored first
-        (_factor) and its gain G = L B^-1 kept, from one transposed solve
-        with J n right-hand sides; G and the values are real for the real
-        system.  The
-        blocks run concurrently on _slice_workers threads, recorded in
-        slice_workers, with every loaded OpenBLAS at one thread
-        (_one_blas_thread); errors are reported in x order.  Returns the
-        values, the gains (X, J n, K n) and the rconds (None when the
-        gains were given)."""
+        right-hand side.  Without gains, the coincident pairs are
+        evaluated at all of xs once (_pairs), each slice is factored
+        (_factor) and its gain G = L B^-1 kept, from G^T = B^-T L^T by one
+        ?getrs on B^T's factors; G and the values are real on the real
+        system.  The blocks run on _slice_workers threads (recorded in
+        slice_workers), every loaded OpenBLAS at one thread; errors come
+        in x order.  Returns the values, the gains (X, J n, K n) and the
+        rconds (None when the gains were given)."""
         xs = np.asarray(xs, dtype=float)
         rcond = None
         if gains is None:
-            Kn = self.K * self.n
             gains = np.empty((xs.size, (self._nodes.size - self._nk) * self.n,
-                              Kn), dtype=float if self.real_system else complex)
+                              self.K * self.n),
+                             dtype=float if self.real_system else complex)
             rcond = np.empty(xs.size)
+            pairs = self._pairs(xs)
+            getrs = self._lapack[2]
 
         def read(s):
             # each block writes the gains and rconds of its own slices
             blk = slice(s, s + self._block)
             rows, cols = _node_factors(self._nodes, xs[blk])
             if rcond is not None:
-                for i, (fac, rc, L) in enumerate(self._factor(
-                        xs[blk], rows, self._contour_cols(cols), cond_limit)):
+                for i, ((lu, piv), rc, L) in enumerate(self._factor(
+                        xs[blk], rows, self._contour_cols(cols),
+                        pairs[:, blk], cond_limit)):
                     rcond[s + i] = rc
-                    gains[s + i] = scipy.linalg.lu_solve(
-                        fac, L.T, trans=1, check_finite=False).T
+                    gains[s + i] = getrs(lu, piv, L.T, overwrite_b=1)[0].T
             F, rhs = self._source(xs[blk], rows, cols)
             return F - np.swapaxes((gains[blk] @ rhs).reshape(F.shape), -1, -2)
 
@@ -1055,10 +1062,10 @@ def _tail_extension(weyl: WeylData, A, Q_prior: PotentialGrid, real: bool):
         M - M~ = (A + i rho A_perp) (h - 2 kappa(rho)) (A/(i rho) - A_perp) / (i rho),
 
     of the fitted problem at them, followed by the fit's relative data
-    misfit.  real is _Assembler.real_system: for its mirror-symmetric data
-    and the real Q it returns, the fit is real, and so is A, so kappa and
-    the deviation are evaluated at the first ceil(E/2) nodes and completed
-    onto the mirrors (_mirror_fill), as _Assembler.extend requires.
+    misfit.  real is _Assembler.real_system: for its data and the real Q
+    it returns, the fit and A are real, so kappa and the deviation are
+    evaluated at the first ceil(E/2) nodes and completed onto the mirrors
+    (_mirror_fill), as _Assembler.extend requires.
     """
     rhos, w = extension_nodes(weyl.contour, _TAIL_EXTENSION_FACTOR)
     Q_fit, h_fit, misfit = _fit_tail_model(weyl, A, Q_prior, real)
@@ -1108,14 +1115,12 @@ def _fit_tail_model(weyl: WeylData, A, Q_prior: PotentialGrid, real: bool):
     the truncation radius; it is a coarse estimate of Q only, never the
     reconstruction itself.
 
-    real is _Assembler.real_system: for mirror-symmetric data
-    (_mirror_symmetric, whose tail points are their own mirrors with real
-    samples) and a real prior, which the real system returns, the rows of
-    rho and -conj rho are conjugates and the anchor rows real, so the
-    unique minimizer is real.  The fit is then solved over real
-    unknowns, with each data row split into its real and imaginary parts
-    (the same misfit for real z), the real part of the anchor rows and
-    real arithmetic throughout.  Otherwise it keeps the complex rows.
+    real is _Assembler.real_system: for its data (tail points their own
+    mirrors, with real samples) and the real prior it returns, the rows
+    of rho and -conj rho are conjugates and the anchor rows real, so the
+    unique minimizer is real, and the fit is solved over real unknowns,
+    each data row split into its real and imaginary parts (the same
+    misfit for real z).  Otherwise it keeps the complex rows.
 
     Returns (Q, h) and the relative misfit of the (row-weighted) data
     rows.  Data rows that are not finite raise DataQualityError; anchor
@@ -1363,31 +1368,29 @@ def invert(weyl: WeylData, config: InvertConfig) -> ReconstructionResult:
     """Run the reconstruction pipeline on measured Weyl data.
 
     The x-grid is worked through in blocks of slices
-    (_Assembler.read_probes, under a private 2.5 MB budget).  Pass 1 fills,
-    LU-factors and checks every slice once and keeps only its probe gain
-    ((J n) x (K n) per slice, about 8 MB at the criterion-6 matrix size).
-    Whether the data are mirror-symmetric (real potential and boundary
-    data sampled on build_contour's mirror-symmetric contour and on the
-    imaginary axis, probes with lambda < 0) is decided once
-    (_Assembler.real_system), and every step takes that decision: each
-    slice is then solved as an equivalent real system of order K n on the
-    rows of half the contour nodes, with a real gain and real probe
-    values, and the tail fit between the passes is solved over real
-    unknowns, with the extension evaluated at half its nodes; Q and h
-    come out real.  Other data take the complex system over all nodes and
-    the complex fit.  Every pass reads the probe values off the gains and
-    its own right-hand side, which alone carries the tail extension,
-    fitted to the previous pass's Q (_tail_extension).  The blocks run
-    concurrently; errors are reported in x order.  Every loaded OpenBLAS
-    runs at one thread for the duration (_one_blas_thread), so every
-    result is the same for any thread count, of the blocks or of BLAS.
+    (_Assembler.read_probes, under a private 2.5 MB budget).  Pass 1 fills
+    every slice once, factors its B^T in place, checks it and keeps only
+    its probe gain ((J n) x (K n) per slice, about 8 MB at the
+    criterion-6 matrix size).  Mirror-symmetric data (real potential and
+    boundary data sampled on build_contour's contour and on the imaginary
+    axis, probes with lambda < 0; _Assembler.real_system) take the real
+    system of order K n, with real gains and probe values, and the real
+    tail fit between the passes; Q and h come out real.  Other data take
+    the complex system over all nodes and the complex fit.  Every pass
+    reads the probe values off the gains and its own right-hand side,
+    which alone carries the tail extension, fitted to the previous pass's
+    Q (_tail_extension).  The blocks run concurrently; errors are reported
+    in x order.  Every loaded OpenBLAS runs at one thread for the duration
+    (_one_blas_thread), so every result is the same for any thread count,
+    of the blocks or of BLAS.
     Diagnostics: main_equation_residual (of the middle slice, solved
     after the last pass), min_rcond and min_rcond_x (the worst-conditioned
-    Nystrom system; for the real system, the reciprocal 1-norm condition
-    number of the real system: a unitary change of basis of the complex
-    one, up to scale, so of the same 2-norm condition number and a 1-norm
-    one at most 2 times the complex system's, 4 times with a self-mirror
-    node), phi_filled_nodes (x-nodes
+    Nystrom system: rcond_1(B), read off B^T's factors in the infinity
+    norm; for the real system, of its real form, a unitary change of basis
+    of the complex one up to scale: the same 2-norm condition number, a
+    1-norm one at most 2 times the complex one's, 4 with a self-mirror
+    node),
+    phi_filled_nodes (x-nodes
     where phi was rejected at every probe and filled in, last pass),
     q_pass_change (relative L1 change of Q over the last pass, 0 for one
     pass; above _Q_PASS_CHANGE_LIMIT = 1 the passes do not converge and

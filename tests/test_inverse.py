@@ -3,6 +3,7 @@
 import os
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -256,6 +257,39 @@ def _factors_at(grid, x):
     return _node_factors(grid.rhos, [x])[0], _node_factors(grid.taus, [x])[1]
 
 
+def _patch_lapack(mp, **wrap):
+    """Resolve the ?getrf, ?gecon and ?getrs of every _Assembler built
+    under mp as wrap[name](the routine) for the names given."""
+    real = scipy.linalg.get_lapack_funcs
+
+    def resolve(names, *args, **kwargs):
+        funcs = real(names, *args, **kwargs)
+        if isinstance(names, str):
+            return funcs
+        return [wrap[nm](f) if nm in wrap else f for nm, f in zip(names, funcs)]
+
+    mp.setattr(scipy.linalg, "get_lapack_funcs", resolve)
+
+
+def _factored(mp):
+    """The (shape, dtype) of every matrix the ?getrf of an _Assembler built
+    under mp receives, each checked to be Fortran-ordered and factored in
+    place (the factors are the array passed in)."""
+    seen = []
+
+    def wrap(getrf):
+        def spy(a, **kwargs):
+            assert a.flags.f_contiguous and kwargs == {"overwrite_a": 1}
+            lu, piv, info = getrf(a, **kwargs)
+            assert lu is a
+            seen.append((a.shape, a.dtype))
+            return lu, piv, info
+        return spy
+
+    _patch_lapack(mp, getrf=wrap)
+    return seen
+
+
 def _grid_coeffs(grid, x):
     """(cA, cP) of a _SeparableD grid at x, (J, K) each: apply on unit
     columns."""
@@ -448,12 +482,9 @@ class TestSeparableKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ReconstructionError, match="not finite at x = 1"):
                 huge.read_probes([0.0, 0.5, 1.0, X_MAX])
-        good = _Assembler(asm.weyl, asm.A)
-        real = scipy.linalg.get_lapack_funcs
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scipy.linalg, "get_lapack_funcs",
-                       lambda *a: (lambda lu, norm: (np.nan, 0))
-                       if a[0] == "gecon" else real(*a))
+            _patch_lapack(mp, gecon=lambda _: lambda *a, **kw: (np.nan, 0))
+            good = _Assembler(asm.weyl, asm.A)
             with pytest.raises(ReconstructionError, match="ill-conditioned"):
                 good.solve(1.0)
 
@@ -739,6 +770,32 @@ def test_lapack_tpqrt_resolves(rng, dtype):
     assert np.abs(R.conj().T @ R - gram).max() <= 1e-13 * np.abs(gram).max()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_lapack_transposed_lu_resolves(rng, dtype):
+    # _Assembler factors B^T with ?getrf, reads rcond_1(B) off its factors
+    # with ?gecon in the infinity norm, and solves with ?getrs at trans 0
+    # (B^T X = b, the gain) and trans 1 (B X = b, solve); the CI floors
+    # job checks that these keywords exist at the declared scipy floor
+    getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
+        ("getrf", "gecon", "getrs"), dtype=dtype)
+    assert getrf.typecode == ("d" if dtype == np.float64 else "z")
+    B = rng.normal(size=(7, 7)).astype(dtype)
+    b = rng.normal(size=(7, 3)).astype(dtype)
+    if dtype == np.complex128:
+        B += 1j * rng.normal(size=B.shape)
+        b += 1j * rng.normal(size=b.shape)
+    norm = np.abs(B).sum(axis=0).max()
+    lu, piv, info = getrf(B)
+    ref = gecon(lu, norm, norm="1")[0]
+    lu, piv, info = getrf(B.T.copy(order="F"), overwrite_a=1)
+    assert info == 0
+    assert abs(gecon(lu, norm, norm="I")[0] - ref) <= 1e-12 * ref
+    for trans, M in ((0, B.T), (1, B)):
+        X, info = getrs(lu, piv, b.copy(order="F"), trans=trans, overwrite_b=1)
+        assert info == 0
+        assert _rel(X, np.linalg.solve(M, b)) <= 1e-12
+
+
 class TestBatchedTailFit:
     """The tail fit of a two-pass invert on the benchmark contour: the
     stacked system _tv_irls received and what it returned, against the
@@ -830,19 +887,12 @@ def test_slice_by_slice_path_matches_two_pass_invert(n):
     # main-equation residual.
     weyl, _ = _box_weyl(n)
     cfg = InvertConfig(x_max=X_MAX, x_nodes=13)
-    real = scipy.linalg.lu_factor
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.linalg, "lu_factor", spy)
+        calls = _factored(mp)
         res = invert(weyl, cfg)
     A = extract_A(weyl.tail_samples)
     asm = _Assembler(weyl, A)
-    assert calls == [(asm.K * n, asm.K * n)] * (cfg.x_nodes + 1)
+    assert calls == [((asm.K * n, asm.K * n), np.float64)] * (cfg.x_nodes + 1)
     Q1 = invert(weyl, replace(cfg, passes=1)).Q
     asm.extend(*inverse._tail_extension(weyl, A, Q1, asm.real_system)[:3])
     xs = np.linspace(0.0, cfg.x_max, cfg.x_nodes)
@@ -922,15 +972,8 @@ class TestSlicePool:
         ext_rhos, ext_w = extension_nodes(weyl.contour, 7.0)
         # i c / rho mirrors: at -conj rho it is conj(i c / rho)
         ext_Mhat = 1e-2j / ext_rhos[:, None, None] * np.eye(n)
-        real = scipy.linalg.lu_factor
         runs = {}
         for workers in (1, 3):
-            calls = []
-
-            def spy(*args, **kwargs):
-                calls.append(args[0].shape)
-                return real(*args, **kwargs)
-
             threads = threading.active_count()
             with pytest.MonkeyPatch.context() as mp:
                 _one_slice_blocks(mp, workers)
@@ -938,10 +981,10 @@ class TestSlicePool:
                 asm.extend(ext_rhos, ext_w, ext_Mhat)
                 reads = asm.read_probes(xs)
                 assert asm.slice_workers == workers
-                mp.setattr(scipy.linalg, "lu_factor", spy)
+                calls = _factored(mp)
                 res = invert(weyl, cfg)
             assert threading.active_count() == threads
-            assert calls == [(asm.K * n, asm.K * n)] * (cfg.x_nodes + 1)
+            assert calls == [((asm.K * n, asm.K * n), np.float64)] * (cfg.x_nodes + 1)
             runs[workers] = reads, res
         (reads1, res1), (reads3, res3) = runs[1], runs[3]
         for a, b in zip(reads1, reads3):
@@ -1097,18 +1140,6 @@ ODD_CONTOUR = dict(BENCH_CONTOUR, n_circle=33)
 PROBES = [1j * np.sqrt(2.0), 1j * np.sqrt(5.0)]
 
 
-def _dtypes_factored(mp):
-    """The dtypes of the matrices scipy.linalg.lu_factor receives."""
-    real, seen = scipy.linalg.lu_factor, []
-
-    def spy(a, *args, **kwargs):
-        seen.append(a.dtype)
-        return real(a, *args, **kwargs)
-
-    mp.setattr(scipy.linalg, "lu_factor", spy)
-    return seen
-
-
 class TestRealSystem:
     """The real half system of mirror-symmetric data against the complex
     system over all nodes, which the same data take when the symmetry
@@ -1190,12 +1221,12 @@ class TestRealSystem:
                  (off_axis, A, PROBES, np.complex128)]
         for data, AA, probes, dtype in cases:
             with pytest.MonkeyPatch.context() as mp:
-                seen = _dtypes_factored(mp)
+                seen = _factored(mp)
                 asm = _Assembler(data, AA, probes)
                 asm.read_probes([1.0])
                 asm.solve(1.0)
             assert asm.real_system is (dtype == np.float64)
-            assert seen == [dtype, dtype]
+            assert [d for _, d in seen] == [dtype, dtype]
 
     def test_empty_tail_is_mirror_symmetric(self):
         # WeylData and solve_main_equation allow data without a tail,
@@ -1247,6 +1278,128 @@ class TestRealSystem:
         ext_Mhat = 1e-2j / ext_rhos[:, None, None] * np.ones((1, 1))
         with pytest.raises(ValueError, match="must mirror"):
             asm.extend(ext_rhos[1:], ext_w[1:], ext_Mhat[1:])
+
+
+class TestTransposedFactor:
+    """The fast path of the slices against dense solves of the same fill:
+    ?getrf factors B^T in place, ?gecon reads rcond_1(B) off it in the
+    infinity norm, ?getrs gives the gain with trans 0 and solve's phi with
+    trans 1.  On the benchmark contour (pairs rho = tau and rho = -tau)
+    and ODD_CONTOUR (a self-mirror node), on the real and the complex
+    system."""
+
+    XS = np.array([0.0, X_STEP, 1.0, X_MAX])
+
+    @staticmethod
+    def _extension(weyl, n):
+        """A Born tail extension in the mirror layout, samples too."""
+        ext_rhos, ext_w = extension_nodes(weyl.contour, 7.0)
+        E = ext_rhos.size // 2
+        Mhat = (0.01 + 0.02j) / ext_rhos[:E, None, None] * np.ones((n, n))
+        return ext_rhos, ext_w, np.concatenate([Mhat, Mhat[::-1].conj()])
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["plain", "ext"])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("contour", [BENCH_CONTOUR, ODD_CONTOUR],
+                             ids=["bench", "odd"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_dense_solves(self, n, contour, real, extended):
+        weyl, A = _box_weyl(n, contour)
+        fills, rhs, blocks = [], [], []
+
+        def keep_fill(getrf):
+            def spy(a, **kwargs):
+                fills.append(a.T.copy())
+                return getrf(a, **kwargs)
+            return spy
+
+        def keep_rhs(getrs):
+            def spy(lu, piv, b, **kwargs):
+                rhs.append((b.copy(), kwargs.get("trans", 0)))
+                return getrs(lu, piv, b, **kwargs)
+            return spy
+
+        def dense(getrs):
+            # B X = b (trans 1) or B^T X = b (trans 0), B the last fill
+            return lambda lu, piv, b, trans=0, **kw: (np.linalg.solve(
+                fills[-1] if trans else fills[-1].T, b), 0)
+
+        asms = {}
+        for lapack in ("fast", "dense"):
+            with pytest.MonkeyPatch.context() as mp:
+                if not real:
+                    mp.setattr(inverse, "_mirror_symmetric", lambda *a: False)
+                _patch_lapack(mp, getrf=keep_fill, getrs=keep_rhs
+                              if lapack == "fast" else dense)
+                asm = asms[lapack] = _Assembler(weyl, A, PROBES)
+            assert asm.real_system is real
+            if extended:
+                asm.extend(*self._extension(weyl, n))
+        asm = asms["fast"]
+        # blocks of 3 and 1 slices, in x order on one thread
+        asm._block = 3
+        factor = asm._factor
+
+        def spy(xs, rows, cols, pairs, cond_limit):
+            blocks.append((xs, pairs.copy()))
+            return factor(xs, rows, cols, pairs, cond_limit)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(asm, "_factor", spy)
+            mp.setattr(inverse, "_slice_workers", lambda n_blocks: 1)
+            _, G, rcond = asm.read_probes(self.XS)
+        assert len(fills) == len(rhs) == self.XS.size
+        gecon = scipy.linalg.get_lapack_funcs("gecon", (fills[0],))
+        for i, (B, (b, trans)) in enumerate(zip(fills, rhs)):
+            assert trans == 0
+            assert _rel(G[i], np.linalg.solve(B.T, b).T) <= 1e-12
+            lu, _ = scipy.linalg.lu_factor(B)
+            ref, info = gecon(lu, np.abs(B).sum(axis=0).max(), norm="1")
+            assert info == 0 and abs(rcond[i] - ref) <= 1e-12 * ref
+        # each block read the coincident pairs of its own xs, bit for bit
+        j, k = asm._D_nodes.near
+        r, t = asm._nodes[j], asm._D_nodes.taus[k]
+        assert np.any(r == t) and np.any(r == -t)
+        assert [xs.size for xs, _ in blocks] == [3, 1]
+        for xs, (cA, cP) in blocks:
+            dA, dP = _model_D_coeffs(xs[:, None], r, t)
+            assert np.array_equal(cA, dA)
+            assert np.array_equal(cP, np.where(j < asm._nk, 1j * r, 1.0) * dP)
+        for x in self.XS[1:]:
+            phi = asm.solve(x).phi_nodes
+            assert rhs[-1][1] == 1
+            assert _rel(phi, asms["dense"].solve(x).phi_nodes) <= 1e-12
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_singular_slice_raises_without_warning(self, real):
+        # a first column of B^T set to zero: ?getrf reports info = 1, and
+        # the slice fails the condition check with no LinAlgWarning
+        weyl, A = _box_weyl(2)
+        infos = []
+
+        def singular(getrf):
+            def spy(a, **kwargs):
+                a[:, 0] = 0.0
+                out = getrf(a, **kwargs)
+                infos.append(out[2])
+                return out
+            return spy
+
+        with pytest.MonkeyPatch.context() as mp:
+            if not real:
+                mp.setattr(inverse, "_mirror_symmetric", lambda *a: False)
+            _patch_lapack(mp, getrf=singular)
+            asm = _Assembler(weyl, A, PROBES)
+        assert asm.real_system is real
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReconstructionError,
+                               match="ill-conditioned at x = 1"):
+                asm.solve(1.0)
+            with pytest.raises(ReconstructionError,
+                               match="ill-conditioned at x = 0.5"):
+                asm.read_probes([0.5, 1.0])
+        assert infos == [1, 1]
 
 
 @pytest.mark.parametrize("n", [1, 2])
