@@ -19,7 +19,7 @@ The second reconstruction pass replaces the rough first-pass tail model
 with one fitted to the data, which sharpens the result near x = 0.
 
 Run:  python3 demos/02_roundtrip_reconstruction.py
-      (about one minute; pass --quick for a coarser, faster contour)
+      (about 2 seconds; pass --quick for a coarser, faster contour)
 """
 
 import sys

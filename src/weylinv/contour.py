@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DimensionMismatchError, DomainError, SpectralPoint,
-                   lambda_to_point)
+from .core import DimensionMismatchError, DomainError, SpectralPoint
 
 __all__ = ["ContourNode", "Contour", "build_contour", "coarsen_contour",
            "extension_nodes", "integrate", "cauchy_transform"]
@@ -196,34 +195,28 @@ def build_contour(r0: float, R: float, delta: float = None,
 
     # uniform in sqrt(s): resolves kernels oscillating in tau = sqrt(mu)
     sig = np.linspace(np.sqrt(r0), np.sqrt(R), n_cut)
-    segs = ("upper_cut",) * n_cut + ("lower_cut",) * n_cut
-    cut = [ContourNode(point=SpectralPoint(r), weight=w, segment=s)
-           for r, w, s in zip(*_cut_sides(sig, sig[1] - sig[0], delta), segs)]
-    nodes = cut[:n_cut]
+    rho_cut, w_cut = _cut_sides(sig, sig[1] - sig[0], delta)
 
     theta0 = np.arcsin(min(delta / r0, 1.0)) if delta > 0 else 0.0
     theta = np.linspace(theta0, 2.0 * np.pi - theta0, n_circle)
     # the lower half is laid out as the upper half's mirror, as
-    # r0 exp(i theta) is mirrored only to rounding
-    lam_circ = r0 * np.exp(1j * theta[:(n_circle + 1) // 2])
+    # r0 exp(i theta) is mirrored only to rounding; the upper half's
+    # principal roots have Im rho >= 0, and at delta = 0 its theta = 0
+    # node takes the upper cut side's sheet, rho = +sqrt(r0)
+    lam_half = r0 * np.exp(1j * theta[:(n_circle + 1) // 2])
     if n_circle % 2:
-        lam_circ[-1] = -r0
-    lam_circ = _mirror_fill(lam_circ, n_circle)
-    w_circ = _param_weights(1j * lam_circ, theta[1] - theta[0])
-    for k, (lam, w) in enumerate(zip(lam_circ, w_circ)):
-        if lam.imag != 0:
-            pt = lambda_to_point(lam)
-        else:
-            # theta = pi lands on the negative axis; theta 0 or 2pi only
-            # when delta = 0, where the sheet follows the adjacent cut side
-            sheet = "upper" if k < n_circle // 2 else "lower"
-            pt = lambda_to_point(lam, sheet)
-        nodes.append(ContourNode(point=pt, weight=w, segment="circle"))
+        lam_half[-1] = -r0
+    w_circ = _param_weights(1j * _mirror_fill(lam_half, n_circle),
+                            theta[1] - theta[0])
+    rho_circ = _mirror_fill(np.sqrt(lam_half), n_circle, negate=True)
 
-    nodes += cut[n_cut:]
-
-    return Contour(r0=float(r0), R=float(R), delta=float(delta),
-                   nodes=tuple(nodes))
+    rhos = np.concatenate([rho_cut[:n_cut], rho_circ, rho_cut[n_cut:]])
+    weights = np.concatenate([w_cut[:n_cut], w_circ, w_cut[n_cut:]])
+    segs = (("upper_cut",) * n_cut + ("circle",) * n_circle
+            + ("lower_cut",) * n_cut)
+    nodes = tuple(ContourNode(point=SpectralPoint(r), weight=w, segment=s)
+                  for r, w, s in zip(rhos, weights, segs))
+    return Contour(r0=float(r0), R=float(R), delta=float(delta), nodes=nodes)
 
 
 def coarsen_contour(contour: Contour, mode: str):

@@ -55,11 +55,8 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration failed to converge; carries the last residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A forward solve has no finite answer: the grid does not resolve Q,
+    a discrete system is singular, or a solution overflows."""
 
 
 class PoleProximityError(RuntimeError):

@@ -151,8 +151,8 @@ def _mm(a, b):
     cost is most of the time (16 solve_regular calls on forward-matrix:
     0.020-0.029 s with matmul throughout, 0.011-0.013 s with this for the
     long stacks, one BLAS thread on a 2-core x86 host).  Short stacks are
-    faster with matmul (see _MM_MIN_STACK).  Every entry adds the same
-    products in the same order, so it rounds the same in any stack."""
+    faster with matmul.  Every entry adds the same products in the same
+    order, so it rounds the same in any stack."""
     out = a[..., :, :1] * b[..., None, 0, :]
     for k in range(1, a.shape[-1]):
         out += a[..., :, k, None] * b[..., None, k, :]
@@ -257,14 +257,11 @@ def _jost_scaled(Q, rhos, dx, names=None, full=False):
     # on other versions)
     rhos = np.resize(rhos, max(B, 2))
     eye = np.eye(n, dtype=complex)[..., None]
-    if not Q.any():                              # E = I and E' = 0 exactly
-        shape = (T if full else 1, n, n, B)
-        return np.broadcast_to(eye, shape).copy(), np.zeros(shape, complex)
     cq = c * matnorm(Q)
     if 0.5 <= cq < np.inf:              # a NaN or inf Q ends as not finite
         raise ConvergenceError(f"Jost solve: (dx^2/12) |Q| = {cq:.3g} >= 0.5, "
                                "the grid does not resolve Q; rho = "
-                               f"{complex(names[0])}", residual=float("inf"))
+                               f"{complex(names[0])}")
     two = 2j * rhos
     a, b = np.exp(two * dx), np.expm1(two * dx) / two
     xr = (np.arange(T) * dx)[:, None]          # x_m - x_i for row r = m - i
@@ -291,7 +288,7 @@ def _jost_scaled(Q, rhos, dx, names=None, full=False):
             k = np.argmin(np.abs(np.linalg.det(Mz[:B])))
             raise ConvergenceError(
                 "Jost solve: the end-slope system is singular at rho = "
-                f"{complex(names[k])}", residual=float("inf")) from None
+                f"{complex(names[k])}") from None
         Z = np.moveaxis(Z, 0, -1)
         f += c * w[1:, None, None] * Z
         KF = _pmm(K[1:], f)
@@ -321,7 +318,7 @@ def _jost_scaled(Q, rhos, dx, names=None, full=False):
     if bad.any():
         raise ConvergenceError(
             "Jost solution not finite at rho = "
-            f"{complex(names[np.argmax(bad)])}", residual=float("nan"))
+            f"{complex(names[np.argmax(bad)])}")
     return E[..., :B], Ep[..., :B]
 
 
@@ -447,16 +444,6 @@ _STEP_TAYLOR_TOL = 1e-17
 _STEP_NORM_MAX = 0.25
 
 
-# Shortest stack that _prefix_apply multiplies by _mm.  One BLAS thread on a
-# 2-core x86 host, matmul against _mm: 2 x 2 @ 2 x 2 stacks of 64 take 20
-# and 8 us, of 6440 1.9 and 0.6 ms (the n = 1 chunk steps of
-# closure_residual at K = 320); 4 x 4 @ 4 x 2 stacks of 322 take 169 and
-# 125 us, but 4 x 4 @ 4 x 4 stacks of 64 take 24 and 30 us.  The chunk
-# steps of a one-energy march (solve_regular) stack about sqrt(N)
-# matrices, below 64 for grids of up to 4000 nodes, and stay on matmul.
-_MM_MIN_STACK = 64
-
-
 def _propagators(pot: PotentialGrid, lams):
     """Step maps of Y'' = (Q - lambda) Y, one per step and energy.
 
@@ -486,7 +473,7 @@ def _propagators(pot: PotentialGrid, lams):
     norm = float(np.abs(W).sum(axis=-2).max(initial=0.0))
     if not math.isfinite(norm):
         raise ConvergenceError(
-            f"regular march: step matrix not finite (|W| = {norm})", residual=norm)
+            f"regular march: step matrix not finite (|W| = {norm})")
     m = 0
     while norm > _STEP_NORM_MAX:
         norm *= 0.25
@@ -516,7 +503,7 @@ def _propagators(pot: PotentialGrid, lams):
     P[..., n:, :n] = _mm(B, S)
     if not np.isfinite(P).all():
         raise ConvergenceError("regular march: step map not finite "
-                               f"after {m} doublings", residual=float("inf"))
+                               f"after {m} doublings")
     return P
 
 
@@ -524,14 +511,12 @@ def _prefix_apply(P, Y):
     """Y_k = P_{k-1} ... P_0 Y for k <= M, (M + 1, K, 2n, m), from an
     (M, K, 2n, 2n) stack of step maps P and a (2n, m) block Y.
 
-    A chunked scan shaped like _backward_scan: the steps go into C chunks
-    of L = ceil(sqrt(M)) steps (the last chunk padded with identities),
-    and the local prefix products of every chunk are formed together; one
+    A chunked scan shaped like _jost_scan: the steps go into C chunks of
+    L = ceil(sqrt(M)) steps (the last chunk padded with identities), and
+    the local prefix products of every chunk are formed together; one
     pass over the chunks carries the data T_{cL} Y to the start of each
-    chunk; one fix-up product applies every local product to its chunk's
-    carried data.  That is about L + C small steps, not M.  The chunk
-    steps multiply stacks of C K matrices and the carries stacks of K,
-    each by _mm from _MM_MIN_STACK matrices on.
+    chunk; one fix-up product (_mm) applies every local product to its
+    chunk's carried data.  That is about L + C small steps, not M.
     """
     M, K, n2 = P.shape[:3]
     L = math.isqrt(M - 1) + 1
@@ -540,14 +525,12 @@ def _prefix_apply(P, Y):
     U[:M] = P
     U[M:] = np.eye(n2)
     U = U.reshape(C, L, K, n2, n2)
-    step = _mm if C * K >= _MM_MIN_STACK else np.matmul
     for j in range(1, L):
-        U[:, j] = step(U[:, j], U[:, j - 1])
+        U[:, j] = U[:, j] @ U[:, j - 1]
     g = np.empty((C, K) + Y.shape, dtype=complex)
     g[0] = Y
-    carry = _mm if K >= _MM_MIN_STACK else np.matmul
     for c in range(1, C):
-        g[c] = carry(U[c - 1, -1], g[c - 1])
+        g[c] = U[c - 1, -1] @ g[c - 1]
     out = np.empty((M + 1, K) + Y.shape, dtype=complex)
     out[0] = Y
     out[1:] = _mm(U, g[:, None]).reshape((C * L, K) + Y.shape)[:M]
@@ -569,7 +552,7 @@ def _march_many(pot: PotentialGrid, lams, Y0, Y0p):
         lam = np.asarray(lams, dtype=complex)[bad][0]
         raise ConvergenceError(
             f"regular march overflowed at lambda = {lam:.6g} "
-            f"({bad.sum()} of {bad.size} energies)", residual=float("inf"))
+            f"({bad.sum()} of {bad.size} energies)")
     n = pot.dim
     return out[..., :n, :], out[..., n:, :]
 

@@ -53,6 +53,7 @@ from .contour import (Contour, _is_mirror, _mirror_fill, coarsen_contour,
 from .core import (
     BoundaryCondition,
     DataQualityError,
+    DimensionMismatchError,
     PotentialGrid,
     ReconstructionError,
     SpectralPoint,
@@ -87,7 +88,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeylData:
-    """Weyl-matrix samples on a contour plus large-|rho| tail samples."""
+    """Weyl-matrix samples on a contour plus large-|rho| tail samples,
+    every one an n x n matrix (else DimensionMismatchError)."""
 
     contour: Contour
     M_samples: np.ndarray              # (K, n, n)
@@ -100,6 +102,10 @@ class WeylData:
         if M.ndim != 3 or M.shape[1] != M.shape[2]:
             raise ValueError(f"M samples must be (K, n, n), got {M.shape}")
         tail = tuple(sorted(self.tail_samples, key=lambda t: abs(t[0].rho)))
+        for _, m in tail:
+            if np.shape(m) != M.shape[1:]:
+                raise DimensionMismatchError(f"tail samples must be (n, n) = "
+                                             f"{M.shape[1:]}, got {np.shape(m)}")
         if not (np.all(np.isfinite(M))
                 and all(np.all(np.isfinite(m)) for _, m in tail)):
             raise DataQualityError("Weyl samples must be finite")
@@ -172,7 +178,8 @@ class InvertConfig:
 
     x_max must be finite and positive, every probe finite and resolved by
     the x-grid, |lambda_j|^(3/4) x_max / (x_nodes - 1) <= _PROBE_STEP_LIMIT;
-    anything else raises ValueError.
+    anything else raises ValueError, and a probe lambda_to_point rejects
+    (lambda = 0) its DomainError.
     """
 
     x_max: float
@@ -192,6 +199,8 @@ class InvertConfig:
         lams = np.asarray(self.lambda_probes, complex)
         if not np.all(np.isfinite(lams)):
             raise ValueError("lambda probes must be finite")
+        for lam in lams:
+            lambda_to_point(lam)
         j = np.abs(lams).argmax()
         step = abs(lams[j]) ** 0.75 * self.x_max / (self.x_nodes - 1)
         if step > _PROBE_STEP_LIMIT:
@@ -1346,14 +1355,13 @@ def _potential_from_probes(xs, PHI, A, lams, phi_cond_limit, edge_layer):
     Q = Q_acc[near] / count[near, None, None]
     Q[-2:] = 0.0
 
-    if edge_layer > 0:
-        i0 = int(np.ceil(edge_layer / dx))
-        i1 = min(i0 + max(6, i0), xs.size - 3)
-        if 0 < i0 < i1:
-            coef = np.polynomial.polynomial.polyfit(
-                xs[i0:i1], Q[i0:i1].reshape(i1 - i0, -1), 1)
-            fill = np.polynomial.polynomial.polyval(xs[:i0], coef).T
-            Q[:i0] = fill.reshape(i0, n, n)
+    i0 = int(np.ceil(edge_layer / dx))
+    i1 = min(i0 + max(6, i0), xs.size - 3)
+    if 0 < i0 < i1:
+        coef = np.polynomial.polynomial.polyfit(
+            xs[i0:i1], Q[i0:i1].reshape(i1 - i0, -1), 1)
+        fill = np.polynomial.polynomial.polyval(xs[:i0], coef).T
+        Q[:i0] = fill.reshape(i0, n, n)
 
     h = np.mean(np.tensordot(d1, PHI, axes=(0, 0)) - Ap, axis=0)
     h = A @ h @ A

@@ -388,6 +388,18 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert not (tmp_path / "out" / "weyl.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["invert", "roundtrip"])
+    def test_zero_probe_fails_before_any_work(self, tmp_path, mode):
+        # lambda = 0 has no image in Omega: exit 3 (DomainError) before
+        # the CSV files (absent here) are read or any sample is computed
+        cfg = dict(SCALAR_BOX, lambda_probes=[0.0, -4.0],
+                   input={"weyl": str(tmp_path / "absent.csv"),
+                          "tail": str(tmp_path / "absent.csv")})
+        rc = main([mode, "--config", write_cfg(tmp_path / "c.json", cfg),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_NUMERICAL
+        assert not (tmp_path / "out" / "weyl.csv").exists()
+
     @pytest.mark.parametrize("nodes", [3, 5])
     def test_x_grid_below_stencil_span_is_config_error(self, tmp_path, nodes):
         # the read-out needs 7 slices: the config is rejected before any

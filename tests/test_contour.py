@@ -39,6 +39,23 @@ def _cut_sides_per_node(sig, h, delta):
     return np.array(rhos), np.concatenate(ws)
 
 
+def _circle_per_node(r0, delta, n_circle):
+    """The circle's rhos and weights, each node's rho through
+    lambda_to_point on its own: off the real axis the root with Im rho > 0,
+    on it (theta = pi, or theta = 0 and 2 pi at delta = 0) the sheet of
+    the half the node is in (the reference for build_contour's mirrored
+    layout of the roots)."""
+    theta0 = np.arcsin(min(delta / r0, 1.0)) if delta > 0 else 0.0
+    theta = np.linspace(theta0, 2.0 * np.pi - theta0, n_circle)
+    half = r0 * np.exp(1j * theta[:(n_circle + 1) // 2])
+    if n_circle % 2:
+        half[-1] = -r0
+    lams = _mirror_per_entry(half, n_circle, negate=False)
+    rhos = [lambda_to_point(lam, "upper" if k < n_circle // 2 else "lower").rho
+            for k, lam in enumerate(lams)]
+    return np.array(rhos), _param_weights(1j * lams, theta[1] - theta[0])
+
+
 class TestConstruction:
     def test_node_count_and_order(self):
         c = small_contour()
@@ -149,6 +166,21 @@ class TestConstruction:
         for a, b in zip(fast, ref):
             assert a.dtype == b.dtype == np.complex128
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("r0", [0.5, 3.7])
+    @pytest.mark.parametrize("delta", [None, 0.0, 1e-3, 0.05, 2.0, 5.0])
+    @pytest.mark.parametrize("n_circle", [32, 33, 64, 65])
+    def test_circle_matches_per_node_construction(self, n_circle, delta, r0):
+        # the circle's rhos, laid out as the upper half's roots and their
+        # mirror, have the bits of a sheet chosen node by node, signs of
+        # zero included; delta >= r0 starts the circle at theta = pi / 2
+        c = build_contour(r0=r0, R=50.0, n_cut=32, n_circle=n_circle,
+                          delta=delta)
+        circle = np.array(c.segments) == "circle"
+        rho, w = _circle_per_node(r0, c.delta, n_circle)
+        assert np.array_equal(c.rhos[circle].view(np.int64), rho.view(np.int64))
+        assert np.array_equal(c.weights[circle].view(np.int64),
+                              w.view(np.int64))
 
     def test_default_delta_positive(self):
         c = build_contour(r0=2.0, R=50.0)

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from weylinv import (
     BoundaryCondition,
     DataQualityError,
+    DimensionMismatchError,
     InvertConfig,
     PotentialGrid,
     Problem,
@@ -1444,6 +1445,9 @@ class TestInvertConfig:
         {"x_max": np.nan}, {"x_max": np.inf}, {"x_max": 0.0},
         {"lambda_probes": (np.nan, -5.0)}, {"lambda_probes": (-2.0, np.inf)},
         {"lambda_probes": (-2.0, complex(-5.0, np.nan))},
+        # lambda = 0 has no image in Omega (a DomainError): rejected here,
+        # not after every slice is solved
+        {"lambda_probes": (0.0, -4.0)},
         # probes the x-grid does not resolve, |lambda|^(3/4) dx = 1.9 and
         # 167: invert returned a wrong h and Q without an error
         {"lambda_probes": (-2.0, -25.0), "x_nodes": 13},
@@ -1518,6 +1522,17 @@ class TestWeylDataValidation:
         with pytest.raises(ValueError, match=r"must be \(K, n, n\)"):
             WeylData(contour=weyl.contour, M_samples=M,
                      tail_samples=weyl.tail_samples)
+
+    def test_tail_samples_must_match_n(self):
+        # n = 1 contour samples with 2 x 2 tail samples: rejected here,
+        # not left to fail inside the slice factorization
+        weyl = model_weyl_data(np.array([[1.0 + 0j]]))
+        tail = tuple((pt, np.eye(2, dtype=complex)) for pt, _ in
+                     weyl.tail_samples)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"\(n, n\) = \(1, 1\), got \(2, 2\)"):
+            WeylData(contour=weyl.contour, M_samples=weyl.M_samples,
+                     tail_samples=tail)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_rejected(self, bad):
